@@ -5,7 +5,7 @@ spin Green polynomials and spin characters of the symmetric group.
 
 __version__ = "0.1.0"
 
-from .gamma import GammaElement, coefficient, d_dp, one, p_monomial, pair, pn_star
+from .gamma import GammaElement, d_dp, one, p_monomial, pair, pn_star
 from .partitions import (
     HorizontalStrip,
     Partition,
@@ -28,8 +28,7 @@ from .partitions import (
     z_factor,
 )
 from .qkostka import (
-    LTable,
-    QExpansion,
+    Table,
     expand_g_in_q,
     l_direct,
     l_recursive,
@@ -37,8 +36,6 @@ from .qkostka import (
     l_two_row,
 )
 from .spingreen import (
-    SpinCharTable,
-    YTable,
     spin_char_table,
     spin_character,
     y_direct,

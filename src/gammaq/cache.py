@@ -1,10 +1,12 @@
 """Persistent JSON cache for computed values.
 
-Four kinds are cached: the two recursion memo tables (kinds "L" and "Y",
-polynomial-valued) and the two vertex-operator vacuum expansions (kinds
-"schur_q" and "qhl", ring-element-valued).  Every file carries an
-engine-version tag; a mismatch silently discards the file, so stale caches
-are recomputed rather than trusted.
+Every persistent memo of the registry in memo.py is cached in one file,
+<name>.json: today "L" and "Y" (the two recursion memos, keyed "lam|mu",
+polynomial-valued) and "vacuum" (the Schur Q and Q-Hall-Littlewood vacuum
+vectors, keyed "Q|lam" or "G|lam", ring-element-valued).  Every file carries
+VERSION_TAG, which changes whenever the file layout does.  A file that is
+missing, carries another tag or kind, or has any malformed key or value is
+skipped whole, so such files are recomputed rather than trusted.
 """
 
 from __future__ import annotations
@@ -13,15 +15,9 @@ import json
 import os
 
 from . import __version__
-from .gamma import GammaElement
-from .partitions import parse_partition, partition_str
-from . import qkostka, spingreen, vertexops
+from .memo import Memo, persistent
 
-VERSION_TAG = f"gammaq-{__version__}-fmt1"
-
-KINDS = ("L", "Y", "schur_q", "qhl")
-
-_SPEC_FOR_KIND = {"schur_q": "Q", "qhl": "G"}
+VERSION_TAG = f"gammaq-{__version__}-fmt2"
 
 
 def default_cache_dir() -> str:
@@ -34,57 +30,49 @@ def default_cache_dir() -> str:
     return os.path.join(base, "gammaq")
 
 
-def _is_strict(p) -> bool:
-    return all(x > 0 for x in p) and all(p[i] > p[i + 1] for i in range(len(p) - 1))
-
-
 class Cache:
-    """Load/save the module memo tables under a directory."""
+    """Load/save the persistent memos under a directory."""
 
     def __init__(self, directory: str | None = None, enabled: bool = True):
         self.directory = directory or default_cache_dir()
         self.enabled = enabled
 
-    def _path(self, kind: str) -> str:
-        return os.path.join(self.directory, f"{kind}.json")
+    def _path(self, name: str) -> str:
+        return os.path.join(self.directory, f"{name}.json")
 
-    def _read(self, kind: str) -> dict:
+    def _read(self, m: Memo) -> dict:
+        """The decoded entries of m's file, or {} if it is unusable."""
         try:
-            with open(self._path(kind), "r", encoding="utf-8") as fh:
+            with open(self._path(m.name), "r", encoding="utf-8") as fh:
                 data = json.load(fh)
         except (OSError, ValueError):
             return {}
-        if data.get("version") != VERSION_TAG or data.get("kind") != kind:
+        if (
+            not isinstance(data, dict)
+            or data.get("version") != VERSION_TAG
+            or data.get("kind") != m.name
+            or not isinstance(data.get("entries"), dict)
+        ):
             return {}
-        return data.get("entries", {})
+        try:
+            return {m.key.decode(k): m.value.decode(v) for k, v in data["entries"].items()}
+        except (ValueError, TypeError, KeyError):
+            return {}
 
     def load(self) -> None:
-        """Seed the in-memory memo tables from disk; ignores missing/stale files."""
+        """Seed the memos from disk; skips missing, stale and malformed files."""
         if not self.enabled:
             return
-        qkostka.memo_restore(self._read("L"))
-        spingreen.memo_restore(self._read("Y"))
-        for kind, spec_key in _SPEC_FOR_KIND.items():
-            for text, payload in self._read(kind).items():
-                lam = parse_partition(text)
-                vertexops._vacuum_memo[(spec_key, lam)] = GammaElement.from_json(payload)
+        for m in persistent():
+            m.table.update(self._read(m))
 
     def save(self) -> None:
-        """Write current memo tables; files are rewritten whole."""
+        """Write every persistent memo; files are rewritten whole."""
         if not self.enabled:
             return
         os.makedirs(self.directory, exist_ok=True)
-        snapshots: dict[str, dict] = {
-            "L": qkostka.memo_snapshot(),
-            "Y": spingreen.memo_snapshot(),
-        }
-        for kind, spec_key in _SPEC_FOR_KIND.items():
-            entries = {}
-            for (key, modes), value in vertexops._vacuum_memo.items():
-                if key == spec_key and _is_strict(modes):
-                    entries[partition_str(modes)] = value.to_json()
-            snapshots[kind] = dict(sorted(entries.items()))
-        for kind, entries in snapshots.items():
-            payload = {"version": VERSION_TAG, "kind": kind, "entries": entries}
-            with open(self._path(kind), "w", encoding="utf-8") as fh:
+        for m in persistent():
+            entries = {m.key.encode(k): m.value.encode(v) for k, v in m.table.items()}
+            payload = {"version": VERSION_TAG, "kind": m.name, "entries": entries}
+            with open(self._path(m.name), "w", encoding="utf-8") as fh:
                 json.dump(payload, fh, sort_keys=True)

@@ -2,7 +2,7 @@
 
 Subcommands: lkostka, spin-green, spin-char, expand, verify.
 Formats: json (canonical), csv, latex (published table layout), markdown.
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification or arithmetic failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -89,37 +89,7 @@ def _matrix_latex(corner: str, cols, rows, cell) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_poly_table(table, fmt: str, latex_transposed: bool) -> str:
-    rows, cols = table.rows(), table.cols()
-    if fmt == "json":
-        return json.dumps(table.to_json(), indent=2) + "\n"
-    if fmt == "csv":
-        return _matrix_csv(
-            "lambda\\mu", cols, rows, lambda r, c: str(table.entry(r, c))
-        )
-    if fmt == "markdown":
-        return _matrix_markdown(
-            "lambda\\mu", cols, rows, lambda r, c: str(table.entry(r, c))
-        )
-    if fmt == "latex":
-        if latex_transposed:
-            # published layout: rows are the odd shapes, columns the strict ones
-            return _matrix_latex(
-                "$\\mu\\backslash\\lambda$",
-                rows,
-                cols,
-                lambda mu, lam: _poly_latex(table.entry(lam, mu)),
-            )
-        return _matrix_latex(
-            "$\\lambda\\backslash\\mu$",
-            cols,
-            rows,
-            lambda lam, mu: _poly_latex(table.entry(lam, mu)),
-        )
-    raise ValueError(f"unknown format {fmt}")
-
-
-def _render_int_table(table, fmt: str) -> str:
+def _render_table(table, fmt: str, latex_cell, latex_transposed: bool) -> str:
     rows, cols = table.rows(), table.cols()
     if fmt == "json":
         return json.dumps(table.to_json(), indent=2) + "\n"
@@ -129,13 +99,29 @@ def _render_int_table(table, fmt: str) -> str:
     if fmt == "markdown":
         return _matrix_markdown("lambda\\mu", cols, rows, cell)
     if fmt == "latex":
+        if latex_transposed:
+            # published layout: rows are the odd shapes, columns the strict ones
+            return _matrix_latex(
+                "$\\mu\\backslash\\lambda$",
+                rows,
+                cols,
+                lambda mu, lam: latex_cell(table.entry(lam, mu)),
+            )
         return _matrix_latex(
-            "$\\mu\\backslash\\lambda$",
-            rows,
+            "$\\lambda\\backslash\\mu$",
             cols,
-            lambda mu, lam: str(table.entry(lam, mu)),
+            rows,
+            lambda lam, mu: latex_cell(table.entry(lam, mu)),
         )
     raise ValueError(f"unknown format {fmt}")
+
+
+def _render_poly_table(table, fmt: str, latex_transposed: bool) -> str:
+    return _render_table(table, fmt, _poly_latex, latex_transposed)
+
+
+def _render_int_table(table, fmt: str) -> str:
+    return _render_table(table, fmt, str, latex_transposed=True)
 
 
 def _coeff_prefix(c: TPoly) -> str:
@@ -202,37 +188,27 @@ def _make_cache(args) -> Cache:
 # ------------------------------------------------------------- commands
 
 
-def cmd_lkostka(args) -> int:
+def _table_command(args, build, render, **render_options) -> int:
     if args.n < 1:
         raise ValueError("--n must be >= 1")
     cache = _make_cache(args)
     cache.load()
-    table = l_table(args.n, jobs=args.jobs)
+    table = build(args.n)
     cache.save()
-    _emit(_render_poly_table(table, args.format, latex_transposed=False), args.out)
+    _emit(render(table, args.format, **render_options), args.out)
     return 0
+
+
+def cmd_lkostka(args) -> int:
+    return _table_command(args, l_table, _render_poly_table, latex_transposed=False)
 
 
 def cmd_spin_green(args) -> int:
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
-    cache = _make_cache(args)
-    cache.load()
-    table = y_table(args.n, jobs=args.jobs)
-    cache.save()
-    _emit(_render_poly_table(table, args.format, latex_transposed=True), args.out)
-    return 0
+    return _table_command(args, y_table, _render_poly_table, latex_transposed=True)
 
 
 def cmd_spin_char(args) -> int:
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
-    cache = _make_cache(args)
-    cache.load()
-    table = spin_char_table(args.n, jobs=args.jobs)
-    cache.save()
-    _emit(_render_int_table(table, args.format), args.out)
-    return 0
+    return _table_command(args, spin_char_table, _render_int_table)
 
 
 def cmd_expand(args) -> int:
@@ -241,7 +217,7 @@ def cmd_expand(args) -> int:
     cache.load()
     if args.basis == "Q":
         if args.family == "G":
-            terms = expand_g_in_q(lam).entries
+            terms = expand_g_in_q(lam)
         else:
             terms = {lam: ONE}
     else:
@@ -256,8 +232,6 @@ def cmd_verify(args) -> int:
     if args.max_n < 1:
         raise ValueError("--max-n must be >= 1")
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    cache = _make_cache(args)
-    cache.load()
     lines = []
     any_fatal = False
     for name in names:
@@ -273,7 +247,6 @@ def cmd_verify(args) -> int:
         for r in results:
             tag = "DIAG" if r.diagnostic else ("PASS" if r.passed else "FAIL")
             lines.append(f"  [{tag}] {r.name}: {r.detail}")
-    cache.save()
     _emit("\n".join(lines) + "\n", args.out)
     return 1 if any_fatal else 0
 
@@ -281,13 +254,11 @@ def cmd_verify(args) -> int:
 # -------------------------------------------------------------- parser
 
 
-def _add_common(sub, jobs: bool = True) -> None:
+def _add_common(sub, cache_help: str | None = None) -> None:
     sub.add_argument("--format", choices=FORMATS, default="json")
     sub.add_argument("--out", metavar="PATH", default=None)
-    sub.add_argument("--cache-dir", metavar="PATH", default=None)
-    sub.add_argument("--no-cache", action="store_true")
-    if jobs:
-        sub.add_argument("--jobs", type=int, default=1, metavar="N")
+    sub.add_argument("--cache-dir", metavar="PATH", default=None, help=cache_help)
+    sub.add_argument("--no-cache", action="store_true", help=cache_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,26 +271,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("lkostka", help="Q-Kostka matrix over strict partitions")
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_lkostka)
-
-    p = subs.add_parser("spin-green", help="spin Green polynomial table")
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_spin_green)
-
-    p = subs.add_parser("spin-char", help="spin character table")
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_spin_char)
+    for name, text, func in (
+        ("lkostka", "Q-Kostka matrix over strict partitions", cmd_lkostka),
+        ("spin-green", "spin Green polynomial table", cmd_spin_green),
+        ("spin-char", "spin character table", cmd_spin_char),
+    ):
+        p = subs.add_parser(name, help=text)
+        p.add_argument("--n", type=int, required=True)
+        _add_common(p)
+        p.set_defaults(func=func)
 
     p = subs.add_parser("expand", help="expand a basis vector in another basis")
     p.add_argument("--family", choices=("G", "Q"), required=True)
     p.add_argument("--lambda", dest="lam", required=True, metavar="PARTS")
     p.add_argument("--basis", choices=("Q", "p"), required=True)
-    _add_common(p, jobs=False)
+    _add_common(p)
     p.set_defaults(func=cmd_expand)
 
     p = subs.add_parser("verify", help="run verification suites")
@@ -329,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     p.add_argument("--max-n", type=int, default=5, dest="max_n")
-    _add_common(p, jobs=False)
+    _add_common(p, cache_help="accepted and ignored: verify never reads or writes the cache")
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -340,12 +306,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1
 
 
 if __name__ == "__main__":

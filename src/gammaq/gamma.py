@@ -177,7 +177,3 @@ def pair(f: GammaElement, g: GammaElement) -> TPoly:
             total = total + cf * cg * Fraction(z_factor(mu), 2 ** len(mu))
     return total
 
-
-def coefficient(f: GammaElement, mu: Partition) -> TPoly:
-    """Stored coefficient of p_mu in f, or zero."""
-    return f.coefficient(mu)

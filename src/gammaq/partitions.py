@@ -45,6 +45,15 @@ def check_odd(parts: Iterable[int]) -> Partition:
     return p
 
 
+def check_pair(lam, mu, check_mu=check_strict) -> tuple[Partition, Partition]:
+    """Validate a strict row index lam and a column index mu of the same
+    weight, mu validated by check_mu."""
+    lam, mu = check_strict(lam), check_mu(mu)
+    if sum(lam) != sum(mu):
+        raise ValueError(f"weight mismatch: |{lam}| != |{mu}|")
+    return lam, mu
+
+
 def weight(p: Partition) -> int:
     """Sum of the parts."""
     return sum(p)
@@ -194,19 +203,6 @@ def a_statistic(inner: Partition, outer: Partition) -> int:
         lo = inner[r] if r < len(inner) else 0
         cols.update(range(lo + 1, o + 1))
     return sum(1 for c in cols if c + 1 not in cols)
-
-
-def is_horizontal_strip(inner: Partition, outer: Partition) -> bool:
-    """True iff inner is contained in outer and outer/inner has <= 1 box per column."""
-    if len(outer) < len(inner):
-        return False
-    for r, o in enumerate(outer):
-        lo = inner[r] if r < len(inner) else 0
-        if o < lo:
-            return False
-        if r + 1 < len(outer) and outer[r + 1] > lo:
-            return False
-    return True
 
 
 def horizontal_strips(inner: Partition, r: int) -> list[HorizontalStrip]:

@@ -1,49 +1,39 @@
 """Q-Kostka polynomials: transition coefficients from the Q-Hall-Littlewood
-basis to the Schur Q-basis.
+basis to the Schur Q-basis, and the one table type every printed table uses.
 
 Two independent routes are provided: l_direct pairs the vertex-operator
 vectors, l_recursive peels the largest part of the column index and sums
-over horizontal strips.  They agree; the recursion is the fast path used
-for table generation.
+over horizontal strips.  They agree; the recursion is the fast path, and
+l_table evaluates it on every cell of the matrix in one plain loop.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Any, Callable
 
 from .gamma import pair
+from .memo import PAIR, POLY, Codec, memo
 from .partitions import (
     Partition,
+    check_pair,
     check_strict,
     dominance_leq,
     enumerate_strict,
     horizontal_strips,
-    partition_str,
     remove_part,
 )
 from .tpoly import ONE, TPoly, ZERO
 from .vertexops import qhl, schur_q
 
-_l_memo: dict[tuple[Partition, Partition], TPoly] = {}
-
-
-def clear_memos() -> None:
-    _l_memo.clear()
-
-
-def _check_pair(lam, mu) -> tuple[Partition, Partition]:
-    lam, mu = check_strict(lam), check_strict(mu)
-    if sum(lam) != sum(mu):
-        raise ValueError(f"weight mismatch: |{lam}| != |{mu}|")
-    return lam, mu
+_l_memo: dict[tuple[Partition, Partition], TPoly] = memo("L", PAIR, POLY)
 
 
 def l_direct(lam: Partition, mu: Partition) -> TPoly:
     """Coefficient of the Schur Q-vector at lam in the Q-Hall-Littlewood
     vector at mu, via the bilinear form: 2^{-l(lam)} <G_mu.1, Q_lam.1>."""
-    lam, mu = _check_pair(lam, mu)
+    lam, mu = check_pair(lam, mu)
     return pair(qhl(mu), schur_q(lam)) * Fraction(1, 2 ** len(lam))
 
 
@@ -54,7 +44,7 @@ def l_recursive(lam: Partition, mu: Partition) -> TPoly:
         sum_i sum_xi (-1)^{i-1} 2^{a(xi/lam^(i))} t^{lam_i - mu_1} L(xi, mu^(1))
 
     Memoized on the canonical partition pair."""
-    lam, mu = _check_pair(lam, mu)
+    lam, mu = check_pair(lam, mu)
     return _l_rec(lam, mu)
 
 
@@ -83,7 +73,7 @@ def _l_rec(lam: Partition, mu: Partition) -> TPoly:
 def l_two_row(lam: Partition, mu: Partition) -> TPoly:
     """Closed form for a two-row column index: zero unless mu <= lam in
     dominance, else 2^{1-delta(lam,mu)} t^{lam_1 - mu_1}."""
-    lam, mu = _check_pair(lam, mu)
+    lam, mu = check_pair(lam, mu)
     if len(mu) != 2:
         raise ValueError(f"column index must have exactly two parts: {mu}")
     if not dominance_leq(mu, lam):
@@ -91,25 +81,9 @@ def l_two_row(lam: Partition, mu: Partition) -> TPoly:
     return TPoly.term(1 if lam == mu else 2, lam[0] - mu[0])
 
 
-@dataclass
-class QExpansion:
-    """Expansion of a Q-Hall-Littlewood function in the Schur Q-basis."""
-
-    weight: int
-    entries: dict[Partition, TPoly]
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.weight,
-            "terms": [
-                {"partition": list(lam), "coeff": self.entries[lam].to_json()}
-                for lam in sorted(self.entries, reverse=True)
-            ],
-        }
-
-
-def expand_g_in_q(mu: Partition) -> QExpansion:
-    """The column of the transition matrix at mu, from the recursion."""
+def expand_g_in_q(mu: Partition) -> dict[Partition, TPoly]:
+    """The nonzero cells of the transition matrix column at mu, from the
+    recursion, keyed by row."""
     mu = check_strict(mu)
     n = sum(mu)
     entries = {}
@@ -117,24 +91,38 @@ def expand_g_in_q(mu: Partition) -> QExpansion:
         c = l_recursive(lam, mu)
         if not c.is_zero:
             entries[lam] = c
-    return QExpansion(n, entries)
+    return entries
 
 
 @dataclass
-class LTable:
-    """Full Q-Kostka matrix over the strict partitions of one weight."""
+class Table:
+    """A matrix over one weight: rows are the strict partitions of weight,
+    columns the partitions columns(weight) lists (strict or odd).  Only
+    nonzero cells are kept; cell encodes a cell for JSON and gives the
+    value of a cell that is not stored."""
 
     weight: int
-    entries: dict[tuple[Partition, Partition], TPoly]
+    entries: dict[tuple[Partition, Partition], Any]
+    columns: Callable[[int], tuple[Partition, ...]] = enumerate_strict
+    cell: Codec = POLY
+
+    def __post_init__(self):
+        self.entries = {k: v for k, v in self.entries.items() if v != self.cell.zero}
+
+    @classmethod
+    def build(cls, n: int, columns, fn, cell: Codec = POLY) -> "Table":
+        """The table of weight n whose cell (lam, mu) is fn(lam, mu)."""
+        cells = {(lam, mu): fn(lam, mu) for lam in enumerate_strict(n) for mu in columns(n)}
+        return cls(n, cells, columns, cell)
 
     def rows(self) -> tuple[Partition, ...]:
         return enumerate_strict(self.weight)
 
     def cols(self) -> tuple[Partition, ...]:
-        return enumerate_strict(self.weight)
+        return self.columns(self.weight)
 
-    def entry(self, lam: Partition, mu: Partition) -> TPoly:
-        return self.entries.get((tuple(lam), tuple(mu)), ZERO)
+    def entry(self, lam: Partition, mu: Partition):
+        return self.entries.get((tuple(lam), tuple(mu)), self.cell.zero)
 
     def to_json(self) -> dict:
         return {
@@ -142,59 +130,25 @@ class LTable:
             "rows": [list(r) for r in self.rows()],
             "cols": [list(c) for c in self.cols()],
             "entries": [
-                [self.entry(lam, mu).to_json() for mu in self.cols()]
+                [self.cell.encode(self.entry(lam, mu)) for mu in self.cols()]
                 for lam in self.rows()
             ],
         }
 
-    @staticmethod
-    def from_json(data: dict) -> "LTable":
-        rows = [tuple(r) for r in data["rows"]]
-        cols = [tuple(c) for c in data["cols"]]
-        entries = {}
-        for i, lam in enumerate(rows):
-            for j, mu in enumerate(cols):
-                poly = TPoly.from_json(data["entries"][i][j])
-                if not poly.is_zero:
-                    entries[(lam, mu)] = poly
-        return LTable(data["n"], entries)
+    @classmethod
+    def from_json(cls, data: dict, columns=enumerate_strict, cell: Codec = POLY) -> "Table":
+        cells = {
+            (tuple(lam), tuple(mu)): cell.decode(value)
+            for lam, row in zip(data["rows"], data["entries"])
+            for mu, value in zip(data["cols"], row)
+        }
+        return cls(data["n"], cells, columns, cell)
 
 
-def _table_cells(n: int, fn, jobs: int = 1) -> dict:
-    """Evaluate fn on every (row, col) cell, optionally with worker threads.
-
-    The shared memo dicts tolerate concurrent reads and idempotent inserts,
-    so cell-level parallelism is safe; output assembly is single-threaded.
-    """
-    pairs = [(lam, mu) for lam in enumerate_strict(n) for mu in enumerate_strict(n)]
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(lambda p: fn(*p), pairs))
-    else:
-        values = [fn(lam, mu) for lam, mu in pairs]
-    return dict(zip(pairs, values))
-
-
-def l_table(n: int, jobs: int = 1) -> LTable:
+def l_table(n: int) -> Table:
     """Full matrix over the strict partitions of n, via the recursion."""
     if n < 0:
         raise ValueError("weight must be non-negative")
-    cells = _table_cells(n, l_recursive, jobs)
-    return LTable(n, {k: v for k, v in cells.items() if not v.is_zero})
+    return Table.build(n, enumerate_strict, l_recursive)
 
 
-def memo_snapshot() -> dict[str, list]:
-    """Serializable view of the recursion memo, for the CLI cache."""
-    return {
-        f"{partition_str(lam)}|{partition_str(mu)}": poly.to_json()
-        for (lam, mu), poly in sorted(_l_memo.items())
-    }
-
-
-def memo_restore(data: dict[str, list]) -> None:
-    """Seed the recursion memo from a cache snapshot."""
-    from .partitions import parse_partition
-
-    for key, coeffs in data.items():
-        ltext, mtext = key.split("|")
-        _l_memo[(parse_partition(ltext), parse_partition(mtext))] = TPoly.from_json(coeffs)

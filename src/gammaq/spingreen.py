@@ -11,47 +11,37 @@ Three independent routes are provided:
   y_direct     pairing of the vertex-operator vector with a power-sum monomial
   y_recursive  peeling the largest row with polynomial odd-partition weights
   y_via_l      Q-Kostka recursion column composed with t = 0 character data
+
+The recursion is the fast path: y_table evaluates it on every cell, and
+spin_char_table reads each cell's character off it at t = 0.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .gamma import p_monomial, pair
+from .memo import INT, PAIR, POLY, memo
 from .partitions import (
     Partition,
     check_odd,
-    check_strict,
+    check_pair,
     enumerate_odd,
     enumerate_strict,
     epsilon,
     index_subpartitions,
-    partition_str,
     union_sorted,
 )
-from .qkostka import l_recursive
+from .qkostka import Table, l_recursive
 from .tpoly import ONE, TPoly, ZERO, TLaurent, d_count, d_poly, exact_div, inv_z_t, regular_part
 from .vertexops import qhl, schur_q
 
-_y_memo: dict[tuple[Partition, Partition], TPoly] = {}
-
-
-def clear_memos() -> None:
-    _y_memo.clear()
-
-
-def _check_pair(lam, mu) -> tuple[Partition, Partition]:
-    lam, mu = check_strict(lam), check_odd(mu)
-    if sum(lam) != sum(mu):
-        raise ValueError(f"weight mismatch: |{lam}| != |{mu}|")
-    return lam, mu
+_y_memo: dict[tuple[Partition, Partition], TPoly] = memo("Y", PAIR, POLY)
 
 
 def y_direct(lam: Partition, mu: Partition) -> TPoly:
     """<G_lam.1, p_mu> via vertex operators and the bilinear form."""
-    lam, mu = _check_pair(lam, mu)
+    lam, mu = check_pair(lam, mu, check_odd)
     return pair(qhl(lam), p_monomial(mu))
 
 
@@ -64,7 +54,7 @@ def y_recursive(lam: Partition, mu: Partition) -> TPoly:
     where {mu}_i are index subpartitions with multiplicity and the rho
     weight is the polynomial inv_z_t(rho), keeping all arithmetic in
     polynomials.  Memoized on the canonical pair."""
-    lam, mu = _check_pair(lam, mu)
+    lam, mu = check_pair(lam, mu, check_odd)
     return _y_rec(lam, mu)
 
 
@@ -108,7 +98,7 @@ def y_two_row(k: int, n: int, mu: Partition) -> TPoly:
 def y_via_l(lam: Partition, mu: Partition) -> TPoly:
     """Transition-matrix route: sum over strict nu of L(nu, lam; t) times the
     t = 0 value <Q_nu.1, p_mu>."""
-    lam, mu = _check_pair(lam, mu)
+    lam, mu = check_pair(lam, mu, check_odd)
     total = ZERO
     for nu in enumerate_strict(sum(lam)):
         l_poly = l_recursive(nu, lam)
@@ -117,143 +107,28 @@ def y_via_l(lam: Partition, mu: Partition) -> TPoly:
     return total
 
 
-def char_power_exponent(lam: Partition, mu: Partition) -> int:
-    """The exponent (l(lam) - l(mu) + eps(lam))/2 relating Y(0) to the
-    spin character; always an integer since |mu| and l(mu) agree mod 2."""
-    e = len(lam) - len(mu) + epsilon(lam)
-    if e % 2:
-        raise ArithmeticError(f"odd parity for ({lam}, {mu}); convention violated")
-    return e // 2
-
-
 def spin_character(lam: Partition, mu: Partition) -> int:
     """Spin character value: Y(lam, mu; 0) / 2^{(l(lam)-l(mu)+eps(lam))/2}.
+    The exponent is an integer, since |mu| and l(mu) agree mod 2.
 
     Raises ArithmeticError if the result is not an integer."""
-    lam, mu = _check_pair(lam, mu)
-    value = _y_rec(lam, mu)(0) * Fraction(2) ** (-char_power_exponent(lam, mu))
+    lam, mu = check_pair(lam, mu, check_odd)
+    exponent = (len(lam) - len(mu) + epsilon(lam)) // 2
+    value = _y_rec(lam, mu)(0) * Fraction(2) ** -exponent
     if value.denominator != 1:
         raise ArithmeticError(f"non-integer spin character {value} at ({lam}, {mu})")
     return int(value)
 
 
-@dataclass
-class YTable:
-    """Spin Green matrix: rows strict, columns odd, one weight."""
-
-    weight: int
-    entries: dict[tuple[Partition, Partition], TPoly]
-
-    def rows(self) -> tuple[Partition, ...]:
-        return enumerate_strict(self.weight)
-
-    def cols(self) -> tuple[Partition, ...]:
-        return enumerate_odd(self.weight)
-
-    def entry(self, lam: Partition, mu: Partition) -> TPoly:
-        return self.entries.get((tuple(lam), tuple(mu)), ZERO)
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.weight,
-            "rows": [list(r) for r in self.rows()],
-            "cols": [list(c) for c in self.cols()],
-            "entries": [
-                [self.entry(lam, mu).to_json() for mu in self.cols()]
-                for lam in self.rows()
-            ],
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "YTable":
-        rows = [tuple(r) for r in data["rows"]]
-        cols = [tuple(c) for c in data["cols"]]
-        entries = {}
-        for i, lam in enumerate(rows):
-            for j, mu in enumerate(cols):
-                poly = TPoly.from_json(data["entries"][i][j])
-                if not poly.is_zero:
-                    entries[(lam, mu)] = poly
-        return YTable(data["n"], entries)
-
-
-@dataclass
-class SpinCharTable:
-    """Spin character matrix: rows strict, columns odd, integer entries."""
-
-    weight: int
-    entries: dict[tuple[Partition, Partition], int]
-
-    def rows(self) -> tuple[Partition, ...]:
-        return enumerate_strict(self.weight)
-
-    def cols(self) -> tuple[Partition, ...]:
-        return enumerate_odd(self.weight)
-
-    def entry(self, lam: Partition, mu: Partition) -> int:
-        return self.entries.get((tuple(lam), tuple(mu)), 0)
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.weight,
-            "rows": [list(r) for r in self.rows()],
-            "cols": [list(c) for c in self.cols()],
-            "entries": [
-                [self.entry(lam, mu) for mu in self.cols()] for lam in self.rows()
-            ],
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "SpinCharTable":
-        rows = [tuple(r) for r in data["rows"]]
-        cols = [tuple(c) for c in data["cols"]]
-        entries = {}
-        for i, lam in enumerate(rows):
-            for j, mu in enumerate(cols):
-                v = int(data["entries"][i][j])
-                if v:
-                    entries[(lam, mu)] = v
-        return SpinCharTable(data["n"], entries)
-
-
-def y_table(n: int, jobs: int = 1) -> YTable:
+def y_table(n: int) -> Table:
     """Full spin Green matrix of weight n via the recursion."""
     if n < 1:
         raise ValueError("weight must be positive")
-    pairs = [(lam, mu) for lam in enumerate_strict(n) for mu in enumerate_odd(n)]
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(lambda p: y_recursive(*p), pairs))
-    else:
-        values = [y_recursive(lam, mu) for lam, mu in pairs]
-    return YTable(n, {k: v for k, v in zip(pairs, values) if not v.is_zero})
+    return Table.build(n, enumerate_odd, y_recursive)
 
 
-def spin_char_table(n: int, jobs: int = 1) -> SpinCharTable:
-    """Spin character matrix of weight n, derived from the Y-table at t = 0."""
-    table = y_table(n, jobs)
-    entries: dict[tuple[Partition, Partition], int] = {}
-    for (lam, mu), poly in table.entries.items():
-        value = poly(0) * Fraction(2) ** (-char_power_exponent(lam, mu))
-        if value.denominator != 1:
-            raise ArithmeticError(f"non-integer spin character {value} at ({lam}, {mu})")
-        if value:
-            entries[(lam, mu)] = int(value)
-    return SpinCharTable(n, entries)
-
-
-def memo_snapshot() -> dict[str, list]:
-    """Serializable view of the recursion memo, for the CLI cache."""
-    return {
-        f"{partition_str(lam)}|{partition_str(mu)}": poly.to_json()
-        for (lam, mu), poly in sorted(_y_memo.items())
-    }
-
-
-def memo_restore(data: dict[str, list]) -> None:
-    """Seed the recursion memo from a cache snapshot."""
-    from .partitions import parse_partition
-
-    for key, coeffs in data.items():
-        ltext, mtext = key.split("|")
-        _y_memo[(parse_partition(ltext), parse_partition(mtext))] = TPoly.from_json(coeffs)
+def spin_char_table(n: int) -> Table:
+    """Spin character matrix of weight n, read off the recursion at t = 0."""
+    if n < 1:
+        raise ValueError("weight must be positive")
+    return Table.build(n, enumerate_odd, spin_character, INT)

@@ -183,7 +183,9 @@ class TPoly:
         return [str(c) for c in self._coeffs]
 
     @staticmethod
-    def from_json(data: Iterable[str]) -> "TPoly":
+    def from_json(data: list[str]) -> "TPoly":
+        if not isinstance(data, list):
+            raise TypeError(f"TPoly JSON must be a list of coefficients: {data!r}")
         return TPoly(Fraction(s) for s in data)
 
 

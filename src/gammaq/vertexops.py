@@ -31,6 +31,7 @@ from math import factorial, prod
 from typing import Callable, Sequence
 
 from .gamma import GammaElement, d_dp, one, pair
+from .memo import Codec, memo
 from .partitions import (
     Partition,
     check_partition,
@@ -38,6 +39,7 @@ from .partitions import (
     enumerate_odd,
     enumerate_strict,
     multiplicities,
+    partition_str,
     remove_part,
 )
 from .tpoly import ONE, TPoly
@@ -93,13 +95,21 @@ QSTAR_SPEC = OperatorSpec(
     star=True,
 )
 
-_creation_memo: dict[tuple[str, int], GammaElement] = {}
-_vacuum_memo: dict[tuple[str, tuple[int, ...]], GammaElement] = {}
+
+def _decode_vacuum_key(text: str) -> tuple[str, tuple[int, ...]]:
+    spec, modes = text.split("|")
+    if spec not in (Q_SPEC.key, G_SPEC.key):
+        raise ValueError(f"no cached vacuum vectors for spec {spec!r}")
+    return spec, tuple(int(m) for m in modes.split(","))
 
 
-def clear_memos() -> None:
-    _creation_memo.clear()
-    _vacuum_memo.clear()
+_creation_memo: dict[tuple[str, int], GammaElement] = memo("creation")
+# Keyed by spec and modes, e.g. "G|5,3,1"; only Q and G modes reach it.
+_vacuum_memo: dict[tuple[str, tuple[int, ...]], GammaElement] = memo(
+    "vacuum",
+    Codec(lambda key: f"{key[0]}|{partition_str(key[1])}", _decode_vacuum_key),
+    Codec(GammaElement.to_json, GammaElement.from_json),
+)
 
 
 def _aut(p: Partition) -> int:
@@ -160,15 +170,9 @@ def apply_component(spec: OperatorSpec, m: int, f: GammaElement) -> GammaElement
     return result
 
 
-def compose_modes(spec: OperatorSpec, modes: Sequence[int], f: GammaElement) -> GammaElement:
-    """Apply modes right to left: modes[0] acts last."""
-    for m in reversed(modes):
-        f = apply_component(spec, m, f)
-    return f
-
-
 def _modes_on_vacuum(spec: OperatorSpec, modes: tuple[int, ...]) -> GammaElement:
-    """Memoized compose_modes on the vacuum; shared across common suffixes."""
+    """The modes applied to the vacuum right to left (modes[0] acts last),
+    memoized; shared across common suffixes."""
     if not modes:
         return one()
     key = (spec.key, modes)

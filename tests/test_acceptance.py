@@ -12,20 +12,18 @@ from contextlib import contextmanager
 
 import pytest
 
-import gammaq.qkostka as qkostka
-import gammaq.spingreen as spingreen
-import gammaq.vertexops as vertexops
 from gammaq.cli import main
 from gammaq.gamma import pair
 from gammaq.golden import golden_y_polys
+from gammaq.memo import clear_memos
 from gammaq.partitions import (
     enumerate_odd,
     enumerate_partitions,
     enumerate_strict,
     index_subpartitions,
 )
-from gammaq.qkostka import LTable, l_direct, l_recursive
-from gammaq.spingreen import YTable, y_direct, y_recursive, y_via_l
+from gammaq.qkostka import Table, l_direct, l_recursive
+from gammaq.spingreen import y_direct, y_recursive, y_via_l
 from gammaq.tpoly import ONE, TPoly, ZERO, d_poly, inv_z_t, signed_t, t_integer
 from gammaq.verify import (
     check_adjointness,
@@ -69,7 +67,7 @@ def test_criterion_1_golden_tables(capsys):
         start = time.perf_counter()
         for n in range(3, 8):
             assert main(["spin-green", "--n", str(n), "--no-cache"]) == 0
-            table = YTable.from_json(json.loads(capsys.readouterr().out))
+            table = Table.from_json(json.loads(capsys.readouterr().out), enumerate_odd)
             golden = golden_y_polys(n)
             for lam in enumerate_strict(n):
                 for mu in enumerate_odd(n):
@@ -188,33 +186,27 @@ def test_criterion_7_positivity_diagnostics():
             print(f"  diagnostic {result.name}: {status}")
 
 
-def _clear_all_memos():
-    qkostka.clear_memos()
-    spingreen.clear_memos()
-    vertexops.clear_memos()
-
-
 def test_criterion_8_infrastructure(tmp_path, capsys):
     with criterion(8, "round-trip, cache bit-identity and determinism for n<=7"):
         for n in range(1, 8):
             # JSON round-trip through the CLI emitters
             assert main(["lkostka", "--n", str(n), "--no-cache"]) == 0
             ldata = json.loads(capsys.readouterr().out)
-            assert LTable.from_json(ldata).to_json() == ldata
+            assert Table.from_json(ldata).to_json() == ldata
             assert main(["spin-green", "--n", str(n), "--no-cache"]) == 0
             ydata = json.loads(capsys.readouterr().out)
-            assert YTable.from_json(ydata).to_json() == ydata
+            assert Table.from_json(ydata, enumerate_odd).to_json() == ydata
 
             # cold vs warm cache, and determinism across repeated runs
             cdir = str(tmp_path / f"cache{n}")
-            _clear_all_memos()
+            clear_memos()
             assert main(["spin-green", "--n", str(n), "--cache-dir", cdir]) == 0
             cold = capsys.readouterr().out
-            _clear_all_memos()
+            clear_memos()
             assert main(["spin-green", "--n", str(n), "--cache-dir", cdir]) == 0
             warm = capsys.readouterr().out
             assert cold == warm, f"cache changed output at n={n}"
             assert main(["spin-green", "--n", str(n), "--no-cache"]) == 0
             repeat = capsys.readouterr().out
             assert repeat == cold, f"nondeterministic output at n={n}"
-        _clear_all_memos()
+        clear_memos()

@@ -3,20 +3,13 @@ import json
 import pytest
 
 import gammaq.qkostka as qkostka
-import gammaq.spingreen as spingreen
-import gammaq.vertexops as vertexops
-from gammaq.cache import Cache, default_cache_dir
+from gammaq.cache import VERSION_TAG, Cache, default_cache_dir
 from gammaq.cli import main
 from gammaq.golden import golden_y_polys
-from gammaq.qkostka import LTable, l_table
-from gammaq.spingreen import YTable
+from gammaq.memo import clear_memos
+from gammaq.partitions import enumerate_odd
+from gammaq.qkostka import Table, l_table
 from gammaq.tpoly import TPoly
-
-
-def _clear_all_memos():
-    qkostka.clear_memos()
-    spingreen.clear_memos()
-    vertexops.clear_memos()
 
 
 def _run(capsys, argv):
@@ -31,7 +24,7 @@ def test_lkostka_json(capsys):
     data = json.loads(out)
     assert data["n"] == 5
     assert len(data["rows"]) == len(data["cols"]) == 3
-    table = LTable.from_json(data)
+    table = Table.from_json(data)
     assert table.entries == l_table(5).entries  # parse-back round trip
     assert table.entry((4, 1), (3, 2)) == TPoly([0, 2])
 
@@ -39,7 +32,7 @@ def test_lkostka_json(capsys):
 def test_spin_green_json_matches_golden(capsys):
     code, out = _run(capsys, ["spin-green", "--n", "3", "--no-cache"])
     assert code == 0
-    table = YTable.from_json(json.loads(out))
+    table = Table.from_json(json.loads(out), enumerate_odd)
     golden = golden_y_polys(3)
     for (lam, mu), poly in golden.items():
         assert table.entry(lam, mu) == poly
@@ -145,49 +138,49 @@ def test_determinism(capsys):
 def test_warm_cold_cache_bit_identity(tmp_path, capsys):
     cdir = str(tmp_path / "cache")
     for n in range(1, 8):
-        _clear_all_memos()
+        clear_memos()
         _, cold = _run(capsys, ["spin-green", "--n", str(n), "--cache-dir", cdir])
-        _clear_all_memos()
+        clear_memos()
         _, warm = _run(capsys, ["spin-green", "--n", str(n), "--cache-dir", cdir])
         assert cold == warm, n
-        _clear_all_memos()
+        clear_memos()
         _, nocache = _run(capsys, ["spin-green", "--n", str(n), "--no-cache"])
         assert cold == nocache, n
-    _clear_all_memos()
+    clear_memos()
 
 
 def test_warm_cold_cache_lkostka(tmp_path, capsys):
     cdir = str(tmp_path / "cache")
-    _clear_all_memos()
+    clear_memos()
     _, cold = _run(capsys, ["lkostka", "--n", "7", "--cache-dir", cdir])
-    _clear_all_memos()
+    clear_memos()
     _, warm = _run(capsys, ["lkostka", "--n", "7", "--cache-dir", cdir])
     assert cold == warm
-    _clear_all_memos()
+    clear_memos()
 
 
 def test_stale_cache_version_is_ignored(tmp_path, capsys):
     cdir = tmp_path / "cache"
     cdir.mkdir()
     (cdir / "Y.json").write_text('{"version": "other", "kind": "Y", "entries": {"3|3": ["9"]}}')
-    _clear_all_memos()
+    clear_memos()
     _, out = _run(capsys, ["spin-green", "--n", "3", "--cache-dir", str(cdir)])
-    table = YTable.from_json(json.loads(out))
+    table = Table.from_json(json.loads(out), enumerate_odd)
     assert table.entry((3,), (3,)) == TPoly([1])
-    _clear_all_memos()
+    clear_memos()
 
 
 def test_cache_roundtrip_seeds_memo(tmp_path):
     cdir = str(tmp_path / "cache")
-    _clear_all_memos()
+    clear_memos()
     l_table(5)
     cache = Cache(cdir)
     cache.save()
-    _clear_all_memos()
+    clear_memos()
     assert not qkostka._l_memo
     Cache(cdir).load()
     assert qkostka._l_memo[((4, 1), (3, 2))] == TPoly([0, 2])
-    _clear_all_memos()
+    clear_memos()
 
 
 def test_cache_dir_env(monkeypatch, tmp_path):
@@ -196,3 +189,59 @@ def test_cache_dir_env(monkeypatch, tmp_path):
     monkeypatch.delenv("GAMMA_CACHE_DIR")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     assert default_cache_dir() == str(tmp_path / "xdg" / "gammaq")
+
+
+def _edit_cache_file(path, edit):
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "[]",
+        json.dumps({"version": VERSION_TAG, "kind": "L", "entries": []}),
+        # one bad key drops the whole file, including the well-formed (wrong) cell
+        json.dumps({"version": VERSION_TAG, "kind": "L", "entries": {"3|2,1": ["9"], "3,x|2,1": ["1"]}}),
+        json.dumps({"version": VERSION_TAG, "kind": "L", "entries": {"3|2,1": "7"}}),
+    ],
+)
+def test_malformed_cache_file_is_dropped(tmp_path, capsys, content):
+    clear_memos()
+    _, expected = _run(capsys, ["lkostka", "--n", "3", "--no-cache"])
+    cdir = tmp_path / "cache"
+    cdir.mkdir()
+    (cdir / "L.json").write_text(content)
+    clear_memos()
+    code, out = _run(capsys, ["lkostka", "--n", "3", "--cache-dir", str(cdir)])
+    assert code == 0
+    assert out == expected
+    clear_memos()
+
+
+def test_non_integer_character_exits_1(tmp_path, capsys):
+    cdir = tmp_path / "cache"
+    clear_memos()
+    assert main(["spin-char", "--n", "3", "--cache-dir", str(cdir)]) == 0
+    _edit_cache_file(cdir / "Y.json", lambda d: d["entries"].update({"2,1|3": ["1", "5"]}))
+    clear_memos()
+    code = main(["spin-char", "--n", "3", "--cache-dir", str(cdir)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: non-integer spin character") and err.count("\n") == 1
+    clear_memos()
+
+
+def test_verify_ignores_the_cache(tmp_path, capsys):
+    cdir = tmp_path / "cache"
+    clear_memos()
+    assert main(["spin-green", "--n", "3", "--cache-dir", str(cdir)]) == 0
+    _edit_cache_file(cdir / "Y.json", lambda d: d["entries"].update({"2,1|3": ["7"]}))
+    before = (cdir / "Y.json").read_text()
+    clear_memos()
+    code, out = _run(capsys, ["verify", "--suite", "tables", "--max-n", "3", "--cache-dir", str(cdir)])
+    assert code == 0
+    assert "[PASS] golden-table-3" in out
+    assert (cdir / "Y.json").read_text() == before
+    clear_memos()

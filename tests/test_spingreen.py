@@ -2,9 +2,9 @@ import pytest
 
 from gammaq.golden import golden_y_polys
 from gammaq.partitions import enumerate_odd, enumerate_strict
+from gammaq.memo import INT
+from gammaq.qkostka import Table
 from gammaq.spingreen import (
-    SpinCharTable,
-    YTable,
     spin_char_table,
     spin_character,
     y_direct,
@@ -99,13 +99,9 @@ def test_spin_char_table_small():
 
 def test_table_round_trips():
     yt = y_table(5)
-    assert YTable.from_json(yt.to_json()).entries == yt.entries
+    assert Table.from_json(yt.to_json(), enumerate_odd).entries == yt.entries
     ct = spin_char_table(5)
-    assert SpinCharTable.from_json(ct.to_json()).entries == ct.entries
-
-
-def test_y_table_jobs_matches_serial():
-    assert y_table(6, jobs=4).entries == y_table(6).entries
+    assert Table.from_json(ct.to_json(), enumerate_odd, INT).entries == ct.entries
 
 
 def test_three_routes_agree():
