@@ -7,17 +7,34 @@ vectors, keyed "Q|lam" or "G|lam", ring-element-valued).  Every file carries
 VERSION_TAG, which changes whenever the file layout does.  A file that is
 missing, carries another tag or kind, or has any malformed key or value is
 skipped whole, so such files are recomputed rather than trusted.
+
+A load is scoped: load(names) reads only the files of the memos a command
+uses.  A save writes only the memos that grew since the load; memos are
+write-once per key, so a larger memo is a changed one.  Each such file is
+merged with the valid entries on disk at the time of the save (a value in
+memory wins), written to a temporary file in the cache directory and moved
+into place with os.replace, so a reader never sees a partial file and two
+processes that fill different entries keep each other's work.  A save that
+writes also deletes the files of the retired fmt1 layout, schur_q.json and
+qhl.json, when they carry the fmt1 tag; no other file is touched.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import tempfile
+from typing import Iterable
 
 from . import __version__
 from .memo import Memo, persistent
 
 VERSION_TAG = f"gammaq-{__version__}-fmt2"
+
+# The layout before the vacuum vectors shared one file; only 0.1.0 wrote it.
+_FMT1_TAG = "gammaq-0.1.0-fmt1"
+_FMT1_FILES = ("schur_q.json", "qhl.json")
 
 
 def default_cache_dir() -> str:
@@ -36,6 +53,8 @@ class Cache:
     def __init__(self, directory: str | None = None, enabled: bool = True):
         self.directory = directory or default_cache_dir()
         self.enabled = enabled
+        # memo name -> its size after load; a memo never loaded counts as empty
+        self._sizes: dict[str, int] = {}
 
     def _path(self, name: str) -> str:
         return os.path.join(self.directory, f"{name}.json")
@@ -56,23 +75,59 @@ class Cache:
             return {}
         try:
             return {m.key.decode(k): m.value.decode(v) for k, v in data["entries"].items()}
-        except (ValueError, TypeError, KeyError):
+        except (ValueError, TypeError, KeyError, ZeroDivisionError):
             return {}
 
-    def load(self) -> None:
-        """Seed the memos from disk; skips missing, stale and malformed files."""
+    def load(self, names: Iterable[str] | None = None) -> None:
+        """Seed the named persistent memos (all of them by default) from
+        disk; skips missing, stale and malformed files."""
         if not self.enabled:
             return
         for m in persistent():
-            m.table.update(self._read(m))
+            if names is None or m.name in names:
+                m.table.update(self._read(m))
+            self._sizes[m.name] = len(m.table)
 
     def save(self) -> None:
-        """Write every persistent memo; files are rewritten whole."""
+        """Merge every memo that grew since load into its file on disk."""
         if not self.enabled:
             return
+        dirty = [m for m in persistent() if len(m.table) > self._sizes.get(m.name, 0)]
+        if not dirty:
+            return
         os.makedirs(self.directory, exist_ok=True)
-        for m in persistent():
-            entries = {m.key.encode(k): m.value.encode(v) for k, v in m.table.items()}
-            payload = {"version": VERSION_TAG, "kind": m.name, "entries": entries}
-            with open(self._path(m.name), "w", encoding="utf-8") as fh:
+        for m in dirty:
+            merged = self._read(m)
+            merged.update(m.table)
+            self._write(m, merged)
+            self._sizes[m.name] = len(m.table)
+        self._remove_fmt1_files()
+
+    def _write(self, m: Memo, entries: dict) -> None:
+        """Replace m's file atomically."""
+        payload = {
+            "version": VERSION_TAG,
+            "kind": m.name,
+            "entries": {m.key.encode(k): m.value.encode(v) for k, v in entries.items()},
+        }
+        fd, tmp = tempfile.mkstemp(prefix=f".{m.name}.", suffix=".tmp", dir=self.directory)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 json.dump(payload, fh, sort_keys=True)
+            os.replace(tmp, self._path(m.name))
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+
+    def _remove_fmt1_files(self) -> None:
+        for name in _FMT1_FILES:
+            path = os.path.join(self.directory, name)
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    data = json.load(fh)
+            except (OSError, ValueError):
+                continue
+            if isinstance(data, dict) and data.get("version") == _FMT1_TAG:
+                with contextlib.suppress(OSError):
+                    os.remove(path)

@@ -188,11 +188,11 @@ def _make_cache(args) -> Cache:
 # ------------------------------------------------------------- commands
 
 
-def _table_command(args, build, render, **render_options) -> int:
+def _table_command(args, build, reads, render, **render_options) -> int:
     if args.n < 1:
         raise ValueError("--n must be >= 1")
     cache = _make_cache(args)
-    cache.load()
+    cache.load(reads)
     table = build(args.n)
     cache.save()
     _emit(render(table, args.format, **render_options), args.out)
@@ -200,21 +200,30 @@ def _table_command(args, build, render, **render_options) -> int:
 
 
 def cmd_lkostka(args) -> int:
-    return _table_command(args, l_table, _render_poly_table, latex_transposed=False)
+    return _table_command(args, l_table, ("L",), _render_poly_table, latex_transposed=False)
 
 
 def cmd_spin_green(args) -> int:
-    return _table_command(args, y_table, _render_poly_table, latex_transposed=True)
+    return _table_command(args, y_table, ("Y",), _render_poly_table, latex_transposed=True)
 
 
 def cmd_spin_char(args) -> int:
-    return _table_command(args, spin_char_table, _render_int_table)
+    return _table_command(args, spin_char_table, ("Y",), _render_int_table)
+
+
+# The persistent memos each expand reads; the Q-in-Q expansion is trivial.
+_EXPAND_READS = {
+    ("G", "Q"): ("L",),
+    ("Q", "Q"): (),
+    ("G", "p"): ("vacuum",),
+    ("Q", "p"): ("vacuum",),
+}
 
 
 def cmd_expand(args) -> int:
     lam = check_strict(parse_partition(args.lam))
     cache = _make_cache(args)
-    cache.load()
+    cache.load(_EXPAND_READS[args.family, args.basis])
     if args.basis == "Q":
         if args.family == "G":
             terms = expand_g_in_q(lam)

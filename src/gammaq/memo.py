@@ -16,8 +16,8 @@ from .tpoly import TPoly, ZERO
 
 class Codec(NamedTuple):
     """A JSON form of some values.  decode inverts encode and raises
-    ValueError, TypeError or KeyError on data it cannot read; zero is the
-    value a table cell has when nothing is stored for it."""
+    ValueError, TypeError, KeyError or ZeroDivisionError on data it cannot
+    read; zero is the value a table cell has when nothing is stored for it."""
 
     encode: Callable[[Any], Any]
     decode: Callable[[Any], Any]

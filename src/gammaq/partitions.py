@@ -115,6 +115,8 @@ def partition_str(p: Partition) -> str:
     return ",".join(str(x) for x in p)
 
 
+# A cache file repeats each partition in many keys; parse each text once.
+@lru_cache(maxsize=1024)
 def parse_partition(text: str) -> Partition:
     """Inverse of partition_str; accepts '' or '()' for the empty partition."""
     text = text.strip()

@@ -184,9 +184,14 @@ class TPoly:
 
     @staticmethod
     def from_json(data: list[str]) -> "TPoly":
+        """Inverse of to_json.  Raises TypeError unless data is a list of
+        strings, and ValueError on a string that is neither an integer nor
+        'num/den' (so '1.5' and '1e3' are refused)."""
         if not isinstance(data, list):
             raise TypeError(f"TPoly JSON must be a list of coefficients: {data!r}")
-        return TPoly(Fraction(s) for s in data)
+        if "/" not in "".join(data):  # join raises TypeError on a non-string
+            return TPoly(map(int, data))
+        return TPoly(Fraction(s) if "/" in s else int(s) for s in data)
 
 
 ZERO = TPoly()

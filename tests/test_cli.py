@@ -205,6 +205,8 @@ def _edit_cache_file(path, edit):
         # one bad key drops the whole file, including the well-formed (wrong) cell
         json.dumps({"version": VERSION_TAG, "kind": "L", "entries": {"3|2,1": ["9"], "3,x|2,1": ["1"]}}),
         json.dumps({"version": VERSION_TAG, "kind": "L", "entries": {"3|2,1": "7"}}),
+        json.dumps({"version": VERSION_TAG, "kind": "L", "entries": {"3|2,1": ["1.5"]}}),
+        json.dumps({"version": VERSION_TAG, "kind": "L", "entries": {"3|2,1": ["1/0"]}}),
     ],
 )
 def test_malformed_cache_file_is_dropped(tmp_path, capsys, content):

@@ -54,6 +54,24 @@ def test_json_round_trip():
     assert ZERO.to_json() == []
 
 
+def test_from_json_reads_integers_and_fractions_alike():
+    mixed = ["3", "-1/2", "0", "-7", "4/6"]
+    expected = TPoly(Fraction(s) for s in mixed)
+    assert TPoly.from_json(mixed) == expected
+    assert TPoly.from_json(mixed).coeffs == expected.coeffs
+    assert TPoly.from_json(["-2", "0", "5", "0"]) == TPoly(Fraction(s) for s in ["-2", "0", "5"])
+    assert TPoly.from_json([]) == ZERO
+
+
+@pytest.mark.parametrize(
+    "data",
+    [["1.5"], ["1e3"], ["1", "1.5"], ["1/2", "1.5"], ["1/2", "1e3"], ["x"], [1], ["1", 2], [None], [["1"]], "12"],
+)
+def test_from_json_rejects_non_exact_coefficients(data):
+    with pytest.raises((ValueError, TypeError)):
+        TPoly.from_json(data)
+
+
 def test_t_integer():
     assert t_integer(1) == ONE
     assert t_integer(2) == TPoly([1, 1])
