@@ -47,7 +47,6 @@ from .spingreen import (
 from .tpoly import (
     ONE,
     T,
-    TLaurent,
     TPoly,
     ZERO,
     d_count,
@@ -55,7 +54,6 @@ from .tpoly import (
     exact_div,
     gauss_binomial,
     inv_z_t,
-    regular_part,
     signed_t,
     t_integer,
 )

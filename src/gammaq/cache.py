@@ -4,9 +4,11 @@ Every persistent memo of the registry in memo.py is cached in one file,
 <name>.json: today "L" and "Y" (the two recursion memos, keyed "lam|mu",
 polynomial-valued) and "vacuum" (the Schur Q and Q-Hall-Littlewood vacuum
 vectors, keyed "Q|lam" or "G|lam", ring-element-valued).  Every file carries
-VERSION_TAG, which changes whenever the file layout does.  A file that is
-missing, carries another tag or kind, or has any malformed key or value is
-skipped whole, so such files are recomputed rather than trusted.
+VERSION_TAG, which changes whenever the file layout does, and whenever the
+source of a module that computes cached values does (a sha256 fingerprint).
+A file that is missing, carries another tag or kind, or has any malformed
+key or value is skipped whole, so such files are recomputed rather than
+trusted.
 
 A load is scoped: load(names) reads only the files of the memos a command
 uses.  A save writes only the memos that grew since the load; memos are
@@ -22,15 +24,24 @@ qhl.json, when they carry the fmt1 tag; no other file is touched.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import os
 import tempfile
+from pathlib import Path
 from typing import Iterable
 
 from . import __version__
 from .memo import Memo, persistent
 
-VERSION_TAG = f"gammaq-{__version__}-fmt2"
+# The modules whose code decides a cached value.  A sha256 of their source is
+# part of VERSION_TAG, so changing any of them retires every file written before.
+_SOURCES = ("partitions", "tpoly", "gamma", "vertexops", "qkostka", "spingreen", "memo")
+_FINGERPRINT = hashlib.sha256(
+    b"".join(Path(__file__).with_name(f"{name}.py").read_bytes() for name in _SOURCES)
+).hexdigest()[:12]
+
+VERSION_TAG = f"gammaq-{__version__}-fmt2-{_FINGERPRINT}"
 
 # The layout before the vacuum vectors shared one file; only 0.1.0 wrote it.
 _FMT1_TAG = "gammaq-0.1.0-fmt1"

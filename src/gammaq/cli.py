@@ -181,8 +181,18 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _make_cache(args) -> Cache:
-    return Cache(directory=args.cache_dir, enabled=not args.no_cache)
+def _cached(args, reads, compute):
+    """compute() with the persistent memos named in reads loaded first, and
+    the memos it grew saved after.  A cache that cannot be written costs the
+    command nothing but one warning line on stderr."""
+    cache = Cache(directory=args.cache_dir, enabled=not args.no_cache)
+    cache.load(reads)
+    result = compute()
+    try:
+        cache.save()
+    except OSError as exc:
+        print(f"warning: cache not saved: {exc}", file=sys.stderr)
+    return result
 
 
 # ------------------------------------------------------------- commands
@@ -191,10 +201,7 @@ def _make_cache(args) -> Cache:
 def _table_command(args, build, reads, render, **render_options) -> int:
     if args.n < 1:
         raise ValueError("--n must be >= 1")
-    cache = _make_cache(args)
-    cache.load(reads)
-    table = build(args.n)
-    cache.save()
+    table = _cached(args, reads, lambda: build(args.n))
     _emit(render(table, args.format, **render_options), args.out)
     return 0
 
@@ -222,17 +229,14 @@ _EXPAND_READS = {
 
 def cmd_expand(args) -> int:
     lam = check_strict(parse_partition(args.lam))
-    cache = _make_cache(args)
-    cache.load(_EXPAND_READS[args.family, args.basis])
-    if args.basis == "Q":
-        if args.family == "G":
-            terms = expand_g_in_q(lam)
-        else:
-            terms = {lam: ONE}
-    else:
+
+    def compute():
+        if args.basis == "Q":
+            return expand_g_in_q(lam) if args.family == "G" else {lam: ONE}
         element = qhl(lam) if args.family == "G" else schur_q(lam)
-        terms = dict(element.terms())
-    cache.save()
+        return dict(element.terms())
+
+    terms = _cached(args, _EXPAND_READS[args.family, args.basis], compute)
     _emit(_render_expansion(args.family, lam, args.basis, terms, args.format), args.out)
     return 0
 

@@ -88,7 +88,7 @@ def expand_g_in_q(mu: Partition) -> dict[Partition, TPoly]:
     n = sum(mu)
     entries = {}
     for lam in enumerate_strict(n):
-        c = l_recursive(lam, mu)
+        c = _l_rec(lam, mu)
         if not c.is_zero:
             entries[lam] = c
     return entries
@@ -146,9 +146,10 @@ class Table:
 
 
 def l_table(n: int) -> Table:
-    """Full matrix over the strict partitions of n, via the recursion."""
+    """Full matrix over the strict partitions of n, via the recursion.  The
+    enumerated partitions are valid, so no cell is checked again."""
     if n < 0:
         raise ValueError("weight must be non-negative")
-    return Table.build(n, enumerate_strict, l_recursive)
+    return Table.build(n, enumerate_strict, _l_rec)
 
 

@@ -33,7 +33,7 @@ from .partitions import (
     union_sorted,
 )
 from .qkostka import Table, l_recursive
-from .tpoly import ONE, TPoly, ZERO, TLaurent, d_count, d_poly, exact_div, inv_z_t, regular_part
+from .tpoly import ONE, TPoly, ZERO, d_count, d_poly, exact_div, inv_z_t
 from .vertexops import qhl, schur_q
 
 _y_memo: dict[tuple[Partition, Partition], TPoly] = memo("Y", PAIR, POLY)
@@ -84,13 +84,15 @@ def y_two_row(k: int, n: int, mu: Partition) -> TPoly:
         (2(t-1)/(t+1)) ([D_t(mu) t^{-k}]_+ - [D_t(mu) t^{-k}]_+ |_{t=-1})
         + D^{(n-k)}(mu)
 
-    The bracket difference is exactly divisible by t+1."""
+    The bracket, the regular part of D_t(mu) t^{-k}, is read off D_t(mu)
+    directly: its coefficients from degree k up, shifted down by k.  The
+    bracket difference is exactly divisible by t+1."""
     if not k > n - k > 0:
         raise ValueError(f"({k},{n - k}) is not a strict two-row shape")
     mu = check_odd(mu)
     if sum(mu) != n:
         raise ValueError(f"weight mismatch: |{mu}| != {n}")
-    reg = regular_part(TLaurent.from_tpoly(d_poly(mu), -k))
+    reg = TPoly(d_poly(mu).coeffs[k:])
     quotient = exact_div(reg - reg(-1), TPoly((1, 1)))
     return TPoly((-2, 2)) * quotient + d_count(mu, n - k)
 
@@ -121,10 +123,11 @@ def spin_character(lam: Partition, mu: Partition) -> int:
 
 
 def y_table(n: int) -> Table:
-    """Full spin Green matrix of weight n via the recursion."""
+    """Full spin Green matrix of weight n via the recursion.  The enumerated
+    partitions are valid, so no cell is checked again."""
     if n < 1:
         raise ValueError("weight must be positive")
-    return Table.build(n, enumerate_odd, y_recursive)
+    return Table.build(n, enumerate_odd, _y_rec)
 
 
 def spin_char_table(n: int) -> Table:

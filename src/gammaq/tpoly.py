@@ -1,8 +1,8 @@
-"""Exact univariate polynomials and Laurent polynomials in t over the rationals.
+"""Exact univariate polynomials in t over the rationals.
 
 TPoly stores a dense tuple of Fraction coefficients, ascending in t, with no
-trailing zeros; the zero polynomial is the empty tuple.  TLaurent adds an
-integer lowest exponent.  Both are immutable and hashable.
+trailing zeros; the zero polynomial is the empty tuple.  It is immutable and
+hashable.
 
 The module also carries the small t-arithmetic gadgets the closed formulas
 need: the t-integer [n]_t, the signed t-integer (k)_t, Gauss t-binomials,
@@ -197,124 +197,6 @@ class TPoly:
 ZERO = TPoly()
 ONE = TPoly((1,))
 T = TPoly((0, 1))
-
-
-class TLaurent:
-    """Laurent polynomial in t with exact rational coefficients."""
-
-    __slots__ = ("_low", "_coeffs")
-
-    def __init__(self, low: int, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        while cs and cs[0] == 0:
-            cs.pop(0)
-            low += 1
-        self._low = low if cs else 0
-        self._coeffs = tuple(cs)
-
-    @staticmethod
-    def from_tpoly(p: TPoly, shift: int = 0) -> "TLaurent":
-        """The Laurent polynomial p * t^shift."""
-        return TLaurent(shift, p.coeffs)
-
-    @property
-    def low(self) -> int:
-        return self._low
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def coefficient(self, k: int) -> Fraction:
-        i = k - self._low
-        if 0 <= i < len(self._coeffs):
-            return self._coeffs[i]
-        return Fraction(0)
-
-    def __add__(self, other) -> "TLaurent":
-        s = _as_scalar(other)
-        if s is not None:
-            other = TLaurent(0, (s,))
-        elif isinstance(other, TPoly):
-            other = TLaurent(0, other.coeffs)
-        if not isinstance(other, TLaurent):
-            return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        low = min(self._low, other._low)
-        hi = max(self._low + len(self._coeffs), other._low + len(other._coeffs))
-        out = [Fraction(0)] * (hi - low)
-        for i, c in enumerate(self._coeffs):
-            out[self._low - low + i] += c
-        for i, c in enumerate(other._coeffs):
-            out[other._low - low + i] += c
-        return TLaurent(low, out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "TLaurent":
-        return TLaurent(self._low, tuple(-c for c in self._coeffs))
-
-    def __sub__(self, other) -> "TLaurent":
-        s = _as_scalar(other)
-        if s is not None:
-            other = TLaurent(0, (s,))
-        elif isinstance(other, TPoly):
-            other = TLaurent(0, other.coeffs)
-        if not isinstance(other, TLaurent):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "TLaurent":
-        s = _as_scalar(other)
-        if s is not None:
-            return TLaurent(self._low, tuple(c * s for c in self._coeffs))
-        if isinstance(other, TPoly):
-            other = TLaurent(0, other.coeffs)
-        if not isinstance(other, TLaurent):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return TLaurent(0)
-        prod = TPoly(self._coeffs) * TPoly(other._coeffs)
-        return TLaurent(self._low + other._low, prod.coeffs)
-
-    __rmul__ = __mul__
-
-    def __call__(self, x: Scalar) -> Fraction:
-        x = Fraction(x)
-        if self._low < 0 and x == 0:
-            raise ZeroDivisionError("Laurent polynomial with poles evaluated at 0")
-        return TPoly(self._coeffs)(x) * x**self._low
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, TPoly):
-            other = TLaurent(0, other.coeffs)
-        if not isinstance(other, TLaurent):
-            return NotImplemented
-        return self._low == other._low and self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash((self._low, self._coeffs))
-
-    def __repr__(self) -> str:
-        return f"TLaurent({self._low}, {list(self._coeffs)!r})"
-
-
-def regular_part(f: TLaurent | TPoly) -> TPoly:
-    """Drop all strictly negative powers of t."""
-    if isinstance(f, TPoly):
-        return f
-    if f.low >= 0:
-        return TPoly((0,) * f.low + f.coeffs)
-    return TPoly(f.coeffs[-f.low :])
 
 
 def t_integer(n: int) -> TPoly:

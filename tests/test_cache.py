@@ -109,3 +109,23 @@ def test_writing_save_removes_only_fmt1_files(tmp_path, capsys):
     assert not (tmp_path / "qhl.json").exists()
     assert (tmp_path / "vacuum.json").exists()
     assert {name: (tmp_path / name).read_bytes() for name in kept} == kept
+
+
+def test_unwritable_cache_warns_and_keeps_the_answer(tmp_path, capsys):
+    expected = _run(capsys, ["lkostka", "--n", "3", "--no-cache"])
+    clear_memos()
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_bytes(b"keep me")
+    assert main(["lkostka", "--n", "3", "--cache-dir", str(blocker)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err.startswith("warning: ") and captured.err.count("\n") == 1
+    assert blocker.read_bytes() == b"keep me"
+
+
+def test_file_without_source_fingerprint_is_ignored(tmp_path, capsys):
+    expected = _run(capsys, ["lkostka", "--n", "3", "--no-cache"])
+    clear_memos()
+    old = {"version": "gammaq-0.1.0-fmt2", "kind": "L", "entries": {"3|2,1": ["9"]}}
+    (tmp_path / "L.json").write_text(json.dumps(old))
+    assert _run(capsys, ["lkostka", "--n", "3", "--cache-dir", str(tmp_path)]) == expected

@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gammaq.golden import golden_y_polys
+from gammaq.memo import clear_memos
 from gammaq.partitions import enumerate_odd, enumerate_strict
 from gammaq.memo import INT
-from gammaq.qkostka import Table
+from gammaq.qkostka import Table, l_direct, l_recursive
 from gammaq.spingreen import (
     spin_char_table,
     spin_character,
@@ -144,3 +147,23 @@ def test_positivity_diagnostic_runs():
     assert r.diagnostic
     if not r.passed:  # conjectural: report, never fail
         print(f"positivity diagnostic: {r.detail}")
+
+
+# (lam, nu, mu) of one weight in 10..12: lam and nu strict, mu odd.
+_route_cases = st.integers(10, 12).flatmap(
+    lambda n: st.tuples(
+        st.sampled_from(enumerate_strict(n)),
+        st.sampled_from(enumerate_strict(n)),
+        st.sampled_from(enumerate_odd(n)),
+    )
+)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_route_cases)
+def test_routes_agree_beyond_the_sweeps(case):
+    lam, nu, mu = case
+    clear_memos()  # every example starts cold, whatever the earlier ones filled
+    y = y_recursive(lam, mu)
+    assert y == y_direct(lam, mu) == y_via_l(lam, mu), (lam, mu)
+    assert l_recursive(nu, lam) == l_direct(nu, lam), (nu, lam)

@@ -8,7 +8,6 @@ from gammaq.partitions import enumerate_odd, enumerate_partitions, index_subpart
 from gammaq.tpoly import (
     ONE,
     T,
-    TLaurent,
     TPoly,
     ZERO,
     d_count,
@@ -16,7 +15,6 @@ from gammaq.tpoly import (
     exact_div,
     gauss_binomial,
     inv_z_t,
-    regular_part,
     signed_t,
     t_integer,
 )
@@ -157,24 +155,6 @@ def test_inv_z_t_sum_identity():
     for n in range(1, 21):
         total = sum((inv_z_t(rho) for rho in enumerate_odd(n)), ZERO)
         assert total == TPoly([-2, 2]) * signed_t(n), n
-
-
-def test_regular_part():
-    assert regular_part(TLaurent(-1, [1, 1, 1])) == TPoly([1, 1])
-    assert regular_part(TLaurent(-3, [1, 2])) == ZERO
-    assert regular_part(TLaurent.from_tpoly(d_poly((5, 1, 1)), -4)) == TPoly([0, 1, 2, 1])
-    assert regular_part(TLaurent(2, [1])) == TPoly([0, 0, 1])
-
-
-def test_laurent_arithmetic():
-    a = TLaurent(-1, [1, 1])  # 1/t + 1
-    assert a + TLaurent(0, [1]) == TLaurent(-1, [1, 2])
-    assert a * TLaurent(1, [1]) == TLaurent(0, [1, 1])
-    assert (a - a).is_zero
-    assert a(Fraction(1, 2)) == 3
-    assert TLaurent(0, [0, 1]) == T
-    with pytest.raises(ZeroDivisionError):
-        a(0)
 
 
 def test_exact_div():
