@@ -4,11 +4,11 @@ Every persistent memo of the registry in memo.py is cached in one file,
 <name>.json: today "L" and "Y" (the two recursion memos, keyed "lam|mu",
 polynomial-valued) and "vacuum" (the Schur Q and Q-Hall-Littlewood vacuum
 vectors, keyed "Q|lam" or "G|lam", ring-element-valued).  Every file carries
-VERSION_TAG, which changes whenever the file layout does, and whenever the
-source of a module that computes cached values does (a sha256 fingerprint).
-A file that is missing, carries another tag or kind, or has any malformed
-key or value is skipped whole, so such files are recomputed rather than
-trusted.
+VERSION_TAG, gammaq-<version>-<fingerprint>: a sha256 over the source of
+every module of the package, this one included, so a change to the layout or
+to any code retires every file written before.  A file that is missing,
+carries another tag or kind, or has any malformed key or value is skipped
+whole, so such files are recomputed rather than trusted.
 
 A load is scoped: load(names) reads only the files of the memos a command
 uses.  A save writes only the memos that grew since the load; memos are
@@ -34,14 +34,16 @@ from typing import Iterable
 from . import __version__
 from .memo import Memo, persistent
 
-# The modules whose code decides a cached value.  A sha256 of their source is
-# part of VERSION_TAG, so changing any of them retires every file written before.
-_SOURCES = ("partitions", "tpoly", "gamma", "vertexops", "qkostka", "spingreen", "memo")
-_FINGERPRINT = hashlib.sha256(
-    b"".join(Path(__file__).with_name(f"{name}.py").read_bytes() for name in _SOURCES)
-).hexdigest()[:12]
 
-VERSION_TAG = f"gammaq-{__version__}-fmt2-{_FINGERPRINT}"
+def _fingerprint() -> str:
+    """12 hex digits of a sha256 over each module's name and source, by name."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()[:12]
+
+
+VERSION_TAG = f"gammaq-{__version__}-{_fingerprint()}"
 
 # The layout before the vacuum vectors shared one file; only 0.1.0 wrote it.
 _FMT1_TAG = "gammaq-0.1.0-fmt1"

@@ -268,7 +268,6 @@ def cmd_verify(args) -> int:
 
 
 def _add_common(sub, cache_help: str | None = None) -> None:
-    sub.add_argument("--format", choices=FORMATS, default="json")
     sub.add_argument("--out", metavar="PATH", default=None)
     sub.add_argument("--cache-dir", metavar="PATH", default=None, help=cache_help)
     sub.add_argument("--no-cache", action="store_true", help=cache_help)
@@ -291,6 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = subs.add_parser(name, help=text)
         p.add_argument("--n", type=int, required=True)
+        p.add_argument("--format", choices=FORMATS, default="json")
         _add_common(p)
         p.set_defaults(func=func)
 
@@ -298,6 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("G", "Q"), required=True)
     p.add_argument("--lambda", dest="lam", required=True, metavar="PARTS")
     p.add_argument("--basis", choices=("Q", "p"), required=True)
+    p.add_argument("--format", choices=FORMATS, default="json")
     _add_common(p)
     p.set_defaults(func=cmd_expand)
 

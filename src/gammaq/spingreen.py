@@ -13,7 +13,7 @@ Three independent routes are provided:
   y_via_l      Q-Kostka recursion column composed with t = 0 character data
 
 The recursion is the fast path: y_table evaluates it on every cell, and
-spin_char_table reads each cell's character off it at t = 0.
+spin_char_table reads each cell's character off its constant coefficient.
 """
 
 from __future__ import annotations
@@ -115,8 +115,12 @@ def spin_character(lam: Partition, mu: Partition) -> int:
 
     Raises ArithmeticError if the result is not an integer."""
     lam, mu = check_pair(lam, mu, check_odd)
+    return _char(lam, mu)
+
+
+def _char(lam: Partition, mu: Partition) -> int:
     exponent = (len(lam) - len(mu) + epsilon(lam)) // 2
-    value = _y_rec(lam, mu)(0) * Fraction(2) ** -exponent
+    value = _y_rec(lam, mu).coefficient(0) * Fraction(2) ** -exponent
     if value.denominator != 1:
         raise ArithmeticError(f"non-integer spin character {value} at ({lam}, {mu})")
     return int(value)
@@ -134,4 +138,4 @@ def spin_char_table(n: int) -> Table:
     """Spin character matrix of weight n, read off the recursion at t = 0."""
     if n < 1:
         raise ValueError("weight must be positive")
-    return Table.build(n, enumerate_odd, spin_character, INT)
+    return Table.build(n, enumerate_odd, _char, INT)

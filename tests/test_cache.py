@@ -1,4 +1,7 @@
+import hashlib
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +124,37 @@ def test_unwritable_cache_warns_and_keeps_the_answer(tmp_path, capsys):
     assert captured.out == expected
     assert captured.err.startswith("warning: ") and captured.err.count("\n") == 1
     assert blocker.read_bytes() == b"keep me"
+
+
+def test_file_tagged_by_the_module_list_rule_is_ignored(tmp_path, capsys):
+    # The earlier rule hashed seven named modules and tagged files "fmt2".
+    named = ("partitions", "tpoly", "gamma", "vertexops", "qkostka", "spingreen", "memo")
+    package = Path(cache.__file__).parent
+    source = b"".join((package / f"{name}.py").read_bytes() for name in named)
+    tag = "gammaq-0.1.0-fmt2-" + hashlib.sha256(source).hexdigest()[:12]
+    argv = ["spin-green", "--n", "3", "--format", "csv"]
+    expected = _run(capsys, argv + ["--no-cache"])
+    clear_memos()
+    old = {"version": tag, "kind": "Y", "entries": {"2,1|3": ["7"]}}
+    (tmp_path / "Y.json").write_text(json.dumps(old))
+    assert _run(capsys, argv + ["--cache-dir", str(tmp_path)]) == expected
+
+
+def test_fingerprint_covers_every_module(tmp_path, monkeypatch):
+    package = Path(cache.__file__).parent
+    copy = tmp_path / "gammaq"
+    copy.mkdir()
+    for path in package.glob("*.py"):
+        shutil.copy(path, copy / path.name)
+    monkeypatch.setattr(cache, "__file__", str(copy / "cache.py"))
+    assert cache._fingerprint() in cache.VERSION_TAG
+    seen = {cache._fingerprint()}
+    with open(copy / "cli.py", "a", encoding="utf-8") as fh:
+        fh.write("\n")
+    seen.add(cache._fingerprint())
+    (copy / "extra.py").write_text("")
+    seen.add(cache._fingerprint())
+    assert len(seen) == 3
 
 
 def test_file_without_source_fingerprint_is_ignored(tmp_path, capsys):

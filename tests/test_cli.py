@@ -101,6 +101,13 @@ def test_usage_errors():
     assert exc.value.code == 2
 
 
+def test_verify_has_no_format_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "lkostka", "--max-n", "1", "--format", "json"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
 def test_domain_errors_exit_2(capsys):
     assert main(["lkostka", "--n", "0", "--no-cache"]) == 2
     assert main(["expand", "--family", "G", "--lambda", "3,3", "--basis", "Q",

@@ -5,21 +5,29 @@ tests/data/cli_stdout_sha256.json maps each command line (without
 for n = 1..7 and expand for every family/basis pair at lambda = (4,2,1),
 each in all four formats.  A refactor of the tables, the renderers or the
 cache must leave every digest unchanged, cold and warm.
+
+tests/data/verify_stdout_sha256.json does the same for verify: operators
+for max-n 1..3, lkostka 1..9, spingreen 1..8 and tables 1..8, with the
+per-suite wall times such as "(0.12s)" masked before hashing.
 """
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 from gammaq.cli import main
 from gammaq.memo import clear_memos
 
-DIGESTS = json.loads((Path(__file__).parent / "data" / "cli_stdout_sha256.json").read_text())
+DATA = Path(__file__).parent / "data"
+DIGESTS = json.loads((DATA / "cli_stdout_sha256.json").read_text())
+VERIFY_DIGESTS = json.loads((DATA / "verify_stdout_sha256.json").read_text())
+_TIMING = re.compile(r"\(\d+\.\d+s\)")
 
 
-def _changed(send):
+def _changed(send, digests=DIGESTS):
     changed = []
-    for command, digest in DIGESTS.items():
+    for command, digest in digests.items():
         out = send(command.split())
         if hashlib.sha256(out.encode("utf-8")).hexdigest() != digest:
             changed.append(command)
@@ -48,3 +56,12 @@ def test_cli_stdout_bytes_are_pinned_warm(tmp_path, capsys):
         return out
 
     assert not _changed(warm)
+
+
+def test_verify_stdout_bytes_are_pinned(capsys):
+    def run(argv):
+        assert main(argv) == 0, argv
+        return _TIMING.sub("(T)", capsys.readouterr().out)
+
+    assert not _changed(run, VERIFY_DIGESTS)
+    assert len(VERIFY_DIGESTS) == 28

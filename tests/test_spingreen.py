@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gammaq.spingreen as spingreen
 from gammaq.golden import golden_y_polys
 from gammaq.memo import clear_memos
 from gammaq.partitions import enumerate_odd, enumerate_strict
@@ -69,6 +70,22 @@ def test_spin_character_examples():
     assert spin_character((3,), (1, 1, 1)) == 2
     assert spin_character((2, 1), (1, 1, 1)) == 1
     assert spin_character((2, 1), (3,)) == -1
+
+
+def test_spin_char_table_reads_cells_unchecked(monkeypatch):
+    """The table's cells come from enumerated partitions: no cell is checked
+    again, and no polynomial is evaluated."""
+    expected = spin_char_table(6)
+
+    def refuse(*args):
+        raise AssertionError("called per cell")
+
+    monkeypatch.setattr(spingreen, "check_pair", refuse)
+    monkeypatch.setattr(TPoly, "__call__", refuse)
+    assert spin_char_table(6) == expected
+    monkeypatch.undo()
+    with pytest.raises(ValueError):
+        spin_character((2, 2), (3, 1))  # (2,2) is not strict
 
 
 def test_y_table_matches_golden():

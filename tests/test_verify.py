@@ -1,0 +1,93 @@
+"""A check must fail when the route it tests is wrong.
+
+Each shared sweep in gammaq.verify (route against oracle, the weighted
+power-sum rebuild, the mode-pair sweep, the strict-shape sweep) is driven
+here through one check whose route is replaced by a wrong one.  The check
+must then report the failing cells with the usual labels, so a helper that
+silently compares nothing cannot pass.
+"""
+
+import pytest
+
+from gammaq import verify
+from gammaq.gamma import one
+from gammaq.tpoly import TPoly
+
+
+def _wrong_poly(*args):
+    return TPoly((7,))
+
+
+def _wrong_element(*args):
+    return one() * 3
+
+
+def _identity_mode(m, f):
+    return f
+
+
+class _OffDiagonalTable:
+    """A table whose diagonal and two-row cells are replaced by 9."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def entry(self, lam, mu):
+        if lam == mu or len(lam) == 2:
+            return TPoly((9,))
+        return self.table.entry(lam, mu)
+
+
+BROKEN = [
+    (
+        "l_direct", _wrong_poly, "check_l_oracle", 4,
+        "11 violation(s): (),(); (1,),(1,); (2,),(2,); (3,),(3,) ...",
+    ),
+    (
+        "l_two_row", _wrong_poly, "check_l_two_row", 6,
+        "18 violation(s): (3,),(2, 1); (2, 1),(2, 1); (4,),(3, 1); (3, 1),(3, 1) ...",
+    ),
+    (
+        "y_two_row", _wrong_poly, "check_y_two_row", 6,
+        "18 violation(s): (2, 1),(3,); (2, 1),(1, 1, 1); (3, 1),(3, 1); (3, 1),(1, 1, 1, 1) ...",
+    ),
+    ("schur_q", _wrong_element, "check_frobenius", 4, "6 violation(s): (1,); (2,); (3,); (2, 1) ..."),
+    ("qhl", _wrong_element, "check_y_reconstruction", 4, "6 violation(s): (1,); (2,); (3,); (2, 1) ..."),
+    (
+        "_Q", _identity_mode, "check_clifford", 2,
+        "39 violation(s): m=-2,n=-2,p_(); m=-2,n=-1,p_(); m=-2,n=0,p_(); m=-2,n=1,p_() ...",
+    ),
+    (
+        "_G", _identity_mode, "check_quadratic", 2,
+        "45 violation(s): m=-2,n=-2,p_(); m=-2,n=-1,p_(); m=-2,n=0,p_(); m=-2,n=1,p_() ...",
+    ),
+    (
+        "gstar_on_schur", lambda k, lam: one(), "check_gstar_on_schur", 3,
+        "15 violation(s): k=1,lam=(); k=2,lam=(); k=3,lam=(); k=1,lam=(1,) ...",
+    ),
+    (
+        "y_direct", _wrong_poly, "check_y_routes", 4,
+        "10 violation(s): (1,),(1,); (2,),(1, 1); (3,),(3,); (3,),(1, 1, 1) ...",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "route, wrong, check, max_n, detail", BROKEN, ids=[f"{c}-{r}" for r, _, c, _, _ in BROKEN]
+)
+def test_a_wrong_route_fails_its_check(monkeypatch, route, wrong, check, max_n, detail):
+    assert getattr(verify, check)(max_n).passed
+    monkeypatch.setattr(verify, route, wrong)
+    result = getattr(verify, check)(max_n)
+    assert result.passed is False
+    assert result.detail == detail
+
+
+def test_a_wrong_table_fails_the_golden_comparison(monkeypatch):
+    y_table = verify.y_table
+    monkeypatch.setattr(verify, "y_table", lambda n: _OffDiagonalTable(y_table(n)))
+    details = [(r.name, r.passed, r.detail) for r in verify.tables_suite(4)]
+    assert details == [
+        ("golden-table-3", False, "3 violation(s): (3,),(3,); (2, 1),(3,); (2, 1),(1, 1, 1)"),
+        ("golden-table-4", False, "2 violation(s): (3, 1),(3, 1); (3, 1),(1, 1, 1, 1)"),
+    ]
