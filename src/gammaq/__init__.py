@@ -24,7 +24,6 @@ from .partitions import (
     partition_str,
     remove_part,
     union_sorted,
-    weight,
     z_factor,
 )
 from .qkostka import (
@@ -52,7 +51,6 @@ from .tpoly import (
     d_count,
     d_poly,
     exact_div,
-    gauss_binomial,
     inv_z_t,
     signed_t,
     t_integer,
@@ -66,7 +64,6 @@ from .vertexops import (
     apply_component,
     expand_in_schur_q,
     gstar_on_schur,
-    q_prod,
     q_row,
     qhl,
     schur_q,

@@ -14,8 +14,16 @@ import json
 import sys
 
 from .cache import Cache
-from .partitions import Partition, check_strict, parse_partition, partition_str
-from .qkostka import expand_g_in_q, l_table
+from .partitions import (
+    Partition,
+    check_odd,
+    check_strict,
+    enumerate_odd,
+    enumerate_strict,
+    parse_partition,
+    partition_str,
+)
+from .qkostka import Table, expand_g_in_q, l_table
 from .spingreen import spin_char_table, y_table
 from .tpoly import ONE, TPoly
 from .verify import SUITES, run_suite
@@ -181,54 +189,59 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cached(args, reads, compute):
-    """compute() with the persistent memos named in reads loaded first, and
-    the memos it grew saved after.  A cache that cannot be written costs the
-    command nothing but one warning line on stderr."""
+def _cached(args, name, decode, encode, compute):
+    """The result cached under name, or compute() saved there.  A cache
+    that cannot be written costs the command nothing but one warning line
+    on stderr."""
     cache = Cache(directory=args.cache_dir, enabled=not args.no_cache)
-    cache.load(reads)
-    result = compute()
+    result = cache.load(name, decode)
+    if result is None:
+        result = compute()
     try:
-        cache.save()
+        cache.save(name, result, encode)
     except OSError as exc:
         print(f"warning: cache not saved: {exc}", file=sys.stderr)
     return result
 
 
+def _cached_table(args, kind, columns, build) -> Table:
+    """The table build(--n), cached as <kind>-<n>; a file of another weight,
+    other axes or a ragged grid is refused."""
+    if args.n < 1:
+        raise ValueError("--n must be >= 1")
+
+    def decode(data):
+        if data["n"] != args.n:
+            raise ValueError(f"cached table of weight {data['n']!r}, not {args.n}")
+        return Table.from_json(data, columns)
+
+    return _cached(args, f"{kind}-{args.n}", decode, Table.to_json, lambda: build(args.n))
+
+
 # ------------------------------------------------------------- commands
 
 
-def _table_command(args, build, reads, render, **render_options) -> int:
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
-    table = _cached(args, reads, lambda: build(args.n))
-    _emit(render(table, args.format, **render_options), args.out)
+def cmd_lkostka(args) -> int:
+    table = _cached_table(args, "L", enumerate_strict, l_table)
+    _emit(_render_poly_table(table, args.format, latex_transposed=False), args.out)
     return 0
 
 
-def cmd_lkostka(args) -> int:
-    return _table_command(args, l_table, ("L",), _render_poly_table, latex_transposed=False)
-
-
 def cmd_spin_green(args) -> int:
-    return _table_command(args, y_table, ("Y",), _render_poly_table, latex_transposed=True)
+    table = _cached_table(args, "Y", enumerate_odd, y_table)
+    _emit(_render_poly_table(table, args.format, latex_transposed=True), args.out)
+    return 0
 
 
 def cmd_spin_char(args) -> int:
-    return _table_command(args, spin_char_table, ("Y",), _render_int_table)
-
-
-# The persistent memos each expand reads; the Q-in-Q expansion is trivial.
-_EXPAND_READS = {
-    ("G", "Q"): ("L",),
-    ("Q", "Q"): (),
-    ("G", "p"): ("vacuum",),
-    ("Q", "p"): ("vacuum",),
-}
+    table = spin_char_table(_cached_table(args, "Y", enumerate_odd, y_table))
+    _emit(_render_int_table(table, args.format), args.out)
+    return 0
 
 
 def cmd_expand(args) -> int:
     lam = check_strict(parse_partition(args.lam))
+    check = check_strict if args.basis == "Q" else check_odd
 
     def compute():
         if args.basis == "Q":
@@ -236,7 +249,20 @@ def cmd_expand(args) -> int:
         element = qhl(lam) if args.family == "G" else schur_q(lam)
         return dict(element.terms())
 
-    terms = _cached(args, _EXPAND_READS[args.family, args.basis], compute)
+    def decode(value):
+        terms = {}
+        for parts, coeff in value:
+            p = check(parts)
+            if sum(p) != sum(lam):
+                raise ValueError(f"cached term {p} is not of weight {sum(lam)}")
+            terms[p] = TPoly.from_json(coeff)
+        return terms
+
+    def encode(terms):
+        return [[list(p), c.to_json()] for p, c in terms.items()]
+
+    name = f"expand-{args.family}-{args.basis}-{partition_str(lam)}"
+    terms = _cached(args, name, decode, encode, compute)
     _emit(_render_expansion(args.family, lam, args.basis, terms, args.format), args.out)
     return 0
 

@@ -123,17 +123,6 @@ class GammaElement:
         body = " + ".join(f"({c})*p[{','.join(map(str, mu))}]" for mu, c in self.terms())
         return f"GammaElement({body})"
 
-    def to_json(self) -> list[dict]:
-        return [
-            {"partition": list(mu), "coeff": c.to_json()} for mu, c in self.terms()
-        ]
-
-    @staticmethod
-    def from_json(data: list[dict]) -> "GammaElement":
-        return GammaElement(
-            {tuple(rec["partition"]): TPoly.from_json(rec["coeff"]) for rec in data}
-        )
-
 
 def p_monomial(mu: Partition) -> GammaElement:
     """The power-sum monomial p_mu, mu an odd partition."""

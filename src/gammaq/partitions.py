@@ -54,11 +54,6 @@ def check_pair(lam, mu, check_mu=check_strict) -> tuple[Partition, Partition]:
     return lam, mu
 
 
-def weight(p: Partition) -> int:
-    """Sum of the parts."""
-    return sum(p)
-
-
 def n_stat(p: Partition) -> int:
     """The statistic n(p) = sum of (i-1)*p_i with rows indexed from 1."""
     return sum(i * part for i, part in enumerate(p))
@@ -115,8 +110,6 @@ def partition_str(p: Partition) -> str:
     return ",".join(str(x) for x in p)
 
 
-# A cache file repeats each partition in many keys; parse each text once.
-@lru_cache(maxsize=1024)
 def parse_partition(text: str) -> Partition:
     """Inverse of partition_str; accepts '' or '()' for the empty partition."""
     text = text.strip()

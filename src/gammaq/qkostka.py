@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .gamma import pair
-from .memo import PAIR, POLY, Codec, memo
+from .memo import memo
 from .partitions import (
     Partition,
     check_pair,
@@ -27,7 +27,7 @@ from .partitions import (
 from .tpoly import ONE, TPoly, ZERO
 from .vertexops import qhl, schur_q
 
-_l_memo: dict[tuple[Partition, Partition], TPoly] = memo("L", PAIR, POLY)
+_l_memo: dict[tuple[Partition, Partition], TPoly] = memo()
 
 
 def l_direct(lam: Partition, mu: Partition) -> TPoly:
@@ -94,6 +94,21 @@ def expand_g_in_q(mu: Partition) -> dict[Partition, TPoly]:
     return entries
 
 
+class Codec(NamedTuple):
+    """The JSON form of a table's cells.  decode inverts encode and raises
+    ValueError, TypeError or ZeroDivisionError on data it cannot read; zero
+    is the value of a cell that is not stored."""
+
+    encode: Callable[[Any], Any]
+    decode: Callable[[Any], Any]
+    zero: Any
+
+
+POLY = Codec(TPoly.to_json, TPoly.from_json, ZERO)
+
+INT = Codec(int, int, 0)
+
+
 @dataclass
 class Table:
     """A matrix over one weight: rows are the strict partitions of weight,
@@ -137,12 +152,24 @@ class Table:
 
     @classmethod
     def from_json(cls, data: dict, columns=enumerate_strict, cell: Codec = POLY) -> "Table":
+        """Inverse of to_json.  Raises ValueError unless the rows and
+        columns are the enumerated axes of the weight and the entries form
+        exactly one value per row and column."""
+        n = data["n"]
+        if type(n) is not int:
+            raise ValueError(f"table weight must be an int: {n!r}")
+        rows, cols = enumerate_strict(n), columns(n)
+        if data["rows"] != [list(r) for r in rows] or data["cols"] != [list(c) for c in cols]:
+            raise ValueError(f"table axes are not those of weight {n}")
+        grid = data["entries"]
+        if len(grid) != len(rows) or any(len(row) != len(cols) for row in grid):
+            raise ValueError(f"table entries are not a {len(rows)} x {len(cols)} grid")
         cells = {
-            (tuple(lam), tuple(mu)): cell.decode(value)
-            for lam, row in zip(data["rows"], data["entries"])
-            for mu, value in zip(data["cols"], row)
+            (lam, mu): cell.decode(value)
+            for lam, row in zip(rows, grid)
+            for mu, value in zip(cols, row)
         }
-        return cls(data["n"], cells, columns, cell)
+        return cls(n, cells, columns, cell)
 
 
 def l_table(n: int) -> Table:

@@ -12,8 +12,10 @@ Three independent routes are provided:
   y_recursive  peeling the largest row with polynomial odd-partition weights
   y_via_l      Q-Kostka recursion column composed with t = 0 character data
 
-The recursion is the fast path: y_table evaluates it on every cell, and
-spin_char_table reads each cell's character off its constant coefficient.
+The recursion is the fast path: y_table evaluates it on every cell.
+spin_char_table reads each character off the constant coefficient of the
+matching cell of a finished y_table, so it runs no recursion of its own;
+the CLI's spin-green and spin-char share one cached Y table per weight.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .gamma import p_monomial, pair
-from .memo import INT, PAIR, POLY, memo
+from .memo import memo
 from .partitions import (
     Partition,
     check_odd,
@@ -32,11 +34,11 @@ from .partitions import (
     index_subpartitions,
     union_sorted,
 )
-from .qkostka import Table, l_recursive
+from .qkostka import INT, Table, l_recursive
 from .tpoly import ONE, TPoly, ZERO, d_count, d_poly, exact_div, inv_z_t
 from .vertexops import qhl, schur_q
 
-_y_memo: dict[tuple[Partition, Partition], TPoly] = memo("Y", PAIR, POLY)
+_y_memo: dict[tuple[Partition, Partition], TPoly] = memo()
 
 
 def y_direct(lam: Partition, mu: Partition) -> TPoly:
@@ -69,11 +71,12 @@ def _y_rec(lam: Partition, mu: Partition) -> TPoly:
     n = sum(lam)
     total = ZERO
     for i in range(n - head + 1):
+        rhos = [(rho, inv_z_t(rho)) for rho in enumerate_odd(n - head - i)]
         for nu in index_subpartitions(mu, i):
-            for rho in enumerate_odd(n - head - i):
+            for rho, weight in rhos:
                 sub = _y_rec(rest, union_sorted(nu, rho))
                 if not sub.is_zero:
-                    total = total + sub * inv_z_t(rho)
+                    total = total + sub * weight
     _y_memo[key] = total
     return total
 
@@ -115,12 +118,13 @@ def spin_character(lam: Partition, mu: Partition) -> int:
 
     Raises ArithmeticError if the result is not an integer."""
     lam, mu = check_pair(lam, mu, check_odd)
-    return _char(lam, mu)
+    return _char(lam, mu, _y_rec(lam, mu))
 
 
-def _char(lam: Partition, mu: Partition) -> int:
+def _char(lam: Partition, mu: Partition, y: TPoly) -> int:
+    """The character at (lam, mu) from y = Y(lam, mu; t)."""
     exponent = (len(lam) - len(mu) + epsilon(lam)) // 2
-    value = _y_rec(lam, mu).coefficient(0) * Fraction(2) ** -exponent
+    value = y.coefficient(0) * Fraction(2) ** -exponent
     if value.denominator != 1:
         raise ArithmeticError(f"non-integer spin character {value} at ({lam}, {mu})")
     return int(value)
@@ -134,8 +138,9 @@ def y_table(n: int) -> Table:
     return Table.build(n, enumerate_odd, _y_rec)
 
 
-def spin_char_table(n: int) -> Table:
-    """Spin character matrix of weight n, read off the recursion at t = 0."""
-    if n < 1:
-        raise ValueError("weight must be positive")
-    return Table.build(n, enumerate_odd, _char, INT)
+def spin_char_table(y: Table) -> Table:
+    """Spin character matrix of y's weight, read off the spin Green table y
+    at t = 0."""
+    return Table.build(
+        y.weight, enumerate_odd, lambda lam, mu: _char(lam, mu, y.entry(lam, mu)), INT
+    )

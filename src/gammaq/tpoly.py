@@ -241,16 +241,6 @@ def exact_div(f: TPoly, g: TPoly) -> TPoly:
     return TPoly(out)
 
 
-def gauss_binomial(n: int, k: int) -> TPoly:
-    """The Gauss t-binomial [n choose k]_t, computed by exact division."""
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    result = ONE
-    for i in range(1, k + 1):
-        result = exact_div(result * t_integer(n - k + i), t_integer(i))
-    return result
-
-
 def d_poly(p: Partition) -> TPoly:
     """Generating polynomial of index subpartitions by weight: prod (1 + t^part)."""
     result = ONE

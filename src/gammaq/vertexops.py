@@ -31,15 +31,13 @@ from math import factorial, prod
 from typing import Callable, Sequence
 
 from .gamma import GammaElement, d_dp, one, pair
-from .memo import Codec, memo
+from .memo import memo
 from .partitions import (
     Partition,
-    check_partition,
     check_strict,
     enumerate_odd,
     enumerate_strict,
     multiplicities,
-    partition_str,
     remove_part,
 )
 from .tpoly import ONE, TPoly
@@ -96,20 +94,8 @@ QSTAR_SPEC = OperatorSpec(
 )
 
 
-def _decode_vacuum_key(text: str) -> tuple[str, tuple[int, ...]]:
-    spec, modes = text.split("|")
-    if spec not in (Q_SPEC.key, G_SPEC.key):
-        raise ValueError(f"no cached vacuum vectors for spec {spec!r}")
-    return spec, tuple(int(m) for m in modes.split(","))
-
-
-_creation_memo: dict[tuple[str, int], GammaElement] = memo("creation")
-# Keyed by spec and modes, e.g. "G|5,3,1"; only Q and G modes reach it.
-_vacuum_memo: dict[tuple[str, tuple[int, ...]], GammaElement] = memo(
-    "vacuum",
-    Codec(lambda key: f"{key[0]}|{partition_str(key[1])}", _decode_vacuum_key),
-    Codec(GammaElement.to_json, GammaElement.from_json),
-)
+_creation_memo: dict[tuple[str, int], GammaElement] = memo()
+_vacuum_memo: dict[tuple[str, tuple[int, ...]], GammaElement] = memo()
 
 
 def _aut(p: Partition) -> int:
@@ -209,14 +195,6 @@ def q_row(n: int) -> GammaElement:
 def q_or_zero(n: int) -> GammaElement:
     """q_n, extended by zero to negative indices."""
     return q_row(n) if n >= 0 else GammaElement()
-
-
-def q_prod(lam: Partition) -> GammaElement:
-    """Product of one-row Schur Q-functions over the parts of lam."""
-    result = one()
-    for part in check_partition(lam):
-        result = result * q_row(part)
-    return result
 
 
 def gstar_on_schur(k: int, lam: Partition) -> GammaElement:

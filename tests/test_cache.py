@@ -7,11 +7,14 @@ import pytest
 
 import gammaq.cache as cache
 import gammaq.qkostka as qkostka
-from gammaq.cache import Cache
+import gammaq.spingreen as spingreen
+import gammaq.vertexops as vertexops
+from gammaq.cache import VERSION_TAG, Cache
 from gammaq.cli import main
-from gammaq.memo import clear_memos, persistent
-from gammaq.qkostka import l_table
-from gammaq.tpoly import TPoly
+from gammaq.memo import clear_memos
+from gammaq.qkostka import Table, l_table
+
+MEMOS = (qkostka._l_memo, spingreen._y_memo, vertexops._vacuum_memo, vertexops._creation_memo)
 
 
 @pytest.fixture(autouse=True)
@@ -36,60 +39,62 @@ def _files(directory):
     }
 
 
-# Each command with the persistent memos it reads.
+def _edit(path, edit):
+    data = json.loads(path.read_text())
+    edit(data["value"])
+    path.write_text(json.dumps(data))
+
+
+# Each command with the one file that caches its result.
 COMMANDS = [
-    (["lkostka", "--n", "6"], {"L"}),
-    (["spin-green", "--n", "5"], {"Y"}),
-    (["spin-char", "--n", "5"], {"Y"}),
-    (["expand", "--family", "G", "--lambda", "4,2,1", "--basis", "Q"], {"L"}),
-    (["expand", "--family", "Q", "--lambda", "4,2,1", "--basis", "Q"], set()),
-    (["expand", "--family", "G", "--lambda", "4,2,1", "--basis", "p"], {"vacuum"}),
-    (["expand", "--family", "Q", "--lambda", "4,2,1", "--basis", "p"], {"vacuum"}),
+    (["lkostka", "--n", "6"], "L-6.json"),
+    (["spin-green", "--n", "5"], "Y-5.json"),
+    (["spin-char", "--n", "5"], "Y-5.json"),
+    (["expand", "--family", "G", "--lambda", "4,2,1", "--basis", "Q"], "expand-G-Q-4,2,1.json"),
+    (["expand", "--family", "Q", "--lambda", "4,2,1", "--basis", "Q"], "expand-Q-Q-4,2,1.json"),
+    (["expand", "--family", "G", "--lambda", "4,2,1", "--basis", "p"], "expand-G-p-4,2,1.json"),
+    (["expand", "--family", "Q", "--lambda", "4,2,1", "--basis", "p"], "expand-Q-p-4,2,1.json"),
 ]
 
 
-@pytest.mark.parametrize("argv, reads", COMMANDS, ids=[" ".join(argv) for argv, _ in COMMANDS])
-def test_warm_repeat_is_read_only_and_scoped(tmp_path, capsys, argv, reads):
-    cdir = tmp_path / "cache"
+@pytest.mark.parametrize("argv, name", COMMANDS, ids=[" ".join(argv) for argv, _ in COMMANDS])
+def test_warm_hit_is_read_only_and_computes_nothing(tmp_path, capsys, argv, name):
     expected = _run(capsys, argv + ["--no-cache"])
-    for first, _ in COMMANDS:  # fills every cache file, this command's too
-        clear_memos()
-        _run(capsys, first + ["--cache-dir", str(cdir)])
-    before = _files(cdir)
-    assert set(before) == {f"{m.name}.json" for m in persistent()}
     clear_memos()
-    assert _run(capsys, argv + ["--cache-dir", str(cdir)]) == expected
-    assert _files(cdir) == before
-    for m in persistent():
-        assert bool(m.table) == (m.name in reads), m.name
+    assert _run(capsys, argv + ["--cache-dir", str(tmp_path)]) == expected
+    before = _files(tmp_path)
+    assert set(before) == {name}
+    clear_memos()
+    assert _run(capsys, argv + ["--cache-dir", str(tmp_path)]) == expected
+    assert _files(tmp_path) == before
+    assert not any(MEMOS)  # the answer came from the file
 
 
-def test_saves_of_disjoint_entries_merge(tmp_path):
-    cdir = str(tmp_path)
-    k0, k1, k2 = ((3,), (2, 1)), ((4, 1), (3, 2)), ((5,), (4, 1))
-    qkostka._l_memo[k0] = TPoly([0, 2])
-    Cache(cdir).save()
-    # two processes load the same file, then each adds its own entry
+@pytest.mark.parametrize("first, second", [("spin-green", "spin-char"), ("spin-char", "spin-green")])
+def test_spin_green_and_spin_char_share_the_y_table(tmp_path, capsys, first, second):
+    expected = _run(capsys, [second, "--n", "5", "--no-cache"])
     clear_memos()
-    first, second = Cache(cdir), Cache(cdir)
-    first.load()
-    second.load()
-    qkostka._l_memo[k1] = TPoly([0, 2])
-    first.save()
-    del qkostka._l_memo[k1]
-    qkostka._l_memo[k2] = TPoly([0, 1])
-    second.save()
+    _run(capsys, [first, "--n", "5", "--cache-dir", str(tmp_path)])
     clear_memos()
-    Cache(cdir).load()
-    assert qkostka._l_memo == {k0: TPoly([0, 2]), k1: TPoly([0, 2]), k2: TPoly([0, 1])}
+    assert _run(capsys, [second, "--n", "5", "--cache-dir", str(tmp_path)]) == expected
+    assert not spingreen._y_memo  # no Y cell was computed
+    assert [p.name for p in tmp_path.iterdir()] == ["Y-5.json"]
+
+
+def test_cache_round_trip(tmp_path):
+    table = l_table(5)
+    Cache(str(tmp_path)).save("L-5", table, Table.to_json)
+    before = _files(tmp_path)
+    warm = Cache(str(tmp_path))
+    assert warm.load("L-5", Table.from_json).entries == table.entries
+    warm.save("L-5", table, Table.to_json)  # found on load: nothing is written
+    assert _files(tmp_path) == before
+    assert Cache(str(tmp_path)).load("L-6", Table.from_json) is None
 
 
 def test_failed_save_keeps_the_old_file(tmp_path, monkeypatch):
-    l_table(3)
-    Cache(str(tmp_path)).save()
-    before = (tmp_path / "L.json").read_bytes()
-    clear_memos()
-    l_table(4)
+    Cache(str(tmp_path)).save("L-3", l_table(3), Table.to_json)
+    before = (tmp_path / "L-3.json").read_bytes()
 
     def dump_then_fail(obj, fh, **kwargs):
         fh.write('{"version": ')
@@ -97,21 +102,53 @@ def test_failed_save_keeps_the_old_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cache.json, "dump", dump_then_fail)
     with pytest.raises(RuntimeError):
-        Cache(str(tmp_path)).save()
-    assert (tmp_path / "L.json").read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["L.json"]
+        Cache(str(tmp_path)).save("L-3", l_table(3), Table.to_json)
+    assert (tmp_path / "L-3.json").read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["L-3.json"]
 
 
-def test_writing_save_removes_only_fmt1_files(tmp_path, capsys):
-    fmt1 = {"version": "gammaq-0.1.0-fmt1", "kind": "qhl", "entries": {}}
-    (tmp_path / "qhl.json").write_text(json.dumps(fmt1))
-    (tmp_path / "schur_q.json").write_text(json.dumps(dict(fmt1, version="mine")))
-    (tmp_path / "notes.json").write_text(json.dumps(fmt1))
-    kept = {name: (tmp_path / name).read_bytes() for name in ("schur_q.json", "notes.json")}
+def test_writing_save_removes_only_retired_gammaq_files(tmp_path, capsys):
+    retired = {"version": "gammaq-0.1.0-0123456789ab", "kind": "L", "entries": {}}
+    for name in ("L.json", "Y.json", "vacuum.json"):
+        (tmp_path / name).write_text(json.dumps(dict(retired, kind=name[:-5])))
+    (tmp_path / "qhl.json").write_text(json.dumps(dict(retired, version="mine")))
+    (tmp_path / "schur_q.json").write_text("[" * 100000 + "]" * 100000)
+    (tmp_path / "notes.json").write_text(json.dumps(retired))
+    kept = {name: (tmp_path / name).read_bytes() for name in ("qhl.json", "schur_q.json", "notes.json")}
     _run(capsys, ["expand", "--family", "G", "--lambda", "3,1", "--basis", "p", "--cache-dir", str(tmp_path)])
-    assert not (tmp_path / "qhl.json").exists()
-    assert (tmp_path / "vacuum.json").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["expand-G-p-3,1.json", *kept])
     assert {name: (tmp_path / name).read_bytes() for name in kept} == kept
+
+
+def test_tampered_cell_is_copied_into_no_later_file(tmp_path, capsys):
+    cdir = ["--cache-dir", str(tmp_path)]
+    _run(capsys, ["lkostka", "--n", "5"] + cdir)
+    _edit(tmp_path / "L-5.json", lambda t: t["entries"][0].__setitem__(1, ["0", "7777"]))
+    for argv, _ in COMMANDS + [(["lkostka", "--n", "5"], None)]:
+        clear_memos()
+        _run(capsys, argv + cdir)
+    for lam in ("4,1", "3,2", "5"):
+        clear_memos()
+        _run(capsys, ["expand", "--family", "G", "--lambda", lam, "--basis", "Q"] + cdir)
+    later = [p for p in tmp_path.iterdir() if p.name != "L-5.json"]
+    assert len(later) == 9
+    assert not [p.name for p in later if "7777" in p.read_text()]
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        [[2, 1, 1], ["1"]],  # not odd under basis p
+        [[3, 1, 1], ["1"]],  # odd, but of weight 5
+    ],
+)
+def test_expansion_with_a_bad_partition_is_dropped(tmp_path, capsys, term):
+    argv = ["expand", "--family", "G", "--lambda", "3,1", "--basis", "p", "--format", "csv"]
+    expected = _run(capsys, argv + ["--no-cache"])
+    _run(capsys, argv + ["--cache-dir", str(tmp_path)])
+    _edit(tmp_path / "expand-G-p-3,1.json", lambda terms: terms.append(term))
+    clear_memos()
+    assert _run(capsys, argv + ["--cache-dir", str(tmp_path)]) == expected
 
 
 def test_unwritable_cache_warns_and_keeps_the_answer(tmp_path, capsys):
@@ -126,6 +163,14 @@ def test_unwritable_cache_warns_and_keeps_the_answer(tmp_path, capsys):
     assert blocker.read_bytes() == b"keep me"
 
 
+def _retag(path, tag):
+    """Give the file at path another version tag and a wrong first cell."""
+    data = json.loads(path.read_text())
+    data["version"] = tag
+    data["value"]["entries"][0][0] = ["9"]
+    path.write_text(json.dumps(data))
+
+
 def test_file_tagged_by_the_module_list_rule_is_ignored(tmp_path, capsys):
     # The earlier rule hashed seven named modules and tagged files "fmt2".
     named = ("partitions", "tpoly", "gamma", "vertexops", "qkostka", "spingreen", "memo")
@@ -133,10 +178,9 @@ def test_file_tagged_by_the_module_list_rule_is_ignored(tmp_path, capsys):
     source = b"".join((package / f"{name}.py").read_bytes() for name in named)
     tag = "gammaq-0.1.0-fmt2-" + hashlib.sha256(source).hexdigest()[:12]
     argv = ["spin-green", "--n", "3", "--format", "csv"]
-    expected = _run(capsys, argv + ["--no-cache"])
+    expected = _run(capsys, argv + ["--cache-dir", str(tmp_path)])
+    _retag(tmp_path / "Y-3.json", tag)
     clear_memos()
-    old = {"version": tag, "kind": "Y", "entries": {"2,1|3": ["7"]}}
-    (tmp_path / "Y.json").write_text(json.dumps(old))
     assert _run(capsys, argv + ["--cache-dir", str(tmp_path)]) == expected
 
 
@@ -158,8 +202,8 @@ def test_fingerprint_covers_every_module(tmp_path, monkeypatch):
 
 
 def test_file_without_source_fingerprint_is_ignored(tmp_path, capsys):
-    expected = _run(capsys, ["lkostka", "--n", "3", "--no-cache"])
+    expected = _run(capsys, ["lkostka", "--n", "3", "--cache-dir", str(tmp_path)])
+    _retag(tmp_path / "L-3.json", "gammaq-0.1.0-fmt2")
     clear_memos()
-    old = {"version": "gammaq-0.1.0-fmt2", "kind": "L", "entries": {"3|2,1": ["9"]}}
-    (tmp_path / "L.json").write_text(json.dumps(old))
     assert _run(capsys, ["lkostka", "--n", "3", "--cache-dir", str(tmp_path)]) == expected
+    assert json.loads((tmp_path / "L-3.json").read_text())["version"] == VERSION_TAG

@@ -2,8 +2,7 @@ import json
 
 import pytest
 
-import gammaq.qkostka as qkostka
-from gammaq.cache import VERSION_TAG, Cache, default_cache_dir
+from gammaq.cache import Cache, default_cache_dir
 from gammaq.cli import main
 from gammaq.golden import golden_y_polys
 from gammaq.memo import clear_memos
@@ -168,25 +167,19 @@ def test_warm_cold_cache_lkostka(tmp_path, capsys):
 
 def test_stale_cache_version_is_ignored(tmp_path, capsys):
     cdir = tmp_path / "cache"
-    cdir.mkdir()
-    (cdir / "Y.json").write_text('{"version": "other", "kind": "Y", "entries": {"3|3": ["9"]}}')
+    clear_memos()
+    assert main(["spin-green", "--n", "3", "--cache-dir", str(cdir)]) == 0
+    capsys.readouterr()
+
+    def stale(data):
+        data["version"] = "other"
+        data["value"]["entries"][0][0] = ["9"]
+
+    _edit_cache_file(cdir / "Y-3.json", stale)
     clear_memos()
     _, out = _run(capsys, ["spin-green", "--n", "3", "--cache-dir", str(cdir)])
     table = Table.from_json(json.loads(out), enumerate_odd)
     assert table.entry((3,), (3,)) == TPoly([1])
-    clear_memos()
-
-
-def test_cache_roundtrip_seeds_memo(tmp_path):
-    cdir = str(tmp_path / "cache")
-    clear_memos()
-    l_table(5)
-    cache = Cache(cdir)
-    cache.save()
-    clear_memos()
-    assert not qkostka._l_memo
-    Cache(cdir).load()
-    assert qkostka._l_memo[((4, 1), (3, 2))] == TPoly([0, 2])
     clear_memos()
 
 
@@ -204,28 +197,43 @@ def _edit_cache_file(path, edit):
     path.write_text(json.dumps(data))
 
 
-@pytest.mark.parametrize(
-    "content",
-    [
-        "[]",
-        json.dumps({"version": VERSION_TAG, "kind": "L", "entries": []}),
-        # one bad key drops the whole file, including the well-formed (wrong) cell
-        json.dumps({"version": VERSION_TAG, "kind": "L", "entries": {"3|2,1": ["9"], "3,x|2,1": ["1"]}}),
-        json.dumps({"version": VERSION_TAG, "kind": "L", "entries": {"3|2,1": "7"}}),
-        json.dumps({"version": VERSION_TAG, "kind": "L", "entries": {"3|2,1": ["1.5"]}}),
-        json.dumps({"version": VERSION_TAG, "kind": "L", "entries": {"3|2,1": ["1/0"]}}),
-    ],
-)
-def test_malformed_cache_file_is_dropped(tmp_path, capsys, content):
+def _value(edit):
+    """The file content with edit applied to the stored table."""
+
+    def content(data):
+        edit(data["value"])
+        return json.dumps(data)
+
+    return content
+
+
+# Each case maps the good cache file of lkostka --n 3 to a bad one.
+MALFORMED = {
+    "not an object": lambda data: "[]",
+    "deeply nested": lambda data: "[" * 100000 + "]" * 100000,
+    "value not a table": lambda data: json.dumps(dict(data, value=[])),
+    # each one below drops the whole file, including the well-formed cells
+    "cell not a list": _value(lambda v: v["entries"][0].__setitem__(0, "7")),
+    "inexact cell": _value(lambda v: v["entries"][0].__setitem__(0, ["1.5"])),
+    "zero denominator": _value(lambda v: v["entries"][0].__setitem__(0, ["1/0"])),
+    "wrong weight": _value(lambda v: v.update(n=4, rows=[[4], [3, 1]], cols=[[4], [3, 1]])),
+    "rows out of order": _value(lambda v: (v["rows"].reverse(), v["entries"].reverse())),
+    "columns out of order": _value(lambda v: [x.reverse() for x in [v["cols"], *v["entries"]]]),
+    "short row": _value(lambda v: v["entries"][0].pop()),
+    "missing row": _value(lambda v: v["entries"].pop()),
+}
+
+
+@pytest.mark.parametrize("malform", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_cache_file_is_dropped(tmp_path, capsys, malform):
     clear_memos()
     _, expected = _run(capsys, ["lkostka", "--n", "3", "--no-cache"])
-    cdir = tmp_path / "cache"
-    cdir.mkdir()
-    (cdir / "L.json").write_text(content)
+    Cache(str(tmp_path)).save("L-3", l_table(3), Table.to_json)
+    path = tmp_path / "L-3.json"
+    path.write_text(malform(json.loads(path.read_text())))
     clear_memos()
-    code, out = _run(capsys, ["lkostka", "--n", "3", "--cache-dir", str(cdir)])
-    assert code == 0
-    assert out == expected
+    assert main(["lkostka", "--n", "3", "--cache-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr() == (expected, "")
     clear_memos()
 
 
@@ -233,7 +241,7 @@ def test_non_integer_character_exits_1(tmp_path, capsys):
     cdir = tmp_path / "cache"
     clear_memos()
     assert main(["spin-char", "--n", "3", "--cache-dir", str(cdir)]) == 0
-    _edit_cache_file(cdir / "Y.json", lambda d: d["entries"].update({"2,1|3": ["1", "5"]}))
+    _edit_cache_file(cdir / "Y-3.json", lambda d: d["value"]["entries"][1].__setitem__(0, ["1", "5"]))
     clear_memos()
     code = main(["spin-char", "--n", "3", "--cache-dir", str(cdir)])
     err = capsys.readouterr().err
@@ -246,11 +254,11 @@ def test_verify_ignores_the_cache(tmp_path, capsys):
     cdir = tmp_path / "cache"
     clear_memos()
     assert main(["spin-green", "--n", "3", "--cache-dir", str(cdir)]) == 0
-    _edit_cache_file(cdir / "Y.json", lambda d: d["entries"].update({"2,1|3": ["7"]}))
-    before = (cdir / "Y.json").read_text()
+    _edit_cache_file(cdir / "Y-3.json", lambda d: d["value"]["entries"][1].__setitem__(0, ["7"]))
+    before = (cdir / "Y-3.json").read_text()
     clear_memos()
     code, out = _run(capsys, ["verify", "--suite", "tables", "--max-n", "3", "--cache-dir", str(cdir)])
     assert code == 0
     assert "[PASS] golden-table-3" in out
-    assert (cdir / "Y.json").read_text() == before
+    assert (cdir / "Y-3.json").read_text() == before
     clear_memos()

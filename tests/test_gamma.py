@@ -59,11 +59,6 @@ def test_degree():
         (p_monomial((1,)) + p_monomial((1, 1))).degree()
 
 
-def test_json_round_trip():
-    f = p_monomial((3, 1)) * TPoly([0, 2]) + p_monomial((1, 1, 1, 1)) * TPoly([Fraction(1, 3)])
-    assert GammaElement.from_json(f.to_json()) == f
-
-
 def test_adjointness_of_power_sums():
     # <p_n f, g> = <f, (n/2) d/dp_n g> on graded monomial bases
     for n in range(1, 8, 2):

@@ -17,15 +17,8 @@ from gammaq.partitions import (
     partition_str,
     remove_part,
     union_sorted,
-    weight,
     z_factor,
 )
-
-
-def test_weight():
-    assert weight(()) == 0
-    assert weight((3, 2)) == 5
-    assert weight((5, 1, 1)) == 7
 
 
 def test_n_stat():

@@ -72,6 +72,8 @@ def test_l_table_round_trip():
     again = Table.from_json(table.to_json())
     assert again.weight == table.weight
     assert again.entries == table.entries
+    with pytest.raises(ValueError):
+        Table.from_json(dict(l_table(1).to_json(), n=True))  # would print "n": true
 
 
 def test_recursion_equals_oracle():

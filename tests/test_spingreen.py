@@ -6,8 +6,7 @@ import gammaq.spingreen as spingreen
 from gammaq.golden import golden_y_polys
 from gammaq.memo import clear_memos
 from gammaq.partitions import enumerate_odd, enumerate_strict
-from gammaq.memo import INT
-from gammaq.qkostka import Table, l_direct, l_recursive
+from gammaq.qkostka import INT, Table, l_direct, l_recursive
 from gammaq.spingreen import (
     spin_char_table,
     spin_character,
@@ -73,16 +72,19 @@ def test_spin_character_examples():
 
 
 def test_spin_char_table_reads_cells_unchecked(monkeypatch):
-    """The table's cells come from enumerated partitions: no cell is checked
-    again, and no polynomial is evaluated."""
-    expected = spin_char_table(6)
+    """The table's cells come from y and enumerated partitions: no cell is
+    checked again, no polynomial is evaluated and no Y cell is computed."""
+    y = y_table(6)
+    expected = spin_char_table(y)
+    clear_memos()
 
     def refuse(*args):
         raise AssertionError("called per cell")
 
     monkeypatch.setattr(spingreen, "check_pair", refuse)
     monkeypatch.setattr(TPoly, "__call__", refuse)
-    assert spin_char_table(6) == expected
+    assert spin_char_table(y) == expected
+    assert not spingreen._y_memo  # the cells come from y, not the recursion
     monkeypatch.undo()
     with pytest.raises(ValueError):
         spin_character((2, 2), (3, 1))  # (2,2) is not strict
@@ -110,7 +112,7 @@ def test_y_table_spot_values():
 
 
 def test_spin_char_table_small():
-    table = spin_char_table(4)
+    table = spin_char_table(y_table(4))
     assert table.entry((4,), (3, 1)) == 1
     assert table.entry((4,), (1, 1, 1, 1)) == 2
     assert table.entry((3, 1), (3, 1)) == -1
@@ -120,7 +122,7 @@ def test_spin_char_table_small():
 def test_table_round_trips():
     yt = y_table(5)
     assert Table.from_json(yt.to_json(), enumerate_odd).entries == yt.entries
-    ct = spin_char_table(5)
+    ct = spin_char_table(yt)
     assert Table.from_json(ct.to_json(), enumerate_odd, INT).entries == ct.entries
 
 

@@ -13,7 +13,6 @@ from gammaq.tpoly import (
     d_count,
     d_poly,
     exact_div,
-    gauss_binomial,
     inv_z_t,
     signed_t,
     t_integer,
@@ -92,26 +91,6 @@ def test_signed_t_sum_identity():
         for i in range(1, k):
             total = total + 2 * signed_t(i)
         assert total == t_integer(k), k
-
-
-def test_gauss_binomial():
-    assert gauss_binomial(2, 1) == TPoly([1, 1])
-    assert gauss_binomial(4, 2) == TPoly([1, 1, 2, 1, 1])
-    assert gauss_binomial(6, 0) == ONE
-    with pytest.raises(ValueError):
-        gauss_binomial(2, 3)
-    # oracle: multiply the factorials back together
-    for n in range(8):
-        for k in range(n + 1):
-            lhs = gauss_binomial(n, k)
-            for i in range(1, k + 1):
-                lhs = lhs * t_integer(i)
-            for i in range(1, n - k + 1):
-                lhs = lhs * t_integer(i)
-            rhs = ONE
-            for i in range(1, n + 1):
-                rhs = rhs * t_integer(i)
-            assert lhs == rhs, (n, k)
 
 
 def test_d_poly():

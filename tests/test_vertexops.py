@@ -21,7 +21,6 @@ from gammaq.vertexops import (
     expand_in_schur_q,
     g_modes_on_vacuum,
     gstar_on_schur,
-    q_prod,
     q_row,
     qhl,
     schur_q,
@@ -54,7 +53,6 @@ def test_q_rows():
     assert q_row(0) == one()
     assert q_row(1) == p_monomial((1,)) * 2
     assert q_row(2) == p_monomial((1, 1)) * 2
-    assert q_prod((2, 1)) == q_row(2) * q_row(1)
     with pytest.raises(ValueError):
         q_row(-1)
 
