@@ -53,7 +53,6 @@ from .tpoly import (
     exact_div,
     inv_z_t,
     signed_t,
-    t_integer,
 )
 from .vertexops import (
     G_SPEC,

@@ -1,19 +1,29 @@
 """Exact univariate polynomials in t over the rationals.
 
-TPoly stores a dense tuple of Fraction coefficients, ascending in t, with no
-trailing zeros; the zero polynomial is the empty tuple.  It is immutable and
-hashable.
+TPoly stores an integer numerator and one common denominator, the
+representation of FLINT's fmpq_poly:
+
+  * _num is a tuple of ints, the coefficients ascending in t, with no
+    trailing zeros; the zero polynomial is the empty tuple;
+  * _den is a positive int with gcd(content(_num), _den) = 1, and 1 for the
+    zero polynomial.
+
+This normal form is unique, so equality and hashing compare the pair
+directly.  Arithmetic runs on ints with one gcd reduction per result, and
+denominator 1, the case of every L, Y and character value, takes no gcd at
+all.  Only int and Fraction scalars are accepted, so no float or string can
+slip into an exact value.  A TPoly is immutable and hashable.
 
 The module also carries the small t-arithmetic gadgets the closed formulas
-need: the t-integer [n]_t, the signed t-integer (k)_t, Gauss t-binomials,
-the subpartition generating polynomial D_t, and the polynomial weights
-(-2)^{l(rho)} / z_rho(t) attached to odd partitions, where
-z_rho(t) = z_rho * prod_j (1 - t^{rho_j})^{-1}.
+need: the signed t-integer (k)_t, the subpartition generating polynomial
+D_t, and the polynomial weights (-2)^{l(rho)} / z_rho(t) attached to odd
+partitions, where z_rho(t) = z_rho * prod_j (1 - t^{rho_j})^{-1}.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Union
 
 from .partitions import Partition, check_odd, z_factor
@@ -21,24 +31,70 @@ from .partitions import Partition, check_odd, z_factor
 Scalar = Union[int, Fraction]
 
 
-def _as_scalar(x) -> Fraction | None:
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, Fraction):
-        return x
+def _constant(x) -> TPoly | None:
+    """An exact scalar as a constant polynomial; None for anything else."""
+    if isinstance(x, (int, Fraction)):
+        return TPoly((x,))
     return None
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """n/d, d > 0, in lowest terms as Fraction prints it: '3', '-1/2'."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 class TPoly:
     """Polynomial in t with exact rational coefficients."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs = tuple(cs)
+        num = list(coeffs)
+        den = 1
+        convert = False
+        for c in num:
+            if type(c) is int:
+                continue
+            if isinstance(c, Fraction):
+                den = lcm(den, c.denominator)
+            elif not isinstance(c, int):
+                raise TypeError(f"TPoly coefficients must be int or Fraction, not {type(c).__name__}")
+            convert = True
+        if convert:
+            # Each Fraction is reduced, so over the lcm of the denominators
+            # the numerators have no common factor with it.
+            num = [
+                c.numerator * (den // c.denominator) if isinstance(c, Fraction) else int(c) * den
+                for c in num
+            ]
+        while num and not num[-1]:
+            num.pop()
+        self._num = tuple(num)
+        self._den = den if num else 1
+
+    @classmethod
+    def _raw(cls, num: tuple[int, ...], den: int) -> "TPoly":
+        """Internal constructor: (num, den) must already be in normal form."""
+        self = object.__new__(cls)
+        self._num = num
+        self._den = den
+        return self
+
+    @classmethod
+    def _reduce(cls, num: list[int], den: int) -> "TPoly":
+        """Internal constructor: strip trailing zeros and cancel the content
+        against den > 0."""
+        while num and not num[-1]:
+            num.pop()
+        if not num:
+            return ZERO
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                den //= g
+                num = [c // g for c in num]
+        return cls._raw(tuple(num), den)
 
     @staticmethod
     def term(coeff: Scalar, power: int) -> "TPoly":
@@ -48,82 +104,120 @@ class TPoly:
         return TPoly((0,) * power + (coeff,))
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+    def coeffs(self) -> tuple[Scalar, ...]:
+        """Ascending coefficients: the ints themselves when every one is an
+        integer, Fractions otherwise."""
+        if self._den == 1:
+            return self._num
+        d = self._den
+        return tuple(Fraction(c, d) for c in self._num)
 
     def coefficient(self, k: int) -> Fraction:
         """Coefficient of t^k (zero outside the stored range)."""
-        if 0 <= k < len(self._coeffs):
-            return self._coeffs[k]
+        if 0 <= k < len(self._num):
+            return Fraction(self._num[k], self._den)
         return Fraction(0)
 
     @property
     def degree(self) -> int:
         """Degree in t; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
+        return len(self._num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     @property
     def leading_coefficient(self) -> Fraction:
-        return self._coeffs[-1] if self._coeffs else Fraction(0)
+        return Fraction(self._num[-1], self._den) if self._num else Fraction(0)
 
     def __add__(self, other) -> "TPoly":
-        s = _as_scalar(other)
-        if s is not None:
-            other = TPoly((s,))
         if not isinstance(other, TPoly):
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
+            other = _constant(other)
+            if other is None:
+                return NotImplemented
+        a, da = self._num, self._den
+        b, db = other._num, other._den
+        if da == db:
+            den = da
+        else:
+            g = gcd(da, db)
+            den = da // g * db
+            fa, fb = db // g, da // g
+            a = [c * fa for c in a] if fa != 1 else a
+            b = [c * fb for c in b] if fb != 1 else b
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return TPoly(out)
+        if den == 1 and len(a) != len(b):
+            return TPoly._raw(tuple(out), 1)
+        return TPoly._reduce(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TPoly":
-        return TPoly(tuple(-c for c in self._coeffs))
+        return TPoly._raw(tuple([-c for c in self._num]), self._den)
 
     def __sub__(self, other) -> "TPoly":
-        s = _as_scalar(other)
-        if s is not None:
-            other = TPoly((s,))
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        return self + (-other)
+        if isinstance(other, (TPoly, int, Fraction)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other) -> "TPoly":
         return (-self) + other
 
     def __mul__(self, other) -> "TPoly":
-        s = _as_scalar(other)
-        if s is not None:
-            if s == 0:
-                return TPoly()
-            return TPoly(tuple(c * s for c in self._coeffs))
-        if not isinstance(other, TPoly):
+        a, da = self._num, self._den
+        if isinstance(other, TPoly):
+            b, db = other._num, other._den
+            if not a or not b:
+                return ZERO
+            if len(a) == 1:
+                s = a[0]
+                out = [s * c for c in b]
+            elif len(b) == 1:
+                s = b[0]
+                out = [c * s for c in a]
+            else:
+                out = [0] * (len(a) + len(b) - 1)
+                for i, ca in enumerate(a):
+                    if ca:
+                        for j, cb in enumerate(b):
+                            out[i + j] += ca * cb
+            den = da * db
+            if den == 1:
+                # A product of nonzero integer polynomials has a nonzero top.
+                return TPoly._raw(tuple(out), 1)
+            return TPoly._reduce(out, den)
+        # A scalar n/d.  With gcd(content(a), da) = gcd(n, d) = 1 the content
+        # of a*n shares exactly gcd(n, da) * gcd(content(a), d) with da*d.
+        if isinstance(other, int):
+            n, d = other, 1
+        elif isinstance(other, Fraction):
+            n, d = other.numerator, other.denominator
+        else:
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return TPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return TPoly(out)
+        if not n or not a:
+            return ZERO
+        g = gcd(n, da)
+        if g != 1:
+            n //= g
+            da //= g
+        if d != 1:
+            g = gcd(d, *a)
+            if g != 1:
+                d //= g
+                a = [c // g for c in a]
+        return TPoly._raw(tuple([c * n for c in a]), da * d)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "TPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = TPoly((1,))
+        result = ONE
         base = self
         while n:
             if n & 1:
@@ -133,45 +227,54 @@ class TPoly:
         return result
 
     def __call__(self, x: Scalar) -> Fraction:
-        """Evaluate at an exact rational point."""
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
+        """Evaluate at an exact rational point x = p/q, by Horner's rule on
+        ints: sum_k num_k p^k q^(deg-k), over q^deg * den."""
+        if isinstance(x, int):
+            p, q = x, 1
+        elif isinstance(x, Fraction):
+            p, q = x.numerator, x.denominator
+        else:
+            raise TypeError(f"TPoly evaluates at an int or Fraction, not {type(x).__name__}")
+        num = self._num
+        acc = num[-1] if num else 0
+        qk = 1
+        for c in num[-2::-1]:
+            qk *= q
+            acc = acc * p + c * qk
+        return Fraction(acc, qk * self._den)
 
     def __eq__(self, other) -> bool:
-        s = _as_scalar(other)
-        if s is not None:
-            other = TPoly((s,))
         if not isinstance(other, TPoly):
-            return NotImplemented
-        return self._coeffs == other._coeffs
+            other = _constant(other)
+            if other is None:
+                return NotImplemented
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._num, self._den))
 
     def __repr__(self) -> str:
-        return f"TPoly({list(self._coeffs)!r})"
+        return f"TPoly({list(self.coeffs)!r})"
 
     def __str__(self) -> str:
         """Human form, descending powers: '2t^2+8t+5'."""
-        if not self._coeffs:
+        num, den = self._num, self._den
+        if not num:
             return "0"
         pieces = []
-        for k in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[k]
+        for k in range(len(num) - 1, -1, -1):
+            c = num[k]
             if c == 0:
                 continue
             sign = "-" if c < 0 else ("+" if pieces else "")
-            mag = abs(c)
+            mag = _ratio_str(abs(c), den)
             if k == 0:
-                body = str(mag)
+                body = mag
             else:
                 tpow = "t" if k == 1 else f"t^{k}"
-                if mag == 1:
+                if mag == "1":
                     body = tpow
-                elif mag.denominator == 1:
+                elif "/" not in mag:
                     body = f"{mag}{tpow}"
                 else:
                     body = f"({mag}){tpow}"
@@ -180,7 +283,10 @@ class TPoly:
 
     def to_json(self) -> list[str]:
         """Ascending coefficient strings, 'num/den' or plain integer."""
-        return [str(c) for c in self._coeffs]
+        den = self._den
+        if den == 1:
+            return [str(c) for c in self._num]
+        return [_ratio_str(c, den) for c in self._num]
 
     @staticmethod
     def from_json(data: list[str]) -> "TPoly":
@@ -190,22 +296,13 @@ class TPoly:
         if not isinstance(data, list):
             raise TypeError(f"TPoly JSON must be a list of coefficients: {data!r}")
         if "/" not in "".join(data):  # join raises TypeError on a non-string
-            return TPoly(map(int, data))
+            return TPoly._reduce([int(s) for s in data], 1)
         return TPoly(Fraction(s) if "/" in s else int(s) for s in data)
 
 
 ZERO = TPoly()
 ONE = TPoly((1,))
 T = TPoly((0, 1))
-
-
-def t_integer(n: int) -> TPoly:
-    """The t-integer [n]_t = 1 + t + ... + t^{n-1}; [0]_t = 1 by convention."""
-    if n < 0:
-        raise ValueError("t-integer undefined for negative n")
-    if n == 0:
-        return ONE
-    return TPoly((1,) * n)
 
 
 def signed_t(k: int) -> TPoly:
@@ -218,27 +315,33 @@ def signed_t(k: int) -> TPoly:
 
 
 def exact_div(f: TPoly, g: TPoly) -> TPoly:
-    """Quotient f/g; raise ValueError if g is zero or the remainder is nonzero."""
+    """Quotient f/g; raise ValueError if g is zero or the remainder is nonzero.
+
+    The long division runs on the numerators, so a step stays an int
+    whenever the leading numerator of g divides it."""
     if g.is_zero:
         raise ValueError("division by the zero polynomial")
-    rem = list(f.coeffs)
-    gc = g.coeffs
+    rem: list[Scalar] = list(f._num)
+    gc = g._num
     dg = len(gc) - 1
     lead = gc[-1]
     if len(rem) - 1 < dg:
         if any(rem):
             raise ValueError(f"({f}) is not divisible by ({g})")
         return ZERO
-    out = [Fraction(0)] * (len(rem) - dg)
+    out: list[Scalar] = [0] * (len(rem) - dg)
     for i in range(len(rem) - 1, dg - 1, -1):
-        q = rem[i] / lead
+        q = Fraction(rem[i], lead)
+        if q.denominator == 1:
+            q = q.numerator
         out[i - dg] = q
         if q:
             for j, c in enumerate(gc):
                 rem[i - dg + j] -= q * c
     if any(rem):
         raise ValueError(f"({f}) is not divisible by ({g})")
-    return TPoly(out)
+    scale = Fraction(g._den, f._den)  # f/g = (f._num / g._num) * g._den / f._den
+    return TPoly([q * scale for q in out])
 
 
 def d_poly(p: Partition) -> TPoly:
@@ -252,8 +355,9 @@ def d_poly(p: Partition) -> TPoly:
 def d_count(p: Partition, i: int) -> int:
     """Number of index subpartitions of p with weight i."""
     c = d_poly(p).coefficient(i)
-    assert c.denominator == 1
-    return int(c)
+    if c.denominator != 1:
+        raise ArithmeticError(f"non-integer subpartition count {c} for {p} at weight {i}")
+    return c.numerator
 
 
 def inv_z_t(rho: Partition) -> TPoly:

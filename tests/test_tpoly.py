@@ -1,9 +1,12 @@
+from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gammaq import tpoly
 from gammaq.partitions import enumerate_odd, enumerate_partitions, index_subpartitions
 from gammaq.tpoly import (
     ONE,
@@ -15,7 +18,6 @@ from gammaq.tpoly import (
     exact_div,
     inv_z_t,
     signed_t,
-    t_integer,
 )
 
 
@@ -69,13 +71,16 @@ def test_from_json_rejects_non_exact_coefficients(data):
         TPoly.from_json(data)
 
 
-def test_t_integer():
-    assert t_integer(1) == ONE
-    assert t_integer(2) == TPoly([1, 1])
-    assert t_integer(4) == TPoly([1, 1, 1, 1])
-    assert t_integer(0) == ONE
-    with pytest.raises(ValueError):
-        t_integer(-1)
+@pytest.mark.parametrize("bad", [[0.1], ["1/2"], [1, 2.0], [None], [Decimal(1)], [1j]])
+def test_constructor_accepts_only_int_and_fraction(bad):
+    with pytest.raises(TypeError):
+        TPoly(bad)
+
+
+def test_scalars_must_be_exact():
+    for op in (lambda: ONE * 0.5, lambda: ONE + 0.5, lambda: ONE - "1", lambda: ONE(0.5)):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_signed_t():
@@ -90,7 +95,7 @@ def test_signed_t_sum_identity():
         total = signed_t(k)
         for i in range(1, k):
             total = total + 2 * signed_t(i)
-        assert total == t_integer(k), k
+        assert total == TPoly([1] * k), k
 
 
 def test_d_poly():
@@ -103,6 +108,12 @@ def test_d_count():
     assert d_count((1, 1), 1) == 2
     assert d_count((5, 1, 1), 3) == 0
     assert d_count((4, 2), 0) == 1
+
+
+def test_d_count_refuses_a_non_integer_coefficient(monkeypatch):
+    monkeypatch.setattr(tpoly, "d_poly", lambda p: TPoly([Fraction(1, 2)]))
+    with pytest.raises(ArithmeticError):
+        d_count((1,), 0)
 
 
 def test_d_poly_counts_index_subpartitions():
@@ -146,6 +157,14 @@ def test_exact_div():
         exact_div(ONE, ZERO)
 
 
+def test_exact_div_stays_exact_on_integer_numerators():
+    assert exact_div(TPoly([2, 4]), TPoly([2])).coeffs == (1, 2)
+    half = exact_div(TPoly([1, 1]), TPoly([2]))
+    assert half.coeffs == (Fraction(1, 2), Fraction(1, 2))
+    assert all(type(c) is Fraction for c in half.coeffs)
+    assert exact_div(TPoly([Fraction(1, 3), Fraction(1, 3)]), TPoly([Fraction(2, 5), Fraction(2, 5)])) == TPoly([Fraction(5, 6)])
+
+
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 tpolys = st.lists(small_fractions, max_size=6).map(TPoly)
 
@@ -176,3 +195,104 @@ def test_exact_div_inverts_mul(a, b):
     if b.is_zero:
         return
     assert exact_div(a * b, b) == a
+
+
+# Differential test of the integer-numerator representation against a plain
+# list of Fractions, ascending, without trailing zeros.
+
+
+def _ref(cs) -> list[Fraction]:
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    return _ref((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref(out)
+
+
+def _ref_str(cs) -> str:
+    pieces = []
+    for k in range(len(cs) - 1, -1, -1):
+        c = cs[k]
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else ("+" if pieces else "")
+        mag = abs(c)
+        tpow = "t" if k == 1 else f"t^{k}"
+        if k == 0:
+            body = str(mag)
+        elif mag == 1:
+            body = tpow
+        elif mag.denominator == 1:
+            body = f"{mag}{tpow}"
+        else:
+            body = f"({mag}){tpow}"
+        pieces.append(sign + body)
+    return "".join(pieces) or "0"
+
+
+def _assert_matches(p: TPoly, ref: list[Fraction]) -> None:
+    num, den = p._num, p._den
+    assert type(num) is tuple and all(type(c) is int for c in num)
+    assert type(den) is int and den > 0
+    assert not num or num[-1] != 0
+    assert gcd(den, *num) == 1  # reduced; the zero polynomial has den 1
+    assert p.coeffs == tuple(ref)
+    integral = all(c.denominator == 1 for c in ref)
+    assert all(type(c) is (int if integral else Fraction) for c in p.coeffs)
+    assert [p.coefficient(k) for k in range(len(ref))] == ref
+    assert str(p) == _ref_str(ref)
+    assert p.to_json() == [str(c) for c in ref]
+
+
+coeff_lists = st.lists(small_fractions | st.integers(-5, 5), max_size=6)
+scalars = small_fractions | st.integers(-5, 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeff_lists, coeff_lists, scalars)
+def test_matches_fraction_reference(ca, cb, s):
+    a, b = TPoly(ca), TPoly(cb)
+    ra, rb = _ref(ca), _ref(cb)
+    _assert_matches(a, ra)
+    _assert_matches(a + b, _ref_add(ra, rb))
+    _assert_matches(a - b, _ref_add(ra, [-c for c in rb]))
+    _assert_matches(-a, [-c for c in ra])
+    _assert_matches(a * b, _ref_mul(ra, rb))
+    _assert_matches(a * s, _ref([c * s for c in ra]))
+    _assert_matches(s * a, _ref([c * s for c in ra]))
+    _assert_matches(a + s, _ref_add(ra, [Fraction(s)]))
+    assert a(s) == sum((c * Fraction(s) ** k for k, c in enumerate(ra)), Fraction(0))
+    assert type(a(s)) is Fraction
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeff_lists)
+def test_same_value_is_equal_and_hashes_alike(cs):
+    ref = _ref(cs)
+    a = TPoly(cs)
+    builds = [
+        TPoly(ref),
+        TPoly([Fraction(c.numerator * 2, c.denominator * 2) for c in ref] + [Fraction(0, 3)]),
+        sum((TPoly.term(c, k) for k, c in enumerate(ref)), ZERO),
+        a * 6 * Fraction(1, 6),
+        (a + TPoly([Fraction(1, 7)])) - Fraction(1, 7),
+        TPoly.from_json(a.to_json()),
+    ]
+    for b in builds:
+        assert b == a
+        assert hash(b) == hash(a)
+        assert (b._num, b._den) == (a._num, a._den)
+    assert TPoly([Fraction(2, 4)]) == TPoly([Fraction(1, 2)])
+    assert hash(TPoly([Fraction(2, 1), 0])) == hash(TPoly([2]))
