@@ -44,10 +44,16 @@ class GammaElement:
 
     @classmethod
     def _from_raw(cls, terms: dict[Partition, TPoly]) -> "GammaElement":
-        """Internal fast path: keys already odd partitions, zeros pruned here."""
+        """Internal fast path: keys already odd partitions, coefficients
+        already nonzero.  Negation, a nonzero scalar and d_dp keep them so."""
         self = object.__new__(cls)
-        self._terms = {mu: c for mu, c in terms.items() if not c.is_zero}
+        self._terms = terms
         return self
+
+    @classmethod
+    def _pruned(cls, terms: dict[Partition, TPoly]) -> "GammaElement":
+        """_from_raw after dropping the zeros that cancellation in a sum leaves."""
+        return cls._from_raw({mu: c for mu, c in terms.items() if not c.is_zero})
 
     def terms(self) -> Iterator[tuple[Partition, TPoly]]:
         """(partition, coefficient) pairs in decreasing lexicographic key order."""
@@ -79,7 +85,7 @@ class GammaElement:
         for mu, c in other._terms.items():
             s = out.get(mu)
             out[mu] = c if s is None else s + c
-        return GammaElement._from_raw(out)
+        return GammaElement._pruned(out)
 
     def __neg__(self) -> "GammaElement":
         return GammaElement._from_raw({mu: -c for mu, c in self._terms.items()})
@@ -106,7 +112,7 @@ class GammaElement:
                 prod = cf * cg
                 s = out.get(key)
                 out[key] = prod if s is None else s + prod
-        return GammaElement._from_raw(out)
+        return GammaElement._pruned(out)
 
     __rmul__ = __mul__
 
@@ -135,19 +141,18 @@ def one() -> GammaElement:
 
 
 def d_dp(n: int, f: GammaElement) -> GammaElement:
-    """The derivative d/dp_n, n odd: kills p_n-free monomials, else removes one part."""
+    """The derivative d/dp_n, n odd: kills p_n-free monomials, else removes one part.
+
+    Distinct monomials stay distinct, since mu is the result's key plus one
+    part n, so no two terms meet and no coefficient becomes zero."""
     if n < 1 or n % 2 == 0:
         raise ValueError(f"derivative index must be odd and positive: {n}")
     out: dict[Partition, TPoly] = {}
     for mu, c in f._terms.items():
         m = mu.count(n)
-        if not m:
-            continue
-        i = mu.index(n)
-        key = mu[:i] + mu[i + 1 :]
-        term = c * m
-        s = out.get(key)
-        out[key] = term if s is None else s + term
+        if m:
+            i = mu.index(n)
+            out[mu[:i] + mu[i + 1 :]] = c * m
     return GammaElement._from_raw(out)
 
 

@@ -12,7 +12,6 @@ lexicographic, e.g. (7), (6,1), (5,2), (4,3), (4,2,1).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from math import factorial
 from typing import Iterable, Iterator, NamedTuple
 
@@ -170,16 +169,30 @@ def index_subpartitions(p: Partition, i: int) -> list[Partition]:
     """Subpartitions of weight i chosen by index subsequence, with multiplicity.
 
     Distinct index subsets are listed separately even when equal as
-    partitions, e.g. ((1,1), 1) -> [(1), (1)].
+    partitions, e.g. ((1,1), 1) -> [(1), (1)], so a subpartition nu occurs
+    prod_j C(m_j(p), m_j(nu)) times.  Only subsets of weight i are visited:
+    a depth-first walk over the indices that abandons a branch once the
+    weight still needed exceeds the parts left.
     """
     if not 0 <= i <= sum(p):
         raise ValueError(f"subpartition weight {i} out of range for {p}")
-    out = []
-    for k in range(len(p) + 1):
-        for idx in combinations(range(len(p)), k):
-            sub = tuple(p[j] for j in idx)
-            if sum(sub) == i:
-                out.append(sub)
+    suffix = [0] * (len(p) + 1)
+    for j in range(len(p) - 1, -1, -1):
+        suffix[j] = suffix[j + 1] + p[j]
+    out: list[Partition] = []
+    chosen: list[int] = []
+
+    def walk(j: int, need: int) -> None:
+        if need == 0:
+            out.append(tuple(chosen))
+        elif suffix[j] >= need:
+            if p[j] <= need:
+                chosen.append(p[j])
+                walk(j + 1, need - p[j])
+                chosen.pop()
+            walk(j + 1, need)
+
+    walk(0, i)
     return out
 
 

@@ -12,7 +12,11 @@ Three independent routes are provided:
   y_recursive  peeling the largest row with polynomial odd-partition weights
   y_via_l      Q-Kostka recursion column composed with t = 0 character data
 
-The recursion is the fast path: y_table evaluates it on every cell.
+The recursion is the fast path: y_table evaluates it on every cell.  It
+visits each distinct sub-multiset nu of mu once, scaled by its integer
+multiplicity, and multiplies by each rational rho weight once per (i, rho);
+the grouped sub-multisets and the rho weights are memoized.
+
 spin_char_table reads each character off the constant coefficient of the
 matching cell of a finished y_table, so it runs no recursion of its own;
 the CLI's spin-green and spin-char share one cached Y table per weight.
@@ -20,6 +24,7 @@ the CLI's spin-green and spin-char share one cached Y table per weight.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from .gamma import p_monomial, pair
@@ -39,6 +44,8 @@ from .tpoly import ONE, TPoly, ZERO, d_count, d_poly, exact_div, inv_z_t
 from .vertexops import qhl, schur_q
 
 _y_memo: dict[tuple[Partition, Partition], TPoly] = memo()
+_groups_memo: dict[tuple[Partition, int], list[tuple[Partition, int]]] = memo()
+_inv_z_memo: dict[Partition, TPoly] = memo()
 
 
 def y_direct(lam: Partition, mu: Partition) -> TPoly:
@@ -50,11 +57,13 @@ def y_direct(lam: Partition, mu: Partition) -> TPoly:
 def y_recursive(lam: Partition, mu: Partition) -> TPoly:
     """Iterative route peeling the largest row lam_1:
 
-        sum_{i=0}^{n-lam_1} sum_{nu in {mu}_i} sum_{rho odd of n-lam_1-i}
-            ((-2)^{l(rho)} / z_rho(t)) Y(lam^(1), nu U rho)
+        sum_{i=0}^{n-lam_1} sum_{rho odd of n-lam_1-i} ((-2)^{l(rho)} / z_rho(t))
+            sum_{nu in {mu}_i} Y(lam^(1), nu U rho)
 
-    where {mu}_i are index subpartitions with multiplicity and the rho
-    weight is the polynomial inv_z_t(rho), keeping all arithmetic in
+    where {mu}_i are the index subpartitions of weight i with multiplicity.
+    The inner sum runs over the distinct nu, each Y scaled by its integer
+    multiplicity prod_j C(m_j(mu), m_j(nu)), and the rho weight is the
+    polynomial inv_z_t(rho), applied once per rho, keeping all arithmetic in
     polynomials.  Memoized on the canonical pair."""
     lam, mu = check_pair(lam, mu, check_odd)
     return _y_rec(lam, mu)
@@ -71,14 +80,33 @@ def _y_rec(lam: Partition, mu: Partition) -> TPoly:
     n = sum(lam)
     total = ZERO
     for i in range(n - head + 1):
-        rhos = [(rho, inv_z_t(rho)) for rho in enumerate_odd(n - head - i)]
-        for nu in index_subpartitions(mu, i):
-            for rho, weight in rhos:
+        groups = _sub_multisets(mu, i)
+        for rho in enumerate_odd(n - head - i):
+            inner = ZERO
+            for nu, mult in groups:
                 sub = _y_rec(rest, union_sorted(nu, rho))
                 if not sub.is_zero:
-                    total = total + sub * weight
+                    inner = inner + (sub if mult == 1 else sub * mult)
+            if not inner.is_zero:
+                total = total + inner * _inv_z(rho)
     _y_memo[key] = total
     return total
+
+
+def _sub_multisets(mu: Partition, i: int) -> list[tuple[Partition, int]]:
+    """The distinct index subpartitions of mu of weight i, with multiplicities."""
+    key = (mu, i)
+    groups = _groups_memo.get(key)
+    if groups is None:
+        groups = _groups_memo[key] = list(Counter(index_subpartitions(mu, i)).items())
+    return groups
+
+
+def _inv_z(rho: Partition) -> TPoly:
+    weight = _inv_z_memo.get(rho)
+    if weight is None:
+        weight = _inv_z_memo[rho] = inv_z_t(rho)
+    return weight
 
 
 def y_two_row(k: int, n: int, mu: Partition) -> TPoly:

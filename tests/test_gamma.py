@@ -105,3 +105,32 @@ def test_pair_bilinear(f, g, h, c):
 def test_adjointness_random(f, g):
     for n in (1, 3, 5, 7):
         assert pair(p_monomial((n,)) * f, g) == pair(f, pn_star(n, g))
+
+
+_nonzero_scalars = st.one_of(
+    st.integers(-5, 5).filter(bool),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool),
+    _coeffs.filter(lambda c: not c.is_zero),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_elements, _nonzero_scalars)
+def test_unpruned_results_hold_no_zero(f, c):
+    """Negation, a nonzero scalar and d_dp build their result without
+    re-scanning for zeros: none can appear, and each equals the pruned
+    construction from the same terms."""
+    derivative_terms = {n: {} for n in (1, 3, 5, 7)}
+    for n, out in derivative_terms.items():
+        for mu, coeff in f.terms():
+            if n in mu:
+                i = mu.index(n)
+                key = mu[:i] + mu[i + 1 :]
+                out[key] = out.get(key, ZERO) + coeff * mu.count(n)
+    cases = [
+        (-f, {mu: -coeff for mu, coeff in f.terms()}),
+        (f * c, {mu: coeff * c for mu, coeff in f.terms()}),
+    ] + [(d_dp(n, f), out) for n, out in derivative_terms.items()]
+    for result, terms in cases:
+        assert all(not coeff.is_zero for _, coeff in result.terms())
+        assert result == GammaElement(terms)

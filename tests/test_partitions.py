@@ -1,3 +1,7 @@
+from collections import Counter
+from itertools import combinations
+from math import comb, prod
+
 import pytest
 
 from gammaq.partitions import (
@@ -12,6 +16,7 @@ from gammaq.partitions import (
     epsilon,
     horizontal_strips,
     index_subpartitions,
+    multiplicities,
     n_stat,
     parse_partition,
     partition_str,
@@ -94,6 +99,34 @@ def test_index_subpartitions():
     assert index_subpartitions((3, 2), 5) == [(3, 2)]
     with pytest.raises(ValueError):
         index_subpartitions((3,), 4)
+
+
+def _index_subpartitions_reference(p):
+    """Weight -> every index subset of p as a subpartition, by brute force."""
+    by_weight = {i: [] for i in range(sum(p) + 1)}
+    for k in range(len(p) + 1):
+        for idx in combinations(range(len(p)), k):
+            sub = tuple(p[j] for j in idx)
+            by_weight[sum(sub)].append(sub)
+    return by_weight
+
+
+def test_index_subpartitions_brute_force():
+    for n in range(13):
+        for p in enumerate_partitions(n):
+            for i, expected in _index_subpartitions_reference(p).items():
+                assert sorted(index_subpartitions(p, i)) == sorted(expected), (p, i)
+
+
+def test_index_subpartition_multiplicities():
+    """A distinct nu occurs prod_j C(m_j(p), m_j(nu)) times."""
+    for n in range(13):
+        for p in enumerate_partitions(n):
+            m = multiplicities(p)
+            for i in range(n + 1):
+                for nu, count in Counter(index_subpartitions(p, i)).items():
+                    expected = prod(comb(m[part], k) for part, k in multiplicities(nu).items())
+                    assert count == expected, (p, nu)
 
 
 def test_union_sorted():

@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,6 +113,21 @@ def test_y_table_spot_values():
     ]
     t7 = y_table(7)
     assert t7.entry((4, 3), (1,) * 7) == TPoly([5, 18, 10, 2])
+
+
+# sha256 of json.dumps(y_table(n).to_json(), sort_keys=True) for n = 8..12,
+# recorded from the recursion that summed over every index subset of mu.
+Y_DIGESTS = json.loads((Path(__file__).parent / "data" / "y_table_sha256.json").read_text())
+
+
+def test_larger_y_tables_are_pinned():
+    changed = []
+    for n, digest in Y_DIGESTS.items():
+        clear_memos()
+        text = json.dumps(y_table(int(n)).to_json(), sort_keys=True)
+        if hashlib.sha256(text.encode("utf-8")).hexdigest() != digest:
+            changed.append(n)
+    assert not changed
 
 
 def test_spin_char_table_small():
