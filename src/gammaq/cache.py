@@ -15,9 +15,7 @@ load(name, decode) reads one file; save(name, value, encode) writes it
 unless that load found it.  A write goes to a temporary file in the cache
 directory and is moved into place with os.replace, so a reader never sees a
 partial file; two processes that compute the same result write the same
-bytes.  A save that writes also deletes the files of the retired layouts,
-which cached memos instead of results, when they carry a gammaq- tag; no
-other file is touched.
+bytes.  A save touches no other file.
 """
 
 from __future__ import annotations
@@ -42,9 +40,6 @@ def _fingerprint() -> str:
 
 
 VERSION_TAG = f"gammaq-{__version__}-{_fingerprint()}"
-
-# One file per memo, written by the layouts before results were cached.
-_RETIRED_FILES = ("schur_q.json", "qhl.json", "L.json", "Y.json", "vacuum.json")
 
 
 def default_cache_dir() -> str:
@@ -109,12 +104,3 @@ class Cache:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
             raise
-        self._remove_retired_files()
-
-    def _remove_retired_files(self) -> None:
-        for name in _RETIRED_FILES:
-            path = os.path.join(self.directory, name)
-            data = _parse(path)
-            if isinstance(data, dict) and str(data.get("version")).startswith("gammaq-"):
-                with contextlib.suppress(OSError):
-                    os.remove(path)

@@ -67,10 +67,6 @@ class GammaElement:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def max_weight(self) -> int:
-        """Largest weight among monomials; 0 for the zero element."""
-        return max((sum(mu) for mu in self._terms), default=0)
-
     def degree(self) -> int:
         """Common weight of all monomials; raises if inhomogeneous."""
         weights = {sum(mu) for mu in self._terms}

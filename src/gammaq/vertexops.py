@@ -4,9 +4,9 @@ Each operator is a product (creation exponential) * (annihilation
 exponential) of series in odd power sums and their derivatives, with a mode
 expansion in a formal variable z.  A mode is extracted exactly:
 
-  * the annihilation exponential is expanded on the argument first -- every
-    d/dp_n strictly lowers degree, so only finitely many terms act, bounding
-    z-exponents below by -deg(f);
+  * the annihilation exponential acts on a power-sum monomial as the
+    substitution p_n -> p_n + a_n z^{-n}, a finite sum over the sub-multisets
+    of its parts, so z-exponents are bounded below by -deg(f);
   * the creation exponential is then truncated at exactly the z-degree the
     requested mode needs.
 
@@ -27,10 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 from typing import Callable, Sequence
 
-from .gamma import GammaElement, d_dp, one, pair
+from .gamma import GammaElement, one, pair
 from .memo import memo
 from .partitions import (
     Partition,
@@ -121,38 +121,38 @@ def _creation_term(spec: OperatorSpec, r: int) -> GammaElement:
     return result
 
 
-def _annihilation_expansion(spec: OperatorSpec, f: GammaElement) -> dict[int, GammaElement]:
-    """Map s -> coefficient of z^{-s} in (annihilation exponential) f."""
-    if f.is_zero:
-        return {}
-    out = {0: f}
-    for s in range(1, f.max_weight() + 1):
-        acc = GammaElement()
-        for rho in enumerate_odd(s):
-            g = f
-            for part in rho:
-                g = d_dp(part, g)
-                if g.is_zero:
-                    break
-            if g.is_zero:
-                continue
-            w = ONE
-            for part in rho:
-                w = w * spec.annihilation(part)
-            acc = acc + g * (w * Fraction(1, _aut(rho)))
-        if not acc.is_zero:
-            out[s] = acc
-    return out
-
-
 def apply_component(spec: OperatorSpec, m: int, f: GammaElement) -> GammaElement:
-    """Apply the mode of index m (coefficient of z^m, or z^{-m} for starred specs)."""
+    """Apply the mode of index m: the coefficient of z^m (z^{-m} for starred
+    specs) in (creation exponential) (annihilation exponential) f.
+
+    On c p_mu the annihilation exponential is the substitution
+    p_n -> p_n + a_n z^{-n}, so a part value n of multiplicity c_n expands to
+    sum_k C(c_n, k) a_n^k z^{-nk} p_n^{c_n - k}.  The products are grouped by
+    the weight s taken off; each group that does not cancel is multiplied by
+    the creation term of z-degree r = m + s (s - m when starred)."""
+    groups: dict[int, dict[Partition, TPoly]] = {}
+    for mu, c in f._terms.items():
+        expansion = [(0, (), c)]
+        for n, count in multiplicities(mu).items():
+            a = spec.annihilation(n)
+            weights = [a**k * comb(count, k) for k in range(count + 1)]
+            expansion = [
+                (s + n * k, nu + (n,) * (count - k), w * weights[k])
+                for s, nu, w in expansion
+                for k in range(count + 1)
+            ]
+        for s, nu, w in expansion:
+            group = groups.setdefault(s, {})
+            prev = group.get(nu)
+            group[nu] = w if prev is None else prev + w
     result = GammaElement()
-    for s, g in _annihilation_expansion(spec, f).items():
+    for s, group in groups.items():
         r = (s - m) if spec.star else (m + s)
         if r < 0:
             continue
-        result = result + _creation_term(spec, r) * g
+        g = GammaElement._pruned(group)
+        if not g.is_zero:
+            result = result + _creation_term(spec, r) * g
     return result
 
 

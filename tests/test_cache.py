@@ -107,19 +107,6 @@ def test_failed_save_keeps_the_old_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["L-3.json"]
 
 
-def test_writing_save_removes_only_retired_gammaq_files(tmp_path, capsys):
-    retired = {"version": "gammaq-0.1.0-0123456789ab", "kind": "L", "entries": {}}
-    for name in ("L.json", "Y.json", "vacuum.json"):
-        (tmp_path / name).write_text(json.dumps(dict(retired, kind=name[:-5])))
-    (tmp_path / "qhl.json").write_text(json.dumps(dict(retired, version="mine")))
-    (tmp_path / "schur_q.json").write_text("[" * 100000 + "]" * 100000)
-    (tmp_path / "notes.json").write_text(json.dumps(retired))
-    kept = {name: (tmp_path / name).read_bytes() for name in ("qhl.json", "schur_q.json", "notes.json")}
-    _run(capsys, ["expand", "--family", "G", "--lambda", "3,1", "--basis", "p", "--cache-dir", str(tmp_path)])
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["expand-G-p-3,1.json", *kept])
-    assert {name: (tmp_path / name).read_bytes() for name in kept} == kept
-
-
 def test_tampered_cell_is_copied_into_no_later_file(tmp_path, capsys):
     cdir = ["--cache-dir", str(tmp_path)]
     _run(capsys, ["lkostka", "--n", "5"] + cdir)

@@ -1,7 +1,14 @@
+import hashlib
+import json
+from fractions import Fraction
+from math import factorial, prod
+from pathlib import Path
+
 import pytest
 
-from gammaq.gamma import GammaElement, one, p_monomial, pair
-from gammaq.partitions import enumerate_odd
+from gammaq.gamma import GammaElement, d_dp, one, p_monomial, pair
+from gammaq.memo import clear_memos
+from gammaq.partitions import enumerate_odd, enumerate_strict, multiplicities
 from gammaq.tpoly import ONE, TPoly, inv_z_t
 from gammaq.verify import (
     check_adjointness,
@@ -15,8 +22,10 @@ from gammaq.verify import (
     check_vacuum,
 )
 from gammaq.vertexops import (
+    G_SPEC,
     GSTAR_SPEC,
     Q_SPEC,
+    QSTAR_SPEC,
     apply_component,
     expand_in_schur_q,
     g_modes_on_vacuum,
@@ -67,6 +76,58 @@ def test_qhl_expansions():
     assert expand_in_schur_q(qhl((5,))) == {(5,): ONE}
     with pytest.raises(ValueError):
         qhl((1, 3))
+
+
+def _vacuum_text(n: int) -> str:
+    """Canonical JSON of the terms of qhl(lam) and schur_q(lam), lam strict of weight n."""
+    doc = {
+        name: [[list(lam), [[list(mu), c.to_json()] for mu, c in vector(lam).terms()]] for lam in enumerate_strict(n)]
+        for name, vector in (("qhl", qhl), ("schur_q", schur_q))
+    }
+    return json.dumps(doc, sort_keys=True)
+
+
+# sha256 of _vacuum_text(n) for n = 0..13, recorded from the mode expansion
+# that chained d/dp_n over every odd rho of each weight.
+VACUUM_DIGESTS = json.loads((Path(__file__).parent / "data" / "vacuum_sha256.json").read_text())
+
+
+def test_vacuum_vectors_are_pinned():
+    clear_memos()
+    changed = [n for n, digest in VACUUM_DIGESTS.items()
+               if hashlib.sha256(_vacuum_text(int(n)).encode("utf-8")).hexdigest() != digest]
+    assert not changed
+
+
+def _exp_weight(rule, rho) -> TPoly:
+    """prod_j rule(rho_j) / aut(rho): the coefficient of rho in exp(sum_n rule(n) x_n)."""
+    aut = prod(factorial(k) for k in multiplicities(rho).values())
+    return prod((rule(part) for part in rho), start=ONE) * Fraction(1, aut)
+
+
+def _reference_component(spec, m: int, mu) -> GammaElement:
+    """The mode of index m on p_mu from the exponentials' definition: every
+    odd rho of the annihilation exponential acts by composed d/dp_n."""
+    result = GammaElement()
+    for s in range(sum(mu) + 1):
+        r = (s - m) if spec.star else (m + s)
+        if r < 0:
+            continue
+        creation = GammaElement({nu: _exp_weight(spec.creation, nu) for nu in enumerate_odd(r)})
+        for rho in enumerate_odd(s):
+            g = p_monomial(mu)
+            for part in rho:
+                g = d_dp(part, g)
+            result = result + creation * g * _exp_weight(spec.annihilation, rho)
+    return result
+
+
+@pytest.mark.parametrize("spec", [Q_SPEC, G_SPEC, GSTAR_SPEC, QSTAR_SPEC], ids=lambda spec: spec.key)
+def test_apply_component_matches_exponential_definition(spec):
+    for n in range(7):
+        for mu in enumerate_odd(n):
+            for m in range(-6, 7):
+                assert apply_component(spec, m, p_monomial(mu)) == _reference_component(spec, m, mu), (mu, m)
 
 
 def test_g_squared_is_not_zero():
