@@ -57,71 +57,42 @@ def _part_compact(p: Partition) -> str:
     return "(" + ",".join(pieces) + ")"
 
 
-def _matrix_csv(corner: str, cols, rows, cell) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([corner] + [partition_str(c) for c in cols])
-    for r in rows:
-        writer.writerow([partition_str(r)] + [cell(r, c) for c in cols])
-    return buf.getvalue()
-
-
-def _matrix_markdown(corner: str, cols, rows, cell) -> str:
-    header = [corner] + [_part_compact(c) for c in cols]
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "|" + "|".join(" --- " for _ in header) + "|",
-    ]
-    for r in rows:
-        lines.append(
-            "| " + " | ".join([_part_compact(r)] + [cell(r, c) for c in cols]) + " |"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _matrix_latex(corner: str, cols, rows, cell) -> str:
-    colspec = "|" + "c|" * (len(cols) + 1)
-    lines = [
-        "\\begin{tabular}{" + colspec + "}",
-        "\\hline",
-        " & ".join([corner] + [f"${_part_compact(c)}$" for c in cols]) + " \\\\",
-        "\\hline",
-    ]
-    for r in rows:
-        lines.append(
-            " & ".join([f"${_part_compact(r)}$"] + [f"${cell(r, c)}$" for c in cols])
-            + " \\\\"
-        )
-        lines.append("\\hline")
-    lines.append("\\end{tabular}")
-    return "\n".join(lines) + "\n"
+def _grid(fmt: str, rows) -> str:
+    """A header row and body rows of strings as csv, markdown or LaTeX."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        return buf.getvalue()
+    if fmt == "markdown":
+        lines = ["| " + " | ".join(row) + " |" for row in rows]
+        lines.insert(1, "|" + "|".join(" --- " for _ in rows[0]) + "|")
+        return "\n".join(lines) + "\n"
+    if fmt == "latex":
+        lines = ["\\begin{tabular}{|" + "c|" * len(rows[0]) + "}", "\\hline"]
+        for row in rows:
+            lines += [" & ".join(row) + " \\\\", "\\hline"]
+        lines.append("\\end{tabular}")
+        return "\n".join(lines) + "\n"
+    raise ValueError(f"unknown format {fmt}")
 
 
 def _render_table(table, fmt: str, latex_cell, latex_transposed: bool) -> str:
     rows, cols = table.rows(), table.cols()
     if fmt == "json":
         return json.dumps(table.to_json(), indent=2) + "\n"
-    cell = lambda r, c: str(table.entry(r, c))
-    if fmt == "csv":
-        return _matrix_csv("lambda\\mu", cols, rows, cell)
-    if fmt == "markdown":
-        return _matrix_markdown("lambda\\mu", cols, rows, cell)
     if fmt == "latex":
-        if latex_transposed:
-            # published layout: rows are the odd shapes, columns the strict ones
-            return _matrix_latex(
-                "$\\mu\\backslash\\lambda$",
-                rows,
-                cols,
-                lambda mu, lam: latex_cell(table.entry(lam, mu)),
-            )
-        return _matrix_latex(
-            "$\\lambda\\backslash\\mu$",
-            cols,
-            rows,
-            lambda lam, mu: latex_cell(table.entry(lam, mu)),
-        )
-    raise ValueError(f"unknown format {fmt}")
+        corner = "$\\mu\\backslash\\lambda$" if latex_transposed else "$\\lambda\\backslash\\mu$"
+        label = lambda p: f"${_part_compact(p)}$"
+        cell = lambda v: f"${latex_cell(v)}$"
+    else:
+        corner, cell = "lambda\\mu", str
+        label = partition_str if fmt == "csv" else _part_compact
+    grid = [[corner] + [label(c) for c in cols]]
+    grid += [[label(r)] + [cell(table.entry(r, c)) for c in cols] for r in rows]
+    if fmt == "latex" and latex_transposed:
+        # published layout: rows are the odd shapes, columns the strict ones
+        grid = list(zip(*grid))
+    return _grid(fmt, grid)
 
 
 def _render_poly_table(table, fmt: str, latex_transposed: bool) -> str:
@@ -155,27 +126,14 @@ def _render_expansion(family: str, lam: Partition, basis: str, terms, fmt: str) 
             ],
         }
         return json.dumps(payload, indent=2) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["partition", "coeff"])
-        for p, c in ordered:
-            writer.writerow([partition_str(p), str(c)])
-        return buf.getvalue()
-    if fmt == "markdown":
-        lines = ["| partition | coefficient |", "| --- | --- |"]
-        lines += [f"| {_part_compact(p)} | {c} |" for p, c in ordered]
-        return "\n".join(lines) + "\n"
     if fmt == "latex":
-        symbol = {"Q": "Q", "p": "p"}[basis]
         body = " + ".join(
-            f"{_coeff_prefix(c)}{symbol}_{{{_part_compact(p)}}}"
+            f"{_coeff_prefix(c)}{basis}_{{{_part_compact(p)}}}"
             for p, c in reversed(ordered)  # diagonal term first, as published
         )
-        if not body:
-            body = "0"
         return f"${family}_{{{_part_compact(lam)}}} = {body}$\n"
-    raise ValueError(f"unknown format {fmt}")
+    label, header = (partition_str, "coeff") if fmt == "csv" else (_part_compact, "coefficient")
+    return _grid(fmt, [["partition", header]] + [[label(p), str(c)] for p, c in ordered])
 
 
 # ------------------------------------------------------------------ emit
@@ -252,10 +210,12 @@ def cmd_expand(args) -> int:
     def decode(value):
         terms = {}
         for parts, coeff in value:
-            p = check(parts)
-            if sum(p) != sum(lam):
-                raise ValueError(f"cached term {p} is not of weight {sum(lam)}")
-            terms[p] = TPoly.from_json(coeff)
+            p, c = check(parts), TPoly.from_json(coeff)
+            if sum(p) != sum(lam) or p in terms or c.is_zero:
+                raise ValueError(f"cached term {p} is repeated, zero or not of weight {sum(lam)}")
+            terms[p] = c
+        if not terms or (args.basis == "Q" and terms.get(lam) != ONE):
+            raise ValueError("cached expansion is empty or not unitriangular")
         return terms
 
     def encode(terms):

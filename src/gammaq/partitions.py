@@ -117,52 +117,36 @@ def parse_partition(text: str) -> Partition:
     return check_partition(int(x) for x in text.split(","))
 
 
+def _partitions(m: int, cap: int, strict: bool, odd: bool) -> Iterator[Partition]:
+    """Partitions of m with parts <= cap, decreasing lexicographic; strict
+    ones have distinct parts, odd ones only odd parts."""
+    if m == 0:
+        yield ()
+        return
+    top = min(m, cap)
+    if odd and top % 2 == 0:
+        top -= 1
+    for k in range(top, 0, -2 if odd else -1):
+        for rest in _partitions(m - k, k - strict, strict, odd):
+            yield (k,) + rest
+
+
 @lru_cache(maxsize=None)
 def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n in decreasing lexicographic order."""
-
-    def gen(m: int, cap: int) -> Iterator[Partition]:
-        if m == 0:
-            yield ()
-            return
-        for k in range(min(m, cap), 0, -1):
-            for rest in gen(m - k, k):
-                yield (k,) + rest
-
-    return tuple(gen(n, n))
+    return tuple(_partitions(n, n, strict=False, odd=False))
 
 
 @lru_cache(maxsize=None)
 def enumerate_strict(n: int) -> tuple[Partition, ...]:
     """All partitions of n into distinct parts, decreasing lexicographic."""
-
-    def gen(m: int, cap: int) -> Iterator[Partition]:
-        if m == 0:
-            yield ()
-            return
-        for k in range(min(m, cap), 0, -1):
-            for rest in gen(m - k, k - 1):
-                yield (k,) + rest
-
-    return tuple(gen(n, n))
+    return tuple(_partitions(n, n, strict=True, odd=False))
 
 
 @lru_cache(maxsize=None)
 def enumerate_odd(n: int) -> tuple[Partition, ...]:
     """All partitions of n into odd parts, decreasing lexicographic."""
-
-    def gen(m: int, cap: int) -> Iterator[Partition]:
-        if m == 0:
-            yield ()
-            return
-        k = min(m, cap)
-        if k % 2 == 0:
-            k -= 1
-        for k in range(k, 0, -2):
-            for rest in gen(m - k, k):
-                yield (k,) + rest
-
-    return tuple(gen(n, n))
+    return tuple(_partitions(n, n, strict=False, odd=True))
 
 
 def index_subpartitions(p: Partition, i: int) -> list[Partition]:

@@ -122,18 +122,38 @@ def test_tampered_cell_is_copied_into_no_later_file(tmp_path, capsys):
     assert not [p.name for p in later if "7777" in p.read_text()]
 
 
+def _recoeff(parts, coeff):
+    """An edit that gives the cached term at parts the coefficient coeff."""
+
+    def edit(terms):
+        for term in terms:
+            if term[0] == parts:
+                term[1] = coeff
+
+    return edit
+
+
+G_P = ["expand", "--family", "G", "--lambda", "3,1", "--basis", "p", "--format", "csv"]
+G_Q = ["expand", "--family", "G", "--lambda", "3,2", "--basis", "Q", "--format", "latex"]
+# Edits of a cached expansion that no computation can produce.
+BAD_EXPANSIONS = [
+    (G_P, lambda terms: terms.append([[2, 1, 1], ["1"]])),  # not odd under basis p
+    (G_P, lambda terms: terms.append([[3, 1, 1], ["1"]])),  # odd, but of weight 5
+    (G_Q, list.clear),  # an empty term list
+    (G_P, _recoeff([3, 1], ["0"])),  # a zero coefficient
+    (G_P, lambda terms: terms.append([[3, 1], ["7"]])),  # a repeated partition
+    (G_Q, _recoeff([3, 2], ["2"])),  # coefficient 2 at lambda under basis Q
+]
+
+
 @pytest.mark.parametrize(
-    "term",
-    [
-        [[2, 1, 1], ["1"]],  # not odd under basis p
-        [[3, 1, 1], ["1"]],  # odd, but of weight 5
-    ],
+    "argv, edit", BAD_EXPANSIONS, ids=[f"term{i}" for i in range(len(BAD_EXPANSIONS))]
 )
-def test_expansion_with_a_bad_partition_is_dropped(tmp_path, capsys, term):
-    argv = ["expand", "--family", "G", "--lambda", "3,1", "--basis", "p", "--format", "csv"]
+def test_expansion_with_a_bad_partition_is_dropped(tmp_path, capsys, argv, edit):
     expected = _run(capsys, argv + ["--no-cache"])
     _run(capsys, argv + ["--cache-dir", str(tmp_path)])
-    _edit(tmp_path / "expand-G-p-3,1.json", lambda terms: terms.append(term))
+    (path,) = tmp_path.iterdir()
+    _edit(path, edit)
     clear_memos()
     assert _run(capsys, argv + ["--cache-dir", str(tmp_path)]) == expected
 

@@ -6,6 +6,12 @@ for n = 1..7 and expand for every family/basis pair at lambda = (4,2,1),
 each in all four formats.  A refactor of the tables, the renderers or the
 cache must leave every digest unchanged, cold and warm.
 
+tests/data/cli_stdout_large_sha256.json pins larger outputs the same way:
+lkostka --n 12, spin-green and spin-char --n 10, and expand for every
+family/basis pair at lambda = (5,4,2,1), each in all four formats.  These
+are the first to print two-digit exponents such as t^{10} and a part ten
+times, as in (1^10).
+
 tests/data/verify_stdout_sha256.json does the same for verify: operators
 for max-n 1..3, lkostka 1..9, spingreen 1..8 and tables 1..8, with the
 per-suite wall times such as "(0.12s)" masked before hashing.
@@ -21,6 +27,7 @@ from gammaq.memo import clear_memos
 
 DATA = Path(__file__).parent / "data"
 DIGESTS = json.loads((DATA / "cli_stdout_sha256.json").read_text())
+LARGE_DIGESTS = json.loads((DATA / "cli_stdout_large_sha256.json").read_text())
 VERIFY_DIGESTS = json.loads((DATA / "verify_stdout_sha256.json").read_text())
 _TIMING = re.compile(r"\(\d+\.\d+s\)")
 
@@ -41,6 +48,16 @@ def test_cli_stdout_bytes_are_pinned(capsys):
 
     assert not _changed(cold)
     assert len(DIGESTS) == 100
+
+
+def test_large_cli_stdout_bytes_are_pinned(capsys):
+    def cold(argv):
+        clear_memos()
+        assert main(argv + ["--no-cache"]) == 0, argv
+        return capsys.readouterr().out
+
+    assert not _changed(cold, LARGE_DIGESTS)
+    assert len(LARGE_DIGESTS) == 28
 
 
 def test_cli_stdout_bytes_are_pinned_warm(tmp_path, capsys):
