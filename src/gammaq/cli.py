@@ -199,7 +199,10 @@ def cmd_spin_char(args) -> int:
 
 def cmd_expand(args) -> int:
     lam = check_strict(parse_partition(args.lam))
-    check = check_strict if args.basis == "Q" else check_odd
+    if args.basis == "Q":  # a column of L, so its coefficients are integers
+        check, read = check_strict, TPoly.from_int_json
+    else:
+        check, read = check_odd, TPoly.from_json
 
     def compute():
         if args.basis == "Q":
@@ -210,7 +213,7 @@ def cmd_expand(args) -> int:
     def decode(value):
         terms = {}
         for parts, coeff in value:
-            p, c = check(parts), TPoly.from_json(coeff)
+            p, c = check(parts), read(coeff)
             if sum(p) != sum(lam) or p in terms or c.is_zero:
                 raise ValueError(f"cached term {p} is repeated, zero or not of weight {sum(lam)}")
             terms[p] = c

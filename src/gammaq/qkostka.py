@@ -9,7 +9,6 @@ l_table evaluates it on every cell of the matrix in one plain loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple
 
@@ -104,31 +103,27 @@ class Codec(NamedTuple):
     zero: Any
 
 
-POLY = Codec(TPoly.to_json, TPoly.from_json, ZERO)
+POLY = Codec(TPoly.to_json, TPoly.from_int_json, ZERO)  # every L and Y value is integral
 
 INT = Codec(int, int, 0)
 
 
-@dataclass
-class Table:
+class Table(NamedTuple):
     """A matrix over one weight: rows are the strict partitions of weight,
     columns the partitions columns(weight) lists (strict or odd).  Only
-    nonzero cells are kept; cell encodes a cell for JSON and gives the
-    value of a cell that is not stored."""
+    nonzero cells are kept, as build and from_json make them; cell encodes a
+    cell for JSON and gives the value of a cell that is not stored."""
 
     weight: int
     entries: dict[tuple[Partition, Partition], Any]
     columns: Callable[[int], tuple[Partition, ...]] = enumerate_strict
     cell: Codec = POLY
 
-    def __post_init__(self):
-        self.entries = {k: v for k, v in self.entries.items() if v != self.cell.zero}
-
     @classmethod
     def build(cls, n: int, columns, fn, cell: Codec = POLY) -> "Table":
         """The table of weight n whose cell (lam, mu) is fn(lam, mu)."""
         cells = {(lam, mu): fn(lam, mu) for lam in enumerate_strict(n) for mu in columns(n)}
-        return cls(n, cells, columns, cell)
+        return cls(n, {k: v for k, v in cells.items() if v != cell.zero}, columns, cell)
 
     def rows(self) -> tuple[Partition, ...]:
         return enumerate_strict(self.weight)
@@ -169,7 +164,7 @@ class Table:
             for lam, row in zip(rows, grid)
             for mu, value in zip(cols, row)
         }
-        return cls(n, cells, columns, cell)
+        return cls(n, {k: v for k, v in cells.items() if v != cell.zero}, columns, cell)
 
 
 def l_table(n: int) -> Table:

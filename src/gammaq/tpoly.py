@@ -293,11 +293,18 @@ class TPoly:
         """Inverse of to_json.  Raises TypeError unless data is a list of
         strings, and ValueError on a string that is neither an integer nor
         'num/den' (so '1.5' and '1e3' are refused)."""
+        if isinstance(data, list) and "/" in "".join(data):
+            return TPoly(Fraction(s) if "/" in s else int(s) for s in data)
+        return TPoly.from_int_json(data)
+
+    @staticmethod
+    def from_int_json(data: list[str]) -> "TPoly":
+        """from_json for integer coefficients: int() also refuses 'num/den'
+        with ValueError.  Raises TypeError unless data is a list of strings."""
         if not isinstance(data, list):
             raise TypeError(f"TPoly JSON must be a list of coefficients: {data!r}")
-        if "/" not in "".join(data):  # join raises TypeError on a non-string
-            return TPoly._reduce([int(s) for s in data], 1)
-        return TPoly(Fraction(s) if "/" in s else int(s) for s in data)
+        "".join(data)  # raises TypeError on a non-string
+        return TPoly._reduce([int(s) for s in data], 1)
 
 
 ZERO = TPoly()

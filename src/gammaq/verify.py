@@ -1,16 +1,21 @@
 """Verification suites: operator identities, recursion-vs-oracle equality,
 structural laws, golden-table comparison, and positivity diagnostics.
 
-Each suite returns a list of CheckResult.  Diagnostics report violations but
-never fail a run; everything else is an exact assertion.  The suites are
-shared between the command-line `verify` subcommand and the test suite.
+A check states an identity lhs = rhs as a stream of cases (label, lhs, rhs),
+one per instance, built while the check runs.  _agree is the one loop that
+runs the stream: it compares the two sides of each case exactly and keeps the
+labels of the cases that differ.  Each suite returns a list of CheckResult.
+Diagnostics report violations but never fail a run; everything else is an
+exact assertion.  The suites are shared between the command-line `verify`
+subcommand and the test suite.
 """
 
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .gamma import GammaElement, one, p_monomial, pair, pn_star
 from .golden import golden_y_polys
@@ -50,8 +55,7 @@ from .vertexops import (
 )
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -67,6 +71,35 @@ def _result(name: str, failures: list[str], ok_detail: str, diagnostic: bool = F
         shown = "; ".join(failures[:4]) + (" ..." if len(failures) > 4 else "")
         return CheckResult(name, False, f"{len(failures)} violation(s): {shown}", diagnostic)
     return CheckResult(name, True, ok_detail, diagnostic)
+
+
+def _agree(cases) -> tuple[list[str], int]:
+    """The labels of the cases (label, lhs, rhs) whose two sides differ, and
+    the number of cases."""
+    failures = []
+    count = 0
+    for label, lhs, rhs in cases:
+        count += 1
+        if lhs != rhs:
+            failures.append(label)
+    return failures, count
+
+
+def _check(name: str, ok_detail: str, diagnostic: bool = False):
+    """Turn cases(max_n), a generator of cases, into the check named name.
+    When every case agrees, its detail is ok_detail formatted with the
+    number of cases (count) and max_n.  A diagnostic check never fails a run."""
+
+    def make(cases):
+        @functools.wraps(cases)
+        def check(max_n: int) -> CheckResult:
+            failures, count = _agree(cases(max_n))
+            detail = ok_detail.format(count=count, max_n=max_n)
+            return _result(name, failures, detail, diagnostic)
+
+        return check
+
+    return make
 
 
 def _basis(d: int) -> list[tuple[Partition, GammaElement]]:
@@ -86,28 +119,20 @@ def _cells(lo: int, hi: int, cols):
             yield lam, mu
 
 
-def _agree(cells, route, oracle) -> tuple[list[str], int]:
-    """The cells where route and oracle differ, and the number of cells."""
-    failures = []
-    count = 0
+def _cell_cases(cells, route, oracle):
+    """The case of each cell (lam, mu): route(lam, mu) against oracle(lam, mu)."""
     for lam, mu in cells:
-        count += 1
-        if route(lam, mu) != oracle(lam, mu):
-            failures.append(f"{lam},{mu}")
-    return failures, count
+        yield f"{lam},{mu}", route(lam, mu), oracle(lam, mu)
 
 
-def _rebuilds(max_n: int, weight, target) -> list[str]:
-    """The strict lam of weight 1..max_n whose sum over odd mu of
-    weight(lam, mu) p_mu differs from target(lam)."""
-    failures = []
+def _rebuilds(max_n: int, weight, target):
+    """The case of each strict lam of weight 1..max_n: the sum over odd mu of
+    weight(lam, mu) p_mu against target(lam)."""
     for lam in _shapes(1, max_n):
         acc = GammaElement()
         for mu in enumerate_odd(sum(lam)):
             acc = acc + p_monomial(mu) * weight(lam, mu)
-        if acc != target(lam):
-            failures.append(f"{lam}")
-    return failures
+        yield f"{lam}", acc, target(lam)
 
 
 def _mode_pairs(max_n: int):
@@ -138,41 +163,30 @@ def _qs(m, f):
 # ---------------------------------------------------------------- operators
 
 
-def check_clifford(max_n: int) -> CheckResult:
+@_check("clifford", "{count} anticommutators checked")
+def check_clifford(max_n: int):
     """Anticommutators of Q-modes: {Q_m, Q_n} = (-1)^n 2 delta_{m,-n}."""
-    failures = []
-    count = 0
     for mu, f, m, n in _mode_pairs(max_n):
         lhs = _Q(m, _Q(n, f)) + _Q(n, _Q(m, f))
         rhs = f * (2 * (-1) ** n) if m == -n else GammaElement()
-        count += 1
-        if lhs != rhs:
-            failures.append(f"m={m},n={n},p_{mu}")
-    return _result("clifford", failures, f"{count} anticommutators checked")
+        yield f"m={m},n={n},p_{mu}", lhs, rhs
 
 
-def check_vacuum(max_n: int) -> CheckResult:
+@_check("vacuum", "modes 0..{max_n} checked")
+def check_vacuum(max_n: int):
     """Negative Q-modes kill the vacuum; negative starred G-modes expand in
     power sums with the (-2)^l / z(t) polynomial weights."""
-    failures = []
     for n in range(max_n + 1):
-        qv = _Q(-n, one())
-        expect = one() if n == 0 else GammaElement()
-        if qv != expect:
-            failures.append(f"Q_{-n}.1")
-        gv = _Gs(-n, one())
+        yield f"Q_{-n}.1", _Q(-n, one()), one() if n == 0 else GammaElement()
         rhs = GammaElement({rho: inv_z_t(rho) for rho in enumerate_odd(n)})
-        if gv != rhs:
-            failures.append(f"G*_{-n}.1")
-    return _result("vacuum", failures, f"modes 0..{max_n} checked")
+        yield f"G*_{-n}.1", _Gs(-n, one()), rhs
 
 
-def check_quadratic(max_n: int) -> CheckResult:
+@_check("quadratic", "{count} relations checked")
+def check_quadratic(max_n: int):
     """Quadratic relations among G-modes."""
     one_minus_t_sq = TPoly((1, 0, -1))
     two_one_minus_t_sq = TPoly((2, -4, 2))  # 2(1-t)^2
-    failures = []
-    count = 0
     for mu, f, m, n in _mode_pairs(max_n):
         lhs = (_G(m, _G(n, f)) + _G(n, _G(m, f))) * one_minus_t_sq + (
             _G(m - 1, _G(n + 1, f))
@@ -181,19 +195,15 @@ def check_quadratic(max_n: int) -> CheckResult:
             - _G(m + 1, _G(n - 1, f))
         ) * TPoly((0, 1))
         rhs = f * (two_one_minus_t_sq * (-1) ** n) if m == -n else GammaElement()
-        count += 1
-        if lhs != rhs:
-            failures.append(f"m={m},n={n},p_{mu}")
-    return _result("quadratic", failures, f"{count} relations checked")
+        yield f"m={m},n={n},p_{mu}", lhs, rhs
 
 
-def check_mixed_relations(max_n: int) -> CheckResult:
+@_check("mixed-relations", "{count} relations checked")
+def check_mixed_relations(max_n: int):
     """Commutation relations mixing starred G-modes, Q-modes, one-row
     multiplications and their adjoints.  The relation with 1/t factors is
     verified in t-cleared form."""
     t = TPoly((0, 1))
-    failures = []
-    count = 0
     idx = range(-(max_n - 1), max_n)
     for d in range(max_n + 1):
         for mu, f in _basis(d):
@@ -210,9 +220,7 @@ def check_mixed_relations(max_n: int) -> CheckResult:
                     if n - m >= 0:
                         factor = TPoly.term(2, n - m) * TPoly((1, -1))
                         rhs = rhs - (q_row(n - m) * f) * factor
-                    count += 1
-                    if lhs != rhs:
-                        failures.append(f"rel1 m={m},n={n},p_{mu}")
+                    yield f"rel1 m={m},n={n},p_{mu}", lhs, rhs
 
                     # q*_m G_n = G_n q*_m + q*_{m-1} G_{n-1} + G_{n-1} q*_{m-1}
                     lhs = _qs(m, _G(n, f))
@@ -221,9 +229,7 @@ def check_mixed_relations(max_n: int) -> CheckResult:
                         + _qs(m - 1, _G(n - 1, f))
                         + _G(n - 1, _qs(m - 1, f))
                     )
-                    count += 1
-                    if lhs != rhs:
-                        failures.append(f"rel2 m={m},n={n},p_{mu}")
+                    yield f"rel2 m={m},n={n},p_{mu}", lhs, rhs
 
                     # Q_m q_n = q_n Q_m - Q_{m+1} q_{n-1} - q_{n-1} Q_{m+1}
                     lhs = _Q(m, q_or_zero(n) * f)
@@ -232,28 +238,20 @@ def check_mixed_relations(max_n: int) -> CheckResult:
                         - _Q(m + 1, q_or_zero(n - 1) * f)
                         - q_or_zero(n - 1) * _Q(m + 1, f)
                     )
-                    count += 1
-                    if lhs != rhs:
-                        failures.append(f"rel3 m={m},n={n},p_{mu}")
-    return _result("mixed-relations", failures, f"{count} relations checked")
+                    yield f"rel3 m={m},n={n},p_{mu}", lhs, rhs
 
 
-def check_gstar_on_schur(max_n: int) -> CheckResult:
+@_check("gstar-on-schur", "{count} pairs checked")
+def check_gstar_on_schur(max_n: int):
     """Closed form for starred G-modes on Schur Q-vectors vs the operator."""
-    failures = []
-    count = 0
     for lam in _shapes(0, max_n):
         for k in range(1, max_n + 1):
-            count += 1
-            if gstar_on_schur(k, lam) != _Gs(k, schur_q(lam)):
-                failures.append(f"k={k},lam={lam}")
-    return _result("gstar-on-schur", failures, f"{count} pairs checked")
+            yield f"k={k},lam={lam}", gstar_on_schur(k, lam), _Gs(k, schur_q(lam))
 
 
-def check_gstar_powersum(max_n: int) -> CheckResult:
+@_check("gstar-powersum", "{count} cases checked")
+def check_gstar_powersum(max_n: int):
     """Starred G-modes on power-sum monomials: peel index subpartitions."""
-    failures = []
-    count = 0
     for w in range(max_n + 1):
         for mu in enumerate_odd(w):
             for k in range(max_n + 1):
@@ -262,16 +260,12 @@ def check_gstar_powersum(max_n: int) -> CheckResult:
                 for i in range(w + 1):
                     for nu in index_subpartitions(mu, i):
                         rhs = rhs + p_monomial(nu) * _Gs(k + i - w, one())
-                count += 1
-                if lhs != rhs:
-                    failures.append(f"k={k},mu={mu}")
-    return _result("gstar-powersum", failures, f"{count} cases checked")
+                yield f"k={k},mu={mu}", lhs, rhs
 
 
-def check_powersum_adjoint_on_g(max_n: int) -> CheckResult:
+@_check("powersum-adjoint", "{count} cases checked")
+def check_powersum_adjoint_on_g(max_n: int):
     """Adjoint power sums on Q-Hall-Littlewood vectors lower one row index."""
-    failures = []
-    count = 0
     for lam in _shapes(0, max_n):
         for k in range(1, max_n + 1, 2):
             lhs = pn_star(k, qhl(lam))
@@ -279,16 +273,12 @@ def check_powersum_adjoint_on_g(max_n: int) -> CheckResult:
             for i in range(len(lam)):
                 modes = lam[:i] + (lam[i] - k,) + lam[i + 1 :]
                 rhs = rhs + g_modes_on_vacuum(modes)
-            count += 1
-            if lhs != rhs:
-                failures.append(f"k={k},lam={lam}")
-    return _result("powersum-adjoint", failures, f"{count} cases checked")
+            yield f"k={k},lam={lam}", lhs, rhs
 
 
-def check_pieri(max_n: int) -> CheckResult:
+@_check("pieri", "{count} products checked")
+def check_pieri(max_n: int):
     """One-row multiplication rule on Schur Q-vectors with strip statistics."""
-    failures = []
-    count = 0
     for mu in _shapes(0, max_n):
         for r in range(max_n - sum(mu) + 1):
             lhs = schur_q(mu) * q_row(r)
@@ -296,33 +286,25 @@ def check_pieri(max_n: int) -> CheckResult:
             for strip in horizontal_strips(mu, r):
                 coeff = 2 ** (strip.a_stat + len(mu) - len(strip.outer))
                 rhs = rhs + schur_q(strip.outer) * coeff
-            count += 1
-            if lhs != rhs:
-                failures.append(f"mu={mu},r={r}")
-    return _result("pieri", failures, f"{count} products checked")
+            yield f"mu={mu},r={r}", lhs, rhs
 
 
-def check_adjointness(max_n: int) -> CheckResult:
+@_check("adjointness", "{count} pairings checked")
+def check_adjointness(max_n: int):
     """<G_n u, v> = <u, G*_n v> exactly, and <Q_n u, v> = (-1)^n <u, Q_{-n} v>.
 
     The Q-mode sign is forced by the substitution z -> -1/z on odd series;
     the sign-free form holds only for even n (verified numerically here)."""
-    failures = []
-    count = 0
     for n in range(-max_n, max_n + 1):
+        sign = -1 if n % 2 else 1
         for d in range(max_n + 1):
             e = d + n
             if not 0 <= e <= max_n:
                 continue
             for mu, u in _basis(d):
                 for nu, v in _basis(e):
-                    count += 2
-                    sign = -1 if n % 2 else 1
-                    if pair(_Q(n, u), v) != pair(u, _Q(-n, v)) * sign:
-                        failures.append(f"Q n={n},{mu},{nu}")
-                    if pair(_G(n, u), v) != pair(u, _Gs(n, v)):
-                        failures.append(f"G n={n},{mu},{nu}")
-    return _result("adjointness", failures, f"{count} pairings checked")
+                    yield f"Q n={n},{mu},{nu}", pair(_Q(n, u), v), pair(u, _Q(-n, v)) * sign
+                    yield f"G n={n},{mu},{nu}", pair(_G(n, u), v), pair(u, _Gs(n, v))
 
 
 def operators_suite(max_n: int) -> list[CheckResult]:
@@ -342,41 +324,37 @@ def operators_suite(max_n: int) -> list[CheckResult]:
 # ----------------------------------------------------------------- lkostka
 
 
-def check_l_oracle(max_n: int) -> CheckResult:
+@_check("l-recursion-vs-oracle", "{count} pairs agree (n<={max_n})")
+def check_l_oracle(max_n: int):
     """Recursion equals the vertex-operator definition on every pair."""
-    failures, count = _agree(_cells(0, max_n, enumerate_strict), l_recursive, l_direct)
-    return _result("l-recursion-vs-oracle", failures, f"{count} pairs agree (n<={max_n})")
+    yield from _cell_cases(_cells(0, max_n, enumerate_strict), l_recursive, l_direct)
 
 
-def check_l_support(max_n: int) -> CheckResult:
+@_check("l-support-diagonal", "support and diagonal verified (n<={max_n})")
+def check_l_support(max_n: int):
     """Zero outside dominance; one on the diagonal."""
-    failures = []
     for lam, mu in _cells(0, max_n, enumerate_strict):
         v = l_recursive(lam, mu)
-        if lam == mu and v != ONE:
-            failures.append(f"diag {lam}")
-        if not dominance_leq(mu, lam) and not v.is_zero:
-            failures.append(f"support {lam},{mu}")
-    return _result("l-support-diagonal", failures, f"support and diagonal verified (n<={max_n})")
+        if lam == mu:
+            yield f"diag {lam}", v, ONE
+        if not dominance_leq(mu, lam):
+            yield f"support {lam},{mu}", v, ZERO
 
 
-def check_l_top_row(max_n: int) -> CheckResult:
+@_check("l-top-row", "one-row values verified (n<={max_n})")
+def check_l_top_row(max_n: int):
     """Value at the one-row shape: 2^{l(mu)-1} t^{n(mu)}."""
-    failures = []
     for mu in _shapes(1, max_n):
-        if l_recursive((sum(mu),), mu) != TPoly.term(2 ** (len(mu) - 1), n_stat(mu)):
-            failures.append(f"{mu}")
-    return _result("l-top-row", failures, f"one-row values verified (n<={max_n})")
+        yield f"{mu}", l_recursive((sum(mu),), mu), TPoly.term(2 ** (len(mu) - 1), n_stat(mu))
 
 
-def check_l_degree(max_n: int) -> CheckResult:
+@_check("l-degree", "degree law verified (n<={max_n})")
+def check_l_degree(max_n: int):
     """Nonzero entries have degree n(mu) - n(lam)."""
-    failures = []
     for lam, mu in _cells(0, max_n, enumerate_strict):
         v = l_recursive(lam, mu)
-        if not v.is_zero and v.degree != n_stat(mu) - n_stat(lam):
-            failures.append(f"{lam},{mu}: deg {v.degree}")
-    return _result("l-degree", failures, f"degree law verified (n<={max_n})")
+        if not v.is_zero:
+            yield f"{lam},{mu}: deg {v.degree}", v.degree, n_stat(mu) - n_stat(lam)
 
 
 def check_l_divisibility(max_n: int) -> CheckResult:
@@ -393,61 +371,49 @@ def check_l_divisibility(max_n: int) -> CheckResult:
     return _result("l-divisibility", failures, f"2-power divisibility verified (n<={max_n})")
 
 
-def check_l_prefix(max_n: int) -> CheckResult:
+@_check("l-prefix", "{count} prefixed pairs checked")
+def check_l_prefix(max_n: int):
     """Prepending a common new largest part preserves the value:
     L((n',lam), (n',mu)) = L(lam, mu) whenever n' exceeds both top parts."""
-    failures = []
-    count = 0
     for lam, mu in _cells(0, min(6, max_n - 1), enumerate_strict):
         top = max(lam[0] if lam else 0, mu[0] if mu else 0)
         base = l_recursive(lam, mu)
         for new in range(top + 1, max_n + 1):
-            count += 1
-            if l_recursive((new,) + lam, (new,) + mu) != base:
-                failures.append(f"n'={new},{lam},{mu}")
-    return _result("l-prefix", failures, f"{count} prefixed pairs checked")
+            yield f"n'={new},{lam},{mu}", l_recursive((new,) + lam, (new,) + mu), base
 
 
 def check_l_stability(max_n: int) -> CheckResult:
     """Growing the top row of both shapes preserves the value when
     mu_1 >= lam_2."""
-    failures = []
-    count = 0
     bound = min(max_n, 7)
-    for lam, mu in _cells(1, bound, enumerate_strict):
-        if len(lam) > 1 and mu[0] < lam[1]:
-            continue
-        base = l_recursive(lam, mu)
-        for r in range(1, 5):
-            grown_l = (lam[0] + r,) + lam[1:]
-            grown_m = (mu[0] + r,) + mu[1:]
-            count += 1
-            if l_recursive(grown_l, grown_m) != base:
-                failures.append(f"{lam},{mu},r={r}")
+
+    def cases():
+        for lam, mu in _cells(1, bound, enumerate_strict):
+            if len(lam) > 1 and mu[0] < lam[1]:
+                continue
+            base = l_recursive(lam, mu)
+            for r in range(1, 5):
+                grown = l_recursive((lam[0] + r,) + lam[1:], (mu[0] + r,) + mu[1:])
+                yield f"{lam},{mu},r={r}", grown, base
+
+    failures, count = _agree(cases())
     return _result("l-stability", failures, f"{count} grown pairs checked (|lam|<={bound})")
 
 
-def check_l_two_row(max_n: int) -> CheckResult:
+@_check("l-two-row", "{count} two-row values checked")
+def check_l_two_row(max_n: int):
     """Two-row closed form agrees with the recursion."""
     cells = ((lam, mu) for mu, lam in _cells(3, max_n, enumerate_strict) if len(mu) == 2)
-    failures, count = _agree(cells, l_two_row, l_recursive)
-    return _result("l-two-row", failures, f"{count} two-row values checked")
+    yield from _cell_cases(cells, l_two_row, l_recursive)
 
 
-def diagnostic_l_positivity(max_n: int) -> CheckResult:
+@_check("l-positivity", "all entries non-negative (n<={max_n})", diagnostic=True)
+def diagnostic_l_positivity(max_n: int):
     """Report any negative coefficient in the Q-Kostka matrices (conjecturally
     none exist; never fatal)."""
-    violations = []
     for lam, mu in _cells(0, max_n, enumerate_strict):
         v = l_recursive(lam, mu)
-        if any(c < 0 for c in v.coeffs):
-            violations.append(f"{lam},{mu}: {v}")
-    return _result(
-        "l-positivity",
-        violations,
-        f"all entries non-negative (n<={max_n})",
-        diagnostic=True,
-    )
+        yield f"{lam},{mu}: {v}", [c for c in v.coeffs if c < 0], []
 
 
 def lkostka_suite(max_n: int) -> list[CheckResult]:
@@ -467,54 +433,49 @@ def lkostka_suite(max_n: int) -> list[CheckResult]:
 # ---------------------------------------------------------------- spingreen
 
 
-def check_y_routes(max_n: int) -> CheckResult:
+@_check("y-three-routes", "{count} cells agree (n<={max_n})")
+def check_y_routes(max_n: int):
     """Recursion, direct pairing and transition-matrix routes agree."""
-    failures = []
-    count = 0
     for lam, mu in _cells(1, max_n, enumerate_odd):
         a = y_recursive(lam, mu)
-        count += 1
-        if a != y_direct(lam, mu) or a != y_via_l(lam, mu):
-            failures.append(f"{lam},{mu}")
-    return _result("y-three-routes", failures, f"{count} cells agree (n<={max_n})")
+        yield f"{lam},{mu}", (a, a), (y_direct(lam, mu), y_via_l(lam, mu))
 
 
-def check_y_degree(max_n: int) -> CheckResult:
+@_check("y-degree", "degree/leading law verified (n<={max_n})")
+def check_y_degree(max_n: int):
     """Degree n(lam) with leading coefficient 2^{l(lam)-1}."""
-    failures = []
     for lam, mu in _cells(1, max_n, enumerate_odd):
         v = y_recursive(lam, mu)
-        if v.degree != n_stat(lam) or v.leading_coefficient != 2 ** (len(lam) - 1):
-            failures.append(f"{lam},{mu}: {v}")
-    return _result("y-degree", failures, f"degree/leading law verified (n<={max_n})")
+        law = (n_stat(lam), 2 ** (len(lam) - 1))
+        yield f"{lam},{mu}: {v}", (v.degree, v.leading_coefficient), law
 
 
-def check_y_one_row(max_n: int) -> CheckResult:
+@_check("y-one-row", "one-row values verified (n<={max_n})")
+def check_y_one_row(max_n: int):
     """One-row shapes give the constant 1."""
-    failures = []
     for n in range(1, max_n + 1):
         for mu in enumerate_odd(n):
-            if y_recursive((n,), mu) != ONE:
-                failures.append(f"{mu}")
-    return _result("y-one-row", failures, f"one-row values verified (n<={max_n})")
+            yield f"{mu}", y_recursive((n,), mu), ONE
 
 
-def check_y_two_row(max_n: int) -> CheckResult:
+@_check("y-two-row", "{count} two-row values checked")
+def check_y_two_row(max_n: int):
     """Two-row closed form agrees with the recursion."""
     cells = ((lam, mu) for lam, mu in _cells(3, max_n, enumerate_odd) if len(lam) == 2)
-    failures, count = _agree(cells, lambda lam, mu: y_two_row(lam[0], sum(lam), mu), y_recursive)
-    return _result("y-two-row", failures, f"{count} two-row values checked")
+    two_row = lambda lam, mu: y_two_row(lam[0], sum(lam), mu)
+    yield from _cell_cases(cells, two_row, y_recursive)
 
 
-def check_y_reconstruction(max_n: int) -> CheckResult:
+@_check("y-reconstruction", "expansions rebuilt (n<={max_n})")
+def check_y_reconstruction(max_n: int):
     """Summing z_mu^{-1} 2^{l(mu)} Y p_mu over odd mu rebuilds the
     Q-Hall-Littlewood vector."""
     weight = lambda lam, mu: y_recursive(lam, mu) * Fraction(2 ** len(mu), z_factor(mu))
-    failures = _rebuilds(max_n, weight, qhl)
-    return _result("y-reconstruction", failures, f"expansions rebuilt (n<={max_n})")
+    yield from _rebuilds(max_n, weight, qhl)
 
 
-def check_frobenius(max_n: int) -> CheckResult:
+@_check("frobenius", "character expansions rebuilt (n<={max_n})")
+def check_frobenius(max_n: int):
     """Spin characters with their 2-power normalization rebuild the Schur
     Q-vectors."""
 
@@ -522,8 +483,7 @@ def check_frobenius(max_n: int) -> CheckResult:
         e = (len(lam) + len(mu) + epsilon(lam)) // 2
         return Fraction(2**e, z_factor(mu)) * spin_character(lam, mu)
 
-    failures = _rebuilds(max_n, weight, schur_q)
-    return _result("frobenius", failures, f"character expansions rebuilt (n<={max_n})")
+    yield from _rebuilds(max_n, weight, schur_q)
 
 
 def check_char_integrality(max_n: int) -> CheckResult:
@@ -539,21 +499,14 @@ def check_char_integrality(max_n: int) -> CheckResult:
     return _result("char-integrality", failures, f"{count} values integral (n<={max_n})")
 
 
-def diagnostic_y_positivity(max_n: int) -> CheckResult:
+@_check("y-positivity", "reversed one-column values non-negative (n<={max_n})", diagnostic=True)
+def diagnostic_y_positivity(max_n: int):
     """Report negative coefficients of the degree-reversed one-column values
     t^{n(lam)} Y(lam, 1^n; 1/t) (never fatal)."""
-    violations = []
     for lam in _shapes(1, max_n):
         v = y_recursive(lam, (1,) * sum(lam))
         reversed_coeffs = [v.coefficient(n_stat(lam) - k) for k in range(n_stat(lam) + 1)]
-        if any(c < 0 for c in reversed_coeffs):
-            violations.append(f"{lam}: {v}")
-    return _result(
-        "y-positivity",
-        violations,
-        f"reversed one-column values non-negative (n<={max_n})",
-        diagnostic=True,
-    )
+        yield f"{lam}: {v}", [c for c in reversed_coeffs if c < 0], []
 
 
 def spingreen_suite(max_n: int) -> list[CheckResult]:
@@ -577,9 +530,9 @@ def tables_suite(max_n: int) -> list[CheckResult]:
     results = []
     for n in range(3, min(max_n, 7) + 1):
         golden = golden_y_polys(n)
-        table = y_table(n)
         golden_entry = lambda lam, mu: golden.get((lam, mu), ZERO)
-        failures, _ = _agree(_cells(n, n, enumerate_odd), table.entry, golden_entry)
+        cases = _cell_cases(_cells(n, n, enumerate_odd), y_table(n).entry, golden_entry)
+        failures, _ = _agree(cases)
         if len(golden) != len(enumerate_strict(n)) * len(enumerate_odd(n)):
             failures.append("golden grid incomplete")
         results.append(

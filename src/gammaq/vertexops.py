@@ -25,10 +25,9 @@ Q-function vectors; G-modes yield the Q-Hall-Littlewood vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, prod
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .gamma import GammaElement, one, pair
 from .memo import memo
@@ -43,8 +42,7 @@ from .partitions import (
 from .tpoly import ONE, TPoly
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
+class OperatorSpec(NamedTuple):
     """Creation/annihilation coefficient rules for one vertex operator.
 
     creation(n) multiplies p_n z^n in the creation exponential and
@@ -54,8 +52,8 @@ class OperatorSpec:
     """
 
     key: str
-    creation: Callable[[int], TPoly] = field(compare=False)
-    annihilation: Callable[[int], TPoly] = field(compare=False)
+    creation: Callable[[int], TPoly]
+    annihilation: Callable[[int], TPoly]
     star: bool = False
 
 

@@ -143,6 +143,7 @@ BAD_EXPANSIONS = [
     (G_P, _recoeff([3, 1], ["0"])),  # a zero coefficient
     (G_P, lambda terms: terms.append([[3, 1], ["7"]])),  # a repeated partition
     (G_Q, _recoeff([3, 2], ["2"])),  # coefficient 2 at lambda under basis Q
+    (G_Q, _recoeff([4, 1], ["1/2"])),  # a Q-Kostka coefficient that is not an integer
 ]
 
 
@@ -150,6 +151,29 @@ BAD_EXPANSIONS = [
     "argv, edit", BAD_EXPANSIONS, ids=[f"term{i}" for i in range(len(BAD_EXPANSIONS))]
 )
 def test_expansion_with_a_bad_partition_is_dropped(tmp_path, capsys, argv, edit):
+    expected = _run(capsys, argv + ["--no-cache"])
+    _run(capsys, argv + ["--cache-dir", str(tmp_path)])
+    (path,) = tmp_path.iterdir()
+    _edit(path, edit)
+    clear_memos()
+    assert _run(capsys, argv + ["--cache-dir", str(tmp_path)]) == expected
+
+
+def _set_cell(row, col, value):
+    """An edit that stores value in the cached table cell (row, col)."""
+    return lambda table: table["entries"][row].__setitem__(col, value)
+
+
+# Non-integer cells of a cached table; every L and Y value has integer coefficients.
+FRACTION_CELLS = [
+    (["spin-char", "--n", "3"], _set_cell(1, 0, ["-3/2", "2"])),  # Y cell (2,1)|(3)
+    (["spin-green", "--n", "3", "--format", "csv"], _set_cell(1, 0, ["-3/2", "2"])),
+    (["lkostka", "--n", "5", "--format", "csv"], _set_cell(1, 2, ["1/2", "2"])),  # L cell (4,1)|(3,2)
+]
+
+
+@pytest.mark.parametrize("argv, edit", FRACTION_CELLS, ids=[argv[0] for argv, _ in FRACTION_CELLS])
+def test_table_with_a_fraction_cell_is_dropped(tmp_path, capsys, argv, edit):
     expected = _run(capsys, argv + ["--no-cache"])
     _run(capsys, argv + ["--cache-dir", str(tmp_path)])
     (path,) = tmp_path.iterdir()

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gammaq
 from gammaq.cache import Cache, default_cache_dir
 from gammaq.cli import main
 from gammaq.golden import golden_y_polys
@@ -262,3 +267,13 @@ def test_verify_ignores_the_cache(tmp_path, capsys):
     assert "[PASS] golden-table-3" in out
     assert (cdir / "Y-3.json").read_text() == before
     clear_memos()
+
+
+def test_cli_import_pulls_in_neither_dataclasses_nor_inspect():
+    # dataclasses imports inspect, and the two cost every command several ms
+    # of start-up; the package's record types are NamedTuples instead.
+    probe = "import sys, gammaq.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    src = str(Path(gammaq.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

@@ -115,18 +115,29 @@ def test_y_table_spot_values():
     assert t7.entry((4, 3), (1,) * 7) == TPoly([5, 18, 10, 2])
 
 
-# sha256 of json.dumps(y_table(n).to_json(), sort_keys=True) for n = 8..12,
-# recorded from the recursion that summed over every index subset of mu.
-Y_DIGESTS = json.loads((Path(__file__).parent / "data" / "y_table_sha256.json").read_text())
+# sha256 of json.dumps(table.to_json(), sort_keys=True) for y_table(n) and for
+# spin_char_table(y_table(n)), n = 8..16.  The Y digests for n <= 12 were
+# recorded from the recursion that summed over every index subset of mu, the
+# rest from the recursion over distinct sub-multisets.
+DATA = Path(__file__).parent / "data"
+Y_DIGESTS = json.loads((DATA / "y_table_sha256.json").read_text())
+CHAR_DIGESTS = json.loads((DATA / "spin_char_sha256.json").read_text())
+
+
+def _sha256(table) -> str:
+    return hashlib.sha256(json.dumps(table.to_json(), sort_keys=True).encode("utf-8")).hexdigest()
 
 
 def test_larger_y_tables_are_pinned():
+    assert Y_DIGESTS.keys() == CHAR_DIGESTS.keys()
     changed = []
-    for n, digest in Y_DIGESTS.items():
+    for n in Y_DIGESTS:
         clear_memos()
-        text = json.dumps(y_table(int(n)).to_json(), sort_keys=True)
-        if hashlib.sha256(text.encode("utf-8")).hexdigest() != digest:
-            changed.append(n)
+        y = y_table(int(n))
+        if _sha256(y) != Y_DIGESTS[n]:
+            changed.append(f"Y-{n}")
+        if _sha256(spin_char_table(y)) != CHAR_DIGESTS[n]:
+            changed.append(f"char-{n}")
     assert not changed
 
 

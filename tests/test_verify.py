@@ -1,10 +1,9 @@
 """A check must fail when the route it tests is wrong.
 
-Each shared sweep in gammaq.verify (route against oracle, the weighted
-power-sum rebuild, the mode-pair sweep, the strict-shape sweep) is driven
-here through one check whose route is replaced by a wrong one.  The check
-must then report the failing cells with the usual labels, so a helper that
-silently compares nothing cannot pass.
+Each check that compares two sides case by case is driven here with one of
+the routes it calls replaced by a wrong one.  The check must then report
+the failing cases with the usual labels, in the usual order, so a helper
+that silently compares nothing cannot pass.
 """
 
 import pytest
@@ -16,6 +15,18 @@ from gammaq.tpoly import TPoly
 
 def _wrong_poly(*args):
     return TPoly((7,))
+
+
+def _weight_poly(lam, mu):
+    return TPoly((sum(lam),))
+
+
+def _term_difference(f, g):
+    return TPoly((len(dict(f.terms())) - len(dict(g.terms())),))
+
+
+def _nothing(*args):
+    return ()
 
 
 def _wrong_element(*args):
@@ -68,6 +79,34 @@ BROKEN = [
     (
         "y_direct", _wrong_poly, "check_y_routes", 4,
         "10 violation(s): (1,),(1,); (2,),(1, 1); (3,),(3,); (3,),(1, 1, 1) ...",
+    ),
+    (
+        "horizontal_strips", _nothing, "check_pieri", 3,
+        "11 violation(s): mu=(),r=0; mu=(),r=1; mu=(),r=2; mu=(),r=3 ...",
+    ),
+    (
+        "pair", _term_difference, "check_adjointness", 3,
+        "32 violation(s): Q n=-3,(3,),(); G n=-3,(3,),(); Q n=-3,(1, 1, 1),(); G n=-3,(1, 1, 1),() ...",
+    ),
+    (
+        "_qs", _identity_mode, "check_mixed_relations", 2,
+        "18 violation(s): rel2 m=-1,n=1,p_(); rel2 m=0,n=1,p_(); rel2 m=1,n=1,p_(); rel2 m=-1,n=0,p_(1,) ...",
+    ),
+    (
+        "index_subpartitions", _nothing, "check_gstar_powersum", 3,
+        "14 violation(s): k=0,mu=(); k=0,mu=(1,); k=1,mu=(1,); k=0,mu=(1, 1) ...",
+    ),
+    (
+        "g_modes_on_vacuum", _wrong_element, "check_powersum_adjoint_on_g", 4,
+        "12 violation(s): k=1,lam=(1,); k=3,lam=(1,); k=1,lam=(2,); k=3,lam=(2,) ...",
+    ),
+    (
+        "l_recursive", _weight_poly, "check_l_prefix", 4,
+        "14 violation(s): n'=1,(),(); n'=2,(),(); n'=3,(),(); n'=4,(),() ...",
+    ),
+    (
+        "l_recursive", _weight_poly, "check_l_stability", 4,
+        "40 violation(s): (1,),(1,),r=1; (1,),(1,),r=2; (1,),(1,),r=3; (1,),(1,),r=4 ...",
     ),
 ]
 
