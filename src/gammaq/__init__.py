@@ -48,9 +48,7 @@ from .tpoly import (
     T,
     TPoly,
     ZERO,
-    d_count,
     d_poly,
-    exact_div,
     inv_z_t,
     signed_t,
 )

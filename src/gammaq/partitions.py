@@ -188,17 +188,16 @@ class HorizontalStrip(NamedTuple):
     a_stat: int
 
 
-def a_statistic(inner: Partition, outer: Partition) -> int:
-    """Number of columns holding a strip box with no strip box in the next column."""
-    cols: set[int] = set()
-    for r, o in enumerate(outer):
-        lo = inner[r] if r < len(inner) else 0
-        cols.update(range(lo + 1, o + 1))
-    return sum(1 for c in cols if c + 1 not in cols)
-
-
 def horizontal_strips(inner: Partition, r: int) -> list[HorizontalStrip]:
     """All strict outer shapes obtained by adding a horizontal r-strip to inner.
+
+    One walk over the rows of inner and one new bottom row.  Row i of the
+    outer shape lies between inner[i] and inner[i-1] (the new row at most
+    inner[-1]) and stays below row i-1.  The rows under row i hold at most
+    inner[i] boxes, so row i takes at least the budget left.  The a-statistic
+    counts the runs of strip boxes in adjacent columns, kept as the walk
+    goes: a row that grows starts a run, unless it reaches inner[i-1] right
+    under a row that also grew.
 
     r = 0 yields the single empty strip with a_stat = 0.  Results are in
     decreasing lexicographic order of the outer shape.
@@ -206,25 +205,22 @@ def horizontal_strips(inner: Partition, r: int) -> list[HorizontalStrip]:
     inner = check_strict(inner)
     if r < 0:
         raise ValueError("strip size must be non-negative")
-    l = len(inner)
-    results: list[Partition] = []
+    rows = inner + (0,)
+    results: list[HorizontalStrip] = []
+    outer: list[int] = []
 
-    def rec(i: int, prev: int, budget: int, rows: list[int]) -> None:
-        if i == l:
-            if budget == 0:
-                results.append(tuple(rows))
-            elif budget < prev and (l == 0 or budget <= inner[l - 1]):
-                # one new row at the bottom absorbing the whole leftover
-                results.append(tuple(rows + [budget]))
+    def walk(i: int, budget: int, grew: bool, a: int) -> None:
+        if not budget:
+            results.append(HorizontalStrip(inner, tuple(outer) + inner[i:], a))
             return
-        hi = min(inner[i] + budget, prev - 1)
-        if i >= 1:
-            hi = min(hi, inner[i - 1])
-        for v in range(hi, inner[i] - 1, -1):
-            rows.append(v)
-            rec(i + 1, v, budget - (v - inner[i]), rows)
-            rows.pop()
+        lo = rows[i]
+        hi = lo + budget if i == 0 else min(lo + budget, rows[i - 1] - (not grew))
+        for v in range(hi, max(lo, budget) - 1, -1):
+            grows = v > lo
+            joins = grew and v == rows[i - 1]
+            outer.append(v)
+            walk(i + 1, budget - (v - lo), grows, a + (grows and not joins))
+            outer.pop()
 
-    sentinel = (inner[0] if inner else 0) + r + 1
-    rec(0, sentinel, r, [])
-    return [HorizontalStrip(inner, out, a_statistic(inner, out)) for out in results]
+    walk(0, r, False, 0)
+    return results

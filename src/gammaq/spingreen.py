@@ -40,7 +40,7 @@ from .partitions import (
     union_sorted,
 )
 from .qkostka import INT, Table, l_recursive
-from .tpoly import ONE, TPoly, ZERO, d_count, d_poly, exact_div, inv_z_t
+from .tpoly import ONE, TPoly, ZERO, d_poly, inv_z_t, signed_t
 from .vertexops import qhl, schur_q
 
 _y_memo: dict[tuple[Partition, Partition], TPoly] = memo()
@@ -115,17 +115,17 @@ def y_two_row(k: int, n: int, mu: Partition) -> TPoly:
         (2(t-1)/(t+1)) ([D_t(mu) t^{-k}]_+ - [D_t(mu) t^{-k}]_+ |_{t=-1})
         + D^{(n-k)}(mu)
 
-    The bracket, the regular part of D_t(mu) t^{-k}, is read off D_t(mu)
-    directly: its coefficients from degree k up, shifted down by k.  The
-    bracket difference is exactly divisible by t+1."""
+    With d the coefficients of D_t(mu), the bracket, the regular part of
+    D_t(mu) t^{-k}, is sum_{j>=k} d_j t^{j-k}, and (t^m - (-1)^m)/(t+1) is the
+    signed t-integer (m)_t, so the quotient is sum_{j>k} d_j (j-k)_t."""
     if not k > n - k > 0:
         raise ValueError(f"({k},{n - k}) is not a strict two-row shape")
     mu = check_odd(mu)
     if sum(mu) != n:
         raise ValueError(f"weight mismatch: |{mu}| != {n}")
-    reg = TPoly(d_poly(mu).coeffs[k:])
-    quotient = exact_div(reg - reg(-1), TPoly((1, 1)))
-    return TPoly((-2, 2)) * quotient + d_count(mu, n - k)
+    d = d_poly(mu).coeffs
+    quotient = sum((d[j] * signed_t(j - k) for j in range(k + 1, n + 1)), ZERO)
+    return TPoly((-2, 2)) * quotient + d[n - k]
 
 
 def y_via_l(lam: Partition, mu: Partition) -> TPoly:

@@ -15,9 +15,11 @@ all.  Only int and Fraction scalars are accepted, so no float or string can
 slip into an exact value.  A TPoly is immutable and hashable.
 
 The module also carries the small t-arithmetic gadgets the closed formulas
-need: the signed t-integer (k)_t, the subpartition generating polynomial
-D_t, and the polynomial weights (-2)^{l(rho)} / z_rho(t) attached to odd
-partitions, where z_rho(t) = z_rho * prod_j (1 - t^{rho_j})^{-1}.
+need: the signed t-integer (k)_t, from which the two-row spin Green form
+builds its division by t+1; the subpartition generating polynomial D_t,
+whose integer coefficients count index subpartitions by weight; and the
+polynomial weights (-2)^{l(rho)} / z_rho(t) attached to odd partitions,
+where z_rho(t) = z_rho * prod_j (1 - t^{rho_j})^{-1}.
 """
 
 from __future__ import annotations
@@ -321,50 +323,12 @@ def signed_t(k: int) -> TPoly:
     return TPoly(tuple((-1) ** (k - 1 - j) for j in range(k)))
 
 
-def exact_div(f: TPoly, g: TPoly) -> TPoly:
-    """Quotient f/g; raise ValueError if g is zero or the remainder is nonzero.
-
-    The long division runs on the numerators, so a step stays an int
-    whenever the leading numerator of g divides it."""
-    if g.is_zero:
-        raise ValueError("division by the zero polynomial")
-    rem: list[Scalar] = list(f._num)
-    gc = g._num
-    dg = len(gc) - 1
-    lead = gc[-1]
-    if len(rem) - 1 < dg:
-        if any(rem):
-            raise ValueError(f"({f}) is not divisible by ({g})")
-        return ZERO
-    out: list[Scalar] = [0] * (len(rem) - dg)
-    for i in range(len(rem) - 1, dg - 1, -1):
-        q = Fraction(rem[i], lead)
-        if q.denominator == 1:
-            q = q.numerator
-        out[i - dg] = q
-        if q:
-            for j, c in enumerate(gc):
-                rem[i - dg + j] -= q * c
-    if any(rem):
-        raise ValueError(f"({f}) is not divisible by ({g})")
-    scale = Fraction(g._den, f._den)  # f/g = (f._num / g._num) * g._den / f._den
-    return TPoly([q * scale for q in out])
-
-
 def d_poly(p: Partition) -> TPoly:
     """Generating polynomial of index subpartitions by weight: prod (1 + t^part)."""
     result = ONE
     for part in p:
         result = result * TPoly((1,) + (0,) * (part - 1) + (1,))
     return result
-
-
-def d_count(p: Partition, i: int) -> int:
-    """Number of index subpartitions of p with weight i."""
-    c = d_poly(p).coefficient(i)
-    if c.denominator != 1:
-        raise ArithmeticError(f"non-integer subpartition count {c} for {p} at weight {i}")
-    return c.numerator
 
 
 def inv_z_t(rho: Partition) -> TPoly:

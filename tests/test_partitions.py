@@ -186,17 +186,20 @@ def _brute_a_stat(inner, outer):
 
 
 def test_horizontal_strips_brute_force():
-    for w in range(7):
+    # the exact list in decreasing lexicographic order: a shape listed twice
+    # would be summed twice by the L recursion
+    for w in range(9):
         for inner in enumerate_strict(w):
-            for r in range(7):
+            for r in range(9):
                 got = horizontal_strips(inner, r)
-                expected = {
+                expected = [
                     outer
                     for outer in enumerate_strict(w + r)
                     if _brute_is_strip(inner, outer)
-                }
-                assert {s.outer for s in got} == expected, (inner, r)
+                ]
+                assert [s.outer for s in got] == expected, (inner, r)
                 for s in got:
+                    assert s.inner == inner
                     assert s.a_stat == _brute_a_stat(inner, s.outer), s
                     assert all(
                         s.outer[i + 1] <= inner[i]

@@ -1,5 +1,10 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
+from gammaq.memo import clear_memos
 from gammaq.partitions import enumerate_strict
 from gammaq.qkostka import (
     Table,
@@ -74,6 +79,22 @@ def test_l_table_round_trip():
     assert again.entries == table.entries
     with pytest.raises(ValueError):
         Table.from_json(dict(l_table(1).to_json(), n=True))  # would print "n": true
+
+
+# sha256 of json.dumps(l_table(n).to_json(), sort_keys=True), n = 13..20,
+# recorded from the strip walk that rebuilt a column set per strip for the
+# a-statistic.
+L_DIGESTS = json.loads((Path(__file__).parent / "data" / "l_table_sha256.json").read_text())
+
+
+def test_larger_l_tables_are_pinned():
+    changed = []
+    for n, digest in L_DIGESTS.items():
+        clear_memos()
+        data = json.dumps(l_table(int(n)).to_json(), sort_keys=True).encode("utf-8")
+        if hashlib.sha256(data).hexdigest() != digest:
+            changed.append(n)
+    assert not changed
 
 
 def test_recursion_equals_oracle():

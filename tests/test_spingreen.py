@@ -116,7 +116,7 @@ def test_y_table_spot_values():
 
 
 # sha256 of json.dumps(table.to_json(), sort_keys=True) for y_table(n) and for
-# spin_char_table(y_table(n)), n = 8..16.  The Y digests for n <= 12 were
+# spin_char_table(y_table(n)), n = 8..18.  The Y digests for n <= 12 were
 # recorded from the recursion that summed over every index subset of mu, the
 # rest from the recursion over distinct sub-multisets.
 DATA = Path(__file__).parent / "data"

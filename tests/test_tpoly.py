@@ -6,16 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammaq import tpoly
 from gammaq.partitions import enumerate_odd, enumerate_partitions, index_subpartitions
 from gammaq.tpoly import (
     ONE,
     T,
     TPoly,
     ZERO,
-    d_count,
     d_poly,
-    exact_div,
     inv_z_t,
     signed_t,
 )
@@ -104,18 +101,6 @@ def test_d_poly():
     assert d_poly((3, 3)) == TPoly([1, 0, 0, 1]) ** 2
 
 
-def test_d_count():
-    assert d_count((1, 1), 1) == 2
-    assert d_count((5, 1, 1), 3) == 0
-    assert d_count((4, 2), 0) == 1
-
-
-def test_d_count_refuses_a_non_integer_coefficient(monkeypatch):
-    monkeypatch.setattr(tpoly, "d_poly", lambda p: TPoly([Fraction(1, 2)]))
-    with pytest.raises(ArithmeticError):
-        d_count((1,), 0)
-
-
 def test_d_poly_counts_index_subpartitions():
     for n in range(11):
         for p in enumerate_partitions(n):
@@ -147,24 +132,6 @@ def test_inv_z_t_sum_identity():
         assert total == TPoly([-2, 2]) * signed_t(n), n
 
 
-def test_exact_div():
-    assert exact_div(TPoly([-1, 0, 1]), TPoly([1, 1])) == TPoly([-1, 1])
-    assert exact_div(TPoly([0, 0, 2, 2]), TPoly([1, 1])) == TPoly([0, 0, 2])
-    assert exact_div(ZERO, TPoly([1, 1])) == ZERO
-    with pytest.raises(ValueError):
-        exact_div(TPoly([2, 1]), TPoly([1, 1]))
-    with pytest.raises(ValueError):
-        exact_div(ONE, ZERO)
-
-
-def test_exact_div_stays_exact_on_integer_numerators():
-    assert exact_div(TPoly([2, 4]), TPoly([2])).coeffs == (1, 2)
-    half = exact_div(TPoly([1, 1]), TPoly([2]))
-    assert half.coeffs == (Fraction(1, 2), Fraction(1, 2))
-    assert all(type(c) is Fraction for c in half.coeffs)
-    assert exact_div(TPoly([Fraction(1, 3), Fraction(1, 3)]), TPoly([Fraction(2, 5), Fraction(2, 5)])) == TPoly([Fraction(5, 6)])
-
-
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 tpolys = st.lists(small_fractions, max_size=6).map(TPoly)
 
@@ -187,14 +154,6 @@ def test_ring_axioms(a, b, c):
 def test_evaluation_is_a_homomorphism(a, b, x):
     assert (a * b)(x) == a(x) * b(x)
     assert (a + b)(x) == a(x) + b(x)
-
-
-@settings(max_examples=60, deadline=None)
-@given(tpolys, tpolys)
-def test_exact_div_inverts_mul(a, b):
-    if b.is_zero:
-        return
-    assert exact_div(a * b, b) == a
 
 
 # Differential test of the integer-numerator representation against a plain
