@@ -5,6 +5,11 @@ Two independent routes are provided: l_direct pairs the vertex-operator
 vectors, l_recursive peels the largest part of the column index and sums
 over horizontal strips.  They agree; the recursion is the fast path, and
 l_table evaluates it on every cell of the matrix in one plain loop.
+
+Every L value is an integer polynomial, so the recursion adds its terms
+into one list of int coefficients per cell and builds a single TPoly from
+it.  The strips on an inner shape depend only on (inner, r), so each such
+set is enumerated once and memoized with its 2^a weights.
 """
 
 from __future__ import annotations
@@ -21,12 +26,12 @@ from .partitions import (
     dominance_leq,
     enumerate_strict,
     horizontal_strips,
-    remove_part,
 )
 from .tpoly import ONE, TPoly, ZERO
 from .vertexops import qhl, schur_q
 
 _l_memo: dict[tuple[Partition, Partition], TPoly] = memo()
+_strips_memo: dict[tuple[Partition, int], list[tuple[Partition, int]]] = memo()
 
 
 def l_direct(lam: Partition, mu: Partition) -> TPoly:
@@ -42,9 +47,21 @@ def l_recursive(lam: Partition, mu: Partition) -> TPoly:
 
         sum_i sum_xi (-1)^{i-1} 2^{a(xi/lam^(i))} t^{lam_i - mu_1} L(xi, mu^(1))
 
-    Memoized on the canonical partition pair."""
+    The terms are summed as int coefficient lists, the strips on each
+    (lam^(i), lam_i - mu_1) are enumerated once, and the result is memoized
+    on the canonical partition pair."""
     lam, mu = check_pair(lam, mu)
     return _l_rec(lam, mu)
+
+
+def _strips(inner: Partition, r: int) -> list[tuple[Partition, int]]:
+    """The horizontal r-strips on inner as (outer, 2^a) pairs, enumerated
+    once per (inner, r)."""
+    key = (inner, r)
+    strips = _strips_memo.get(key)
+    if strips is None:
+        strips = _strips_memo[key] = [(s.outer, 2**s.a_stat) for s in horizontal_strips(inner, r)]
+    return strips
 
 
 def _l_rec(lam: Partition, mu: Partition) -> TPoly:
@@ -55,17 +72,20 @@ def _l_rec(lam: Partition, mu: Partition) -> TPoly:
     if cached is not None:
         return cached
     head, rest = mu[0], mu[1:]
-    total = ZERO
+    acc: list[int] = []  # every L value is integral: sum on its coefficient list
     for i, part in enumerate(lam):
         if part < head:
             break  # parts strictly decrease
         r = part - head
         sign = (-1) ** i
-        for strip in horizontal_strips(remove_part(lam, i + 1), r):
-            sub = _l_rec(strip.outer, rest)
-            if not sub.is_zero:
-                total = total + sub * TPoly.term(sign * 2**strip.a_stat, r)
-    _l_memo[key] = total
+        for outer, weight in _strips(lam[:i] + lam[i + 1 :], r):
+            sub = _l_rec(outer, rest).coeffs
+            if len(acc) < r + len(sub):
+                acc.extend([0] * (r + len(sub) - len(acc)))
+            c = sign * weight
+            for k, x in enumerate(sub, r):
+                acc[k] += c * x
+    total = _l_memo[key] = TPoly(acc) if any(acc) else ZERO  # zero cells share one value
     return total
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import gammaq.qkostka as qkostka
 from gammaq.memo import clear_memos
 from gammaq.partitions import enumerate_strict
 from gammaq.qkostka import (
@@ -81,20 +82,53 @@ def test_l_table_round_trip():
         Table.from_json(dict(l_table(1).to_json(), n=True))  # would print "n": true
 
 
-# sha256 of json.dumps(l_table(n).to_json(), sort_keys=True), n = 13..20,
-# recorded from the strip walk that rebuilt a column set per strip for the
-# a-statistic.
+# sha256 of json.dumps(l_table(n).to_json(), sort_keys=True).  n = 13..20
+# were recorded from the strip walk that rebuilt a column set per strip for
+# the a-statistic, n = 21..24 from the recursion that summed one TPoly term
+# per strip and enumerated the strips afresh for every cell.
 L_DIGESTS = json.loads((Path(__file__).parent / "data" / "l_table_sha256.json").read_text())
+
+
+def _l_digest(n):
+    data = json.dumps(l_table(n).to_json(), sort_keys=True).encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
 
 
 def test_larger_l_tables_are_pinned():
     changed = []
     for n, digest in L_DIGESTS.items():
         clear_memos()
-        data = json.dumps(l_table(int(n)).to_json(), sort_keys=True).encode("utf-8")
-        if hashlib.sha256(data).hexdigest() != digest:
+        if _l_digest(int(n)) != digest:
             changed.append(n)
     assert not changed
+
+
+def test_l_tables_do_not_depend_on_memo_state():
+    clear_memos()
+    changed = [n for n in range(20, 12, -1) if _l_digest(n) != L_DIGESTS[str(n)]]
+    assert not changed
+    table = l_table(16)
+    for mu in enumerate_strict(16):
+        column = {lam: c for (lam, nu), c in table.entries.items() if nu == mu}
+        assert expand_g_in_q(mu) == column, mu
+
+
+def test_strips_enumerated_once_per_inner_and_size(monkeypatch):
+    calls = []
+    strips = qkostka.horizontal_strips
+
+    def record(inner, r):
+        calls.append((inner, r))
+        return strips(inner, r)
+
+    monkeypatch.setattr(qkostka, "horizontal_strips", record)
+    clear_memos()
+    l_table(18)
+    assert len(calls) == 273
+    assert len(set(calls)) == len(calls)
+    assert qkostka._strips_memo
+    clear_memos()
+    assert not qkostka._strips_memo
 
 
 def test_recursion_equals_oracle():
