@@ -12,6 +12,12 @@ expansion in a formal variable z.  A mode is extracted exactly:
 
 No series-order parameter is exposed; results are exact.
 
+Three registered memos keep the work from repeating: the creation term of
+each z-degree, each mode applied to a whole input vector (keyed by the
+vector's terms, so equal vectors hit whatever their term order), and each
+mode sequence applied to the vacuum.  The operator identities apply the same
+inner modes for every outer mode, so most mode applications are repeats.
+
 Specs provided here:
 
   Q_SPEC      creation 2/n,            annihilation -1        (modes ~ z^n)
@@ -93,6 +99,7 @@ QSTAR_SPEC = OperatorSpec(
 
 
 _creation_memo: dict[tuple[str, int], GammaElement] = memo()
+_apply_memo: dict[tuple[str, int, frozenset], GammaElement] = memo()
 _vacuum_memo: dict[tuple[str, tuple[int, ...]], GammaElement] = memo()
 
 
@@ -127,7 +134,14 @@ def apply_component(spec: OperatorSpec, m: int, f: GammaElement) -> GammaElement
     p_n -> p_n + a_n z^{-n}, so a part value n of multiplicity c_n expands to
     sum_k C(c_n, k) a_n^k z^{-nk} p_n^{c_n - k}.  The products are grouped by
     the weight s taken off; each group that does not cancel is multiplied by
-    the creation term of z-degree r = m + s (s - m when starred)."""
+    the creation term of z-degree r = m + s (s - m when starred).
+
+    Memoized on (spec, m, the set of f's terms); the result is shared, as
+    GammaElement has no mutator."""
+    key = (spec.key, m, frozenset(f._terms.items()))
+    cached = _apply_memo.get(key)
+    if cached is not None:
+        return cached
     groups: dict[int, dict[Partition, TPoly]] = {}
     for mu, c in f._terms.items():
         expansion = [(0, (), c)]
@@ -151,6 +165,7 @@ def apply_component(spec: OperatorSpec, m: int, f: GammaElement) -> GammaElement
         g = GammaElement._pruned(group)
         if not g.is_zero:
             result = result + _creation_term(spec, r) * g
+    _apply_memo[key] = result
     return result
 
 

@@ -13,7 +13,7 @@ are the first to print two-digit exponents such as t^{10} and a part ten
 times, as in (1^10).
 
 tests/data/verify_stdout_sha256.json does the same for verify: operators
-for max-n 1..3, lkostka 1..9, spingreen 1..8 and tables 1..8, with the
+for max-n 1..4, lkostka 1..9, spingreen 1..8 and tables 1..8, with the
 per-suite wall times such as "(0.12s)" masked before hashing.
 """
 
@@ -81,4 +81,4 @@ def test_verify_stdout_bytes_are_pinned(capsys):
         return _TIMING.sub("(T)", capsys.readouterr().out)
 
     assert not _changed(run, VERIFY_DIGESTS)
-    assert len(VERIFY_DIGESTS) == 28
+    assert len(VERIFY_DIGESTS) == 29

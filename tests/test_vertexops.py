@@ -5,7 +5,10 @@ from math import factorial, prod
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gammaq import vertexops
 from gammaq.gamma import GammaElement, d_dp, one, p_monomial, pair
 from gammaq.memo import clear_memos
 from gammaq.partitions import enumerate_odd, enumerate_strict, multiplicities
@@ -128,6 +131,58 @@ def test_apply_component_matches_exponential_definition(spec):
         for mu in enumerate_odd(n):
             for m in range(-6, 7):
                 assert apply_component(spec, m, p_monomial(mu)) == _reference_component(spec, m, mu), (mu, m)
+    # Same support, different coefficients, back to back on shared memos: a
+    # memo keyed on the support alone would return the first vector's image.
+    for c in (TPoly([0, 1]), 2, Fraction(1, 2)):
+        f = GammaElement({(3,): 1, (1, 1, 1): c})
+        for m in range(-6, 7):
+            expected = _reference_component(spec, m, (3,)) + _reference_component(spec, m, (1, 1, 1)) * c
+            assert apply_component(spec, m, f) == expected, (c, m)
+
+
+def test_apply_component_is_memoized_by_value(monkeypatch):
+    calls = []
+    creation_term = vertexops._creation_term
+
+    def counting(spec, r):
+        calls.append(r)
+        return creation_term(spec, r)
+
+    monkeypatch.setattr(vertexops, "_creation_term", counting)
+    clear_memos()
+    f = GammaElement({(3,): 1, (1, 1, 1): TPoly([0, 2])})
+    g = GammaElement({(1, 1, 1): TPoly([0, 2]), (3,): 1})
+    assert list(f._terms) != list(g._terms)
+    first = apply_component(G_SPEC, 1, f)
+    assert calls
+    calls.clear()
+    assert apply_component(G_SPEC, 1, g) == first
+    assert not calls
+    clear_memos()
+    assert not vertexops._apply_memo
+
+
+_specs = st.sampled_from([Q_SPEC, G_SPEC, GSTAR_SPEC, QSTAR_SPEC])
+_odd_small = [mu for w in range(7) for mu in enumerate_odd(w)]
+_coeffs = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(-2, 2, max_denominator=4),
+    st.lists(st.integers(-2, 2), min_size=1, max_size=3).map(TPoly),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_specs, st.integers(-5, 5), st.dictionaries(st.sampled_from(_odd_small), _coeffs, min_size=1, max_size=4))
+def test_apply_component_does_not_depend_on_memo_state(spec, m, terms):
+    f = GammaElement(terms)
+    linear = GammaElement()
+    for mu, c in terms.items():
+        linear = linear + apply_component(spec, m, p_monomial(mu)) * c
+    warm = apply_component(spec, m, f)
+    assert warm == linear
+    assert apply_component(spec, m, f) == warm
+    clear_memos()
+    assert apply_component(spec, m, f) == warm
 
 
 def test_g_squared_is_not_zero():
