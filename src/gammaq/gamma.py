@@ -13,17 +13,9 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Union
 
 from .partitions import Partition, check_odd, union_sorted, z_factor
-from .tpoly import ONE, TPoly, ZERO
+from .tpoly import ONE, TPoly, ZERO, _as_tpoly
 
 CoeffLike = Union[int, Fraction, TPoly]
-
-
-def _as_tpoly(c) -> TPoly | None:
-    if isinstance(c, TPoly):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return TPoly((c,))
-    return None
 
 
 class GammaElement:

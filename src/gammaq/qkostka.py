@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Any, Callable, NamedTuple
 
 from .gamma import pair
-from .memo import memo
+from .memo import cached, memo
 from .partitions import (
     Partition,
     check_pair,
@@ -54,23 +54,17 @@ def l_recursive(lam: Partition, mu: Partition) -> TPoly:
     return _l_rec(lam, mu)
 
 
+@cached(_strips_memo)
 def _strips(inner: Partition, r: int) -> list[tuple[Partition, int]]:
     """The horizontal r-strips on inner as (outer, 2^a) pairs, enumerated
     once per (inner, r)."""
-    key = (inner, r)
-    strips = _strips_memo.get(key)
-    if strips is None:
-        strips = _strips_memo[key] = [(s.outer, 2**s.a_stat) for s in horizontal_strips(inner, r)]
-    return strips
+    return [(s.outer, 2**s.a_stat) for s in horizontal_strips(inner, r)]
 
 
+@cached(_l_memo)
 def _l_rec(lam: Partition, mu: Partition) -> TPoly:
     if not mu:
         return ONE  # lam is forced empty by equal weights
-    key = (lam, mu)
-    cached = _l_memo.get(key)
-    if cached is not None:
-        return cached
     head, rest = mu[0], mu[1:]
     acc: list[int] = []  # every L value is integral: sum on its coefficient list
     for i, part in enumerate(lam):
@@ -85,8 +79,7 @@ def _l_rec(lam: Partition, mu: Partition) -> TPoly:
             c = sign * weight
             for k, x in enumerate(sub, r):
                 acc[k] += c * x
-    total = _l_memo[key] = TPoly(acc) if any(acc) else ZERO  # zero cells share one value
-    return total
+    return TPoly(acc) if any(acc) else ZERO  # zero cells share one value
 
 
 def l_two_row(lam: Partition, mu: Partition) -> TPoly:

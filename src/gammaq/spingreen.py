@@ -28,7 +28,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .gamma import p_monomial, pair
-from .memo import memo
+from .memo import cached, memo
 from .partitions import (
     Partition,
     check_odd,
@@ -45,7 +45,7 @@ from .vertexops import qhl, schur_q
 
 _y_memo: dict[tuple[Partition, Partition], TPoly] = memo()
 _groups_memo: dict[tuple[Partition, int], list[tuple[Partition, int]]] = memo()
-_inv_z_memo: dict[Partition, TPoly] = memo()
+_inv_z_memo: dict[tuple[Partition], TPoly] = memo()
 
 
 def y_direct(lam: Partition, mu: Partition) -> TPoly:
@@ -69,13 +69,10 @@ def y_recursive(lam: Partition, mu: Partition) -> TPoly:
     return _y_rec(lam, mu)
 
 
+@cached(_y_memo)
 def _y_rec(lam: Partition, mu: Partition) -> TPoly:
     if not lam:
         return ONE  # mu is forced empty by equal weights
-    key = (lam, mu)
-    cached = _y_memo.get(key)
-    if cached is not None:
-        return cached
     head, rest = lam[0], lam[1:]
     n = sum(lam)
     total = ZERO
@@ -89,24 +86,18 @@ def _y_rec(lam: Partition, mu: Partition) -> TPoly:
                     inner = inner + (sub if mult == 1 else sub * mult)
             if not inner.is_zero:
                 total = total + inner * _inv_z(rho)
-    _y_memo[key] = total
     return total
 
 
+@cached(_groups_memo)
 def _sub_multisets(mu: Partition, i: int) -> list[tuple[Partition, int]]:
     """The distinct index subpartitions of mu of weight i, with multiplicities."""
-    key = (mu, i)
-    groups = _groups_memo.get(key)
-    if groups is None:
-        groups = _groups_memo[key] = list(Counter(index_subpartitions(mu, i)).items())
-    return groups
+    return list(Counter(index_subpartitions(mu, i)).items())
 
 
+@cached(_inv_z_memo)
 def _inv_z(rho: Partition) -> TPoly:
-    weight = _inv_z_memo.get(rho)
-    if weight is None:
-        weight = _inv_z_memo[rho] = inv_z_t(rho)
-    return weight
+    return inv_z_t(rho)
 
 
 def y_two_row(k: int, n: int, mu: Partition) -> TPoly:

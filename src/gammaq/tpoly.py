@@ -33,8 +33,11 @@ from .partitions import Partition, check_odd, z_factor
 Scalar = Union[int, Fraction]
 
 
-def _constant(x) -> TPoly | None:
-    """An exact scalar as a constant polynomial; None for anything else."""
+def _as_tpoly(x) -> TPoly | None:
+    """x itself if it is a TPoly, an exact scalar as a constant polynomial,
+    None for anything else."""
+    if isinstance(x, TPoly):
+        return x
     if isinstance(x, (int, Fraction)):
         return TPoly((x,))
     return None
@@ -135,7 +138,7 @@ class TPoly:
 
     def __add__(self, other) -> "TPoly":
         if not isinstance(other, TPoly):
-            other = _constant(other)
+            other = _as_tpoly(other)
             if other is None:
                 return NotImplemented
         a, da = self._num, self._den
@@ -247,7 +250,7 @@ class TPoly:
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TPoly):
-            other = _constant(other)
+            other = _as_tpoly(other)
             if other is None:
                 return NotImplemented
         return self._num == other._num and self._den == other._den

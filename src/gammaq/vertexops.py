@@ -12,11 +12,13 @@ expansion in a formal variable z.  A mode is extracted exactly:
 
 No series-order parameter is exposed; results are exact.
 
-Three registered memos keep the work from repeating: the creation term of
-each z-degree, each mode applied to a whole input vector (keyed by the
-vector's terms, so equal vectors hit whatever their term order), and each
-mode sequence applied to the vacuum.  The operator identities apply the same
-inner modes for every outer mode, so most mode applications are repeats.
+Four registered memos, each filled by memo.cached, keep the work from
+repeating: the creation term of each z-degree, the substitution weights of
+each part value and multiplicity, each mode applied to a whole input vector
+(keyed by the vector's terms, so equal vectors hit whatever their term
+order), and each mode sequence applied to the vacuum.  The operator
+identities apply the same inner modes for every outer mode, so most mode
+applications are repeats.
 
 Specs provided here:
 
@@ -36,7 +38,7 @@ from math import comb, factorial, prod
 from typing import Callable, NamedTuple, Sequence
 
 from .gamma import GammaElement, one, pair
-from .memo import memo
+from .memo import cached, memo
 from .partitions import (
     Partition,
     check_strict,
@@ -100,6 +102,7 @@ QSTAR_SPEC = OperatorSpec(
 
 _creation_memo: dict[tuple[str, int], GammaElement] = memo()
 _apply_memo: dict[tuple[str, int, frozenset], GammaElement] = memo()
+_weights_memo: dict[tuple[str, int, int], list[TPoly]] = memo()
 _vacuum_memo: dict[tuple[str, tuple[int, ...]], GammaElement] = memo()
 
 
@@ -107,12 +110,9 @@ def _aut(p: Partition) -> int:
     return prod(factorial(m) for m in multiplicities(p).values())
 
 
+@cached(_creation_memo, key=lambda spec, r: (spec.key, r))
 def _creation_term(spec: OperatorSpec, r: int) -> GammaElement:
     """Coefficient of z^r in the creation exponential, as a ring element."""
-    key = (spec.key, r)
-    cached = _creation_memo.get(key)
-    if cached is not None:
-        return cached
     terms: dict[Partition, TPoly] = {}
     for rho in enumerate_odd(r):
         w = ONE
@@ -121,11 +121,18 @@ def _creation_term(spec: OperatorSpec, r: int) -> GammaElement:
         w = w * Fraction(1, _aut(rho))
         if not w.is_zero:
             terms[rho] = w
-    result = GammaElement._from_raw(terms)
-    _creation_memo[key] = result
-    return result
+    return GammaElement._from_raw(terms)
 
 
+@cached(_weights_memo, key=lambda spec, n, count: (spec.key, n, count))
+def _weights(spec: OperatorSpec, n: int, count: int) -> list[TPoly]:
+    """C(count, k) a_n^k for k = 0..count: the weights of the substitution
+    p_n -> p_n + a_n z^{-n} on p_n^count."""
+    a = spec.annihilation(n)
+    return [a**k * comb(count, k) for k in range(count + 1)]
+
+
+@cached(_apply_memo, key=lambda spec, m, f: (spec.key, m, frozenset(f._terms.items())))
 def apply_component(spec: OperatorSpec, m: int, f: GammaElement) -> GammaElement:
     """Apply the mode of index m: the coefficient of z^m (z^{-m} for starred
     specs) in (creation exponential) (annihilation exponential) f.
@@ -138,16 +145,11 @@ def apply_component(spec: OperatorSpec, m: int, f: GammaElement) -> GammaElement
 
     Memoized on (spec, m, the set of f's terms); the result is shared, as
     GammaElement has no mutator."""
-    key = (spec.key, m, frozenset(f._terms.items()))
-    cached = _apply_memo.get(key)
-    if cached is not None:
-        return cached
     groups: dict[int, dict[Partition, TPoly]] = {}
     for mu, c in f._terms.items():
         expansion = [(0, (), c)]
         for n, count in multiplicities(mu).items():
-            a = spec.annihilation(n)
-            weights = [a**k * comb(count, k) for k in range(count + 1)]
+            weights = _weights(spec, n, count)
             expansion = [
                 (s + n * k, nu + (n,) * (count - k), w * weights[k])
                 for s, nu, w in expansion
@@ -165,22 +167,16 @@ def apply_component(spec: OperatorSpec, m: int, f: GammaElement) -> GammaElement
         g = GammaElement._pruned(group)
         if not g.is_zero:
             result = result + _creation_term(spec, r) * g
-    _apply_memo[key] = result
     return result
 
 
+@cached(_vacuum_memo, key=lambda spec, modes: (spec.key, modes))
 def _modes_on_vacuum(spec: OperatorSpec, modes: tuple[int, ...]) -> GammaElement:
     """The modes applied to the vacuum right to left (modes[0] acts last),
     memoized; shared across common suffixes."""
     if not modes:
         return one()
-    key = (spec.key, modes)
-    cached = _vacuum_memo.get(key)
-    if cached is not None:
-        return cached
-    result = apply_component(spec, modes[0], _modes_on_vacuum(spec, modes[1:]))
-    _vacuum_memo[key] = result
-    return result
+    return apply_component(spec, modes[0], _modes_on_vacuum(spec, modes[1:]))
 
 
 def schur_q(lam: Partition) -> GammaElement:

@@ -166,6 +166,32 @@ def test_stability():
     assert r.passed, r.detail
 
 
+def _grown(lam, mu, r):
+    return l_recursive((lam[0] + r,) + lam[1:], (mu[0] + r,) + mu[1:])
+
+
+def test_stability_holds_when_mu_1_exceeds_lam_2():
+    """Growing both top rows by r preserves L when mu_1 > lam_2 (lam_2 = 0
+    for one row).  With mu_1 = lam_2 it fails from |lam| = 9, on both routes,
+    which is why check_l_stability, stating mu_1 >= lam_2, stops at 7."""
+    broken, checked = [], 0
+    for n in range(1, 13):
+        for lam in enumerate_strict(n):
+            second = lam[1] if len(lam) > 1 else 0
+            for mu in enumerate_strict(n):
+                if mu[0] <= second:
+                    continue
+                base = l_recursive(lam, mu)
+                for r in range(1, 5):
+                    checked += 1
+                    if _grown(lam, mu, r) != base:
+                        broken.append((lam, mu, r))
+    assert (broken, checked) == ([], 2480)
+    lam, mu = (5, 4), (4, 3, 2)
+    assert l_recursive(lam, mu) == l_direct(lam, mu) == TPoly([0, 0, 2, 4])
+    assert _grown(lam, mu, 1) == l_direct((6, 4), (5, 3, 2)) == TPoly([0, 0, 4, 4])
+
+
 def test_two_row_closed_form():
     r = check_l_two_row(9)
     assert r.passed, r.detail

@@ -17,6 +17,10 @@ def _wrong_poly(*args):
     return TPoly((7,))
 
 
+def _two_then_seven(*args):
+    return TPoly((2, 7))
+
+
 def _weight_poly(lam, mu):
     return TPoly((sum(lam),))
 
@@ -35,6 +39,12 @@ def _wrong_element(*args):
 
 def _identity_mode(m, f):
     return f
+
+
+def _no_character_off_one_row(lam, mu):
+    if len(lam) > 1:
+        raise ArithmeticError(f"non-integer spin character 1/2 at ({lam}, {mu})")
+    return 1
 
 
 class _OffDiagonalTable:
@@ -107,6 +117,17 @@ BROKEN = [
     (
         "l_recursive", _weight_poly, "check_l_stability", 4,
         "40 violation(s): (1,),(1,),r=1; (1,),(1,),r=2; (1,),(1,),r=3; (1,),(1,),r=4 ...",
+    ),
+    (
+        "l_recursive", _two_then_seven, "check_l_divisibility", 6,
+        "9 violation(s): (3,),(2, 1): 7; (4,),(3, 1): 7; (5,),(4, 1): 7; (5,),(3, 2): 7 ...",
+    ),
+    (
+        "spin_character", _no_character_off_one_row, "check_char_integrality", 4,
+        "4 violation(s): non-integer spin character 1/2 at ((2, 1), (3,)); "
+        "non-integer spin character 1/2 at ((2, 1), (1, 1, 1)); "
+        "non-integer spin character 1/2 at ((3, 1), (3, 1)); "
+        "non-integer spin character 1/2 at ((3, 1), (1, 1, 1, 1))",
     ),
 ]
 
