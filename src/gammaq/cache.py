@@ -6,10 +6,13 @@ spin-green and spin-char share) and expand-<family>-<basis>-<lam>.  Every
 file is {"version": VERSION_TAG, "kind": <name>, "value": <result>}, where
 VERSION_TAG, gammaq-<version>-<fingerprint>, carries a sha256 over the
 source of every module of the package, this one included, so a change to
-the layout or to any code retires every file written before.  A file that is
-missing, carries another tag or kind, or whose value the command's decoder
-refuses is ignored whole, and the result is recomputed rather than trusted.
-The recursion memos (memo.py) are never stored.
+the layout or to any code retires every file written before.  The
+fingerprint is computed, and hashlib imported, when a cache is first used:
+the first time an enabled cache reads a file or writes one, so a --no-cache
+command never hashes the source.  A file that is missing, carries another
+tag or kind, or whose value the command's decoder refuses is ignored whole,
+and the result is recomputed rather than trusted.  The recursion memos
+(memo.py) are never stored.
 
 load(name, decode) reads one file; save(name, value, encode) writes it
 unless that load found it.  A write goes to a temporary file in the cache
@@ -21,7 +24,6 @@ bytes.  A save touches no other file.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import os
 import tempfile
@@ -33,13 +35,30 @@ from . import __version__
 
 def _fingerprint() -> str:
     """12 hex digits of a sha256 over each module's name and source, by name."""
+    import hashlib
+
     digest = hashlib.sha256()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
     return digest.hexdigest()[:12]
 
 
-VERSION_TAG = f"gammaq-{__version__}-{_fingerprint()}"
+_tag: str | None = None
+
+
+def _version_tag() -> str:
+    """VERSION_TAG, computed on the first call."""
+    global _tag
+    if _tag is None:
+        _tag = f"gammaq-{__version__}-{_fingerprint()}"
+    return _tag
+
+
+def __getattr__(name: str) -> str:
+    # VERSION_TAG is a module attribute (PEP 562) that costs nothing until read
+    if name == "VERSION_TAG":
+        return _version_tag()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def default_cache_dir() -> str:
@@ -80,7 +99,7 @@ class Cache:
         if not self.enabled:
             return None
         data = _parse(self._path(name))
-        if not isinstance(data, dict) or data.get("version") != VERSION_TAG or data.get("kind") != name:
+        if not isinstance(data, dict) or data.get("version") != _version_tag() or data.get("kind") != name:
             return None
         try:
             value = decode(data["value"])
@@ -94,7 +113,7 @@ class Cache:
         if not self.enabled or self._found:
             return
         os.makedirs(self.directory, exist_ok=True)
-        payload = {"version": VERSION_TAG, "kind": name, "value": encode(value)}
+        payload = {"version": _version_tag(), "kind": name, "value": encode(value)}
         fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=self.directory)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:

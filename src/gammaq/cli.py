@@ -2,7 +2,11 @@
 
 Subcommands: lkostka, spin-green, spin-char, expand, verify.
 Formats: json (canonical), csv, latex (published table layout), markdown.
-Exit codes: 0 success, 1 verification or arithmetic failure, 2 usage error.
+Exit codes: 0 success, 1 verification or arithmetic failure, 2 usage error;
+every error is one line on stderr.
+
+A table command imports only the recursions it runs: verify and the vertex
+operators are imported by the commands that use them.
 """
 
 from __future__ import annotations
@@ -26,10 +30,9 @@ from .partitions import (
 from .qkostka import Table, expand_g_in_q, l_table
 from .spingreen import spin_char_table, y_table
 from .tpoly import ONE, TPoly
-from .verify import SUITES, run_suite
-from .vertexops import qhl, schur_q
 
 FORMATS = ("json", "csv", "latex", "markdown")
+SUITE_NAMES = ("operators", "lkostka", "spingreen", "tables")  # the keys of verify.SUITES
 
 
 # -------------------------------------------------------------- rendering
@@ -198,7 +201,7 @@ def cmd_spin_char(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    lam = check_strict(parse_partition(args.lam))
+    lam = args.lam
     if args.basis == "Q":  # a column of L, so its coefficients are integers
         check, read = check_strict, TPoly.from_int_json
     else:
@@ -207,6 +210,8 @@ def cmd_expand(args) -> int:
     def compute():
         if args.basis == "Q":
             return expand_g_in_q(lam) if args.family == "G" else {lam: ONE}
+        from .vertexops import qhl, schur_q
+
         element = qhl(lam) if args.family == "G" else schur_q(lam)
         return dict(element.terms())
 
@@ -231,9 +236,11 @@ def cmd_expand(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suite
+
     if args.max_n < 1:
         raise ValueError("--max-n must be >= 1")
-    names = list(SUITES) if args.suite == "all" else [args.suite]
+    names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     lines = []
     any_fatal = False
     for name in names:
@@ -256,6 +263,26 @@ def cmd_verify(args) -> int:
 # -------------------------------------------------------------- parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and through add_subparsers each subparser, that
+    raises ValueError, which main reports as one line and exit 2, instead
+    of printing its usage block and exiting."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _lambda_arg(text: str) -> Partition:
+    """The --lambda value: a strict partition of positive weight, as 5,3,1."""
+    try:
+        lam = check_strict(parse_partition(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a strict partition: {exc}") from None
+    if not lam:
+        raise argparse.ArgumentTypeError(f"{text!r} has weight 0, but the weight must be >= 1")
+    return lam
+
+
 def _add_common(sub, cache_help: str | None = None) -> None:
     sub.add_argument("--out", metavar="PATH", default=None)
     sub.add_argument("--cache-dir", metavar="PATH", default=None, help=cache_help)
@@ -263,7 +290,7 @@ def _add_common(sub, cache_help: str | None = None) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gammaq",
         description=(
             "Exact tables of Q-Kostka polynomials, spin Green polynomials and "
@@ -285,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("expand", help="expand a basis vector in another basis")
     p.add_argument("--family", choices=("G", "Q"), required=True)
-    p.add_argument("--lambda", dest="lam", required=True, metavar="PARTS")
+    p.add_argument("--lambda", dest="lam", type=_lambda_arg, required=True, metavar="PARTS")
     p.add_argument("--basis", choices=("Q", "p"), required=True)
     p.add_argument("--format", choices=FORMATS, default="json")
     _add_common(p)
@@ -294,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify", help="run verification suites")
     p.add_argument(
         "--suite",
-        choices=("all",) + tuple(SUITES),
+        choices=("all",) + SUITE_NAMES,
         default="all",
     )
     p.add_argument("--max-n", type=int, default=5, dest="max_n")
@@ -305,9 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

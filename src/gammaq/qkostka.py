@@ -5,6 +5,8 @@ Two independent routes are provided: l_direct pairs the vertex-operator
 vectors, l_recursive peels the largest part of the column index and sums
 over horizontal strips.  They agree; the recursion is the fast path, and
 l_table evaluates it on every cell of the matrix in one plain loop.
+l_direct imports the vertex operators when it is called, so the tables
+never load them.
 
 Every L value is an integer polynomial, so the recursion adds its terms
 into one list of int coefficients per cell and builds a single TPoly from
@@ -17,7 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple
 
-from .gamma import pair
 from .memo import cached, memo
 from .partitions import (
     Partition,
@@ -28,7 +29,6 @@ from .partitions import (
     horizontal_strips,
 )
 from .tpoly import ONE, TPoly, ZERO
-from .vertexops import qhl, schur_q
 
 _l_memo: dict[tuple[Partition, Partition], TPoly] = memo()
 _strips_memo: dict[tuple[Partition, int], list[tuple[Partition, int]]] = memo()
@@ -37,6 +37,9 @@ _strips_memo: dict[tuple[Partition, int], list[tuple[Partition, int]]] = memo()
 def l_direct(lam: Partition, mu: Partition) -> TPoly:
     """Coefficient of the Schur Q-vector at lam in the Q-Hall-Littlewood
     vector at mu, via the bilinear form: 2^{-l(lam)} <G_mu.1, Q_lam.1>."""
+    from .gamma import pair  # the vertex operators load only for this check route
+    from .vertexops import qhl, schur_q
+
     lam, mu = check_pair(lam, mu)
     return pair(qhl(mu), schur_q(lam)) * Fraction(1, 2 ** len(lam))
 

@@ -15,7 +15,9 @@ Three independent routes are provided:
 The recursion is the fast path: y_table evaluates it on every cell.  It
 visits each distinct sub-multiset nu of mu once, scaled by its integer
 multiplicity, and multiplies by each rational rho weight once per (i, rho);
-the grouped sub-multisets and the rho weights are memoized.
+the grouped sub-multisets and the rho weights are memoized.  y_direct and
+y_via_l import the vertex operators when they are called, so the tables
+never load them.
 
 spin_char_table reads each character off the constant coefficient of the
 matching cell of a finished y_table, so it runs no recursion of its own;
@@ -27,7 +29,6 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from .gamma import p_monomial, pair
 from .memo import cached, memo
 from .partitions import (
     Partition,
@@ -41,7 +42,6 @@ from .partitions import (
 )
 from .qkostka import INT, Table, l_recursive
 from .tpoly import ONE, TPoly, ZERO, d_poly, inv_z_t, signed_t
-from .vertexops import qhl, schur_q
 
 _y_memo: dict[tuple[Partition, Partition], TPoly] = memo()
 _groups_memo: dict[tuple[Partition, int], list[tuple[Partition, int]]] = memo()
@@ -50,6 +50,9 @@ _inv_z_memo: dict[tuple[Partition], TPoly] = memo()
 
 def y_direct(lam: Partition, mu: Partition) -> TPoly:
     """<G_lam.1, p_mu> via vertex operators and the bilinear form."""
+    from .gamma import p_monomial, pair  # the vertex operators load only for the check routes
+    from .vertexops import qhl
+
     lam, mu = check_pair(lam, mu, check_odd)
     return pair(qhl(lam), p_monomial(mu))
 
@@ -122,6 +125,9 @@ def y_two_row(k: int, n: int, mu: Partition) -> TPoly:
 def y_via_l(lam: Partition, mu: Partition) -> TPoly:
     """Transition-matrix route: sum over strict nu of L(nu, lam; t) times the
     t = 0 value <Q_nu.1, p_mu>."""
+    from .gamma import p_monomial, pair
+    from .vertexops import schur_q
+
     lam, mu = check_pair(lam, mu, check_odd)
     total = ZERO
     for nu in enumerate_strict(sum(lam)):

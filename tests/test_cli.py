@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 import gammaq
+from gammaq import cli
 from gammaq.cache import Cache, default_cache_dir
 from gammaq.cli import main
 from gammaq.golden import golden_y_polys
@@ -96,20 +98,53 @@ def test_latex_layout_is_published_orientation(capsys):
     assert "$(1^3)$ & $1$ & $2t+1$ \\\\" in lines
 
 
-def test_usage_errors():
+def _one_error_line(capsys) -> str:
+    """The single stderr line of a refused command, which printed nothing."""
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["lkostka"], "required: --n"),
+        (["lkostka", "--n", "x"], "argument --n: invalid int value: 'x'"),
+        (["spin-green", "--n", "3", "--format", "yaml"], "invalid choice: 'yaml'"),
+        ([], "required: command"),
+    ],
+)
+def test_usage_errors(capsys, argv, expected):
+    assert main(argv) == 2
+    assert expected in _one_error_line(capsys)
+
+
+def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["lkostka"])  # missing --n
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["spin-green", "--n", "3", "--format", "yaml"])
-    assert exc.value.code == 2
+        main(["lkostka", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gammaq lkostka")
 
 
 def test_verify_has_no_format_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--suite", "lkostka", "--max-n", "1", "--format", "json"])
-    assert exc.value.code == 2
-    assert "--format" in capsys.readouterr().err
+    assert main(["verify", "--suite", "lkostka", "--max-n", "1", "--format", "json"]) == 2
+    assert "--format" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("3,,1", "argument --lambda: '3,,1' is not a strict partition"),
+        ("3,x", "argument --lambda: '3,x' is not a strict partition"),
+        ("1,3", "argument --lambda: '1,3' is not a strict partition"),
+        # the empty partition has weight 0, refused as --n 0 is
+        ("", "argument --lambda: '' has weight 0"),
+        ("()", "argument --lambda: '()' has weight 0"),
+    ],
+)
+def test_lambda_errors_name_the_flag_and_the_text(capsys, text, expected):
+    assert main(["expand", "--family", "G", "--lambda", text, "--basis", "Q", "--no-cache"]) == 2
+    assert expected in _one_error_line(capsys)
 
 
 def test_domain_errors_exit_2(capsys):
@@ -269,11 +304,51 @@ def test_verify_ignores_the_cache(tmp_path, capsys):
     clear_memos()
 
 
+def _fresh_python(code: str, *args: str) -> str:
+    """stdout of code run by a fresh interpreter that imports this gammaq."""
+    src = str(Path(gammaq.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("GAMMA_CACHE_DIR", None)
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
+    return out.stdout
+
+
 def test_cli_import_pulls_in_neither_dataclasses_nor_inspect():
     # dataclasses imports inspect, and the two cost every command several ms
     # of start-up; the package's record types are NamedTuples instead.
     probe = "import sys, gammaq.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    src = str(Path(gammaq.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "[]\n"
+    assert _fresh_python(probe) == "[]\n"
+
+
+def test_table_commands_import_only_the_recursions():
+    # verify with its golden tables, the vertex operators and hashlib cost a
+    # fresh process about 20 ms of imports that no table command needs
+    probe = textwrap.dedent("""
+        import contextlib, io, sys
+        from gammaq.cli import main
+        CHECK_ONLY = {"gammaq.verify", "gammaq.golden", "gammaq.vertexops", "gammaq.gamma", "hashlib"}
+        for command in ("lkostka", "spin-green", "spin-char"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([command, "--n", "3", "--no-cache"]) == 0
+        print(sorted(CHECK_ONLY & set(sys.modules)))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["expand", "--family", "G", "--lambda", "3,1", "--basis", "p", "--no-cache"]) == 0
+        print("gammaq.vertexops" in sys.modules)
+    """)
+    assert _fresh_python(probe) == "[]\nTrue\n"
+
+
+def test_suite_names_are_the_verify_suites():
+    from gammaq import verify
+
+    assert cli.SUITE_NAMES == tuple(verify.SUITES)
+
+
+def test_cache_dir_run_writes_the_source_fingerprint(tmp_path):
+    # the fingerprint is computed only when a cache is first used
+    from gammaq import cache
+
+    run = "import sys; from gammaq.cli import main; sys.exit(main(sys.argv[1:]))"
+    _fresh_python(run, "lkostka", "--n", "3", "--cache-dir", str(tmp_path))
+    tag = json.loads((tmp_path / "L-3.json").read_text())["version"]
+    assert tag == f"gammaq-{gammaq.__version__}-{cache._fingerprint()}" == cache.VERSION_TAG
