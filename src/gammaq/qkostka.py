@@ -37,11 +37,10 @@ _strips_memo: dict[tuple[Partition, int], list[tuple[Partition, int]]] = memo()
 def l_direct(lam: Partition, mu: Partition) -> TPoly:
     """Coefficient of the Schur Q-vector at lam in the Q-Hall-Littlewood
     vector at mu, via the bilinear form: 2^{-l(lam)} <G_mu.1, Q_lam.1>."""
-    from .gamma import pair  # the vertex operators load only for this check route
-    from .vertexops import qhl, schur_q
+    from . import gamma, vertexops  # loaded only for this check route
 
     lam, mu = check_pair(lam, mu)
-    return pair(qhl(mu), schur_q(lam)) * Fraction(1, 2 ** len(lam))
+    return gamma.pair(vertexops.qhl(mu), vertexops.schur_q(lam)) * Fraction(1, 2 ** len(lam))
 
 
 def l_recursive(lam: Partition, mu: Partition) -> TPoly:

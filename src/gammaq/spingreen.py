@@ -50,11 +50,10 @@ _inv_z_memo: dict[tuple[Partition], TPoly] = memo()
 
 def y_direct(lam: Partition, mu: Partition) -> TPoly:
     """<G_lam.1, p_mu> via vertex operators and the bilinear form."""
-    from .gamma import p_monomial, pair  # the vertex operators load only for the check routes
-    from .vertexops import qhl
+    from . import gamma, vertexops  # loaded only for the check routes
 
     lam, mu = check_pair(lam, mu, check_odd)
-    return pair(qhl(lam), p_monomial(mu))
+    return gamma.pair(vertexops.qhl(lam), gamma.p_monomial(mu))
 
 
 def y_recursive(lam: Partition, mu: Partition) -> TPoly:
@@ -125,15 +124,14 @@ def y_two_row(k: int, n: int, mu: Partition) -> TPoly:
 def y_via_l(lam: Partition, mu: Partition) -> TPoly:
     """Transition-matrix route: sum over strict nu of L(nu, lam; t) times the
     t = 0 value <Q_nu.1, p_mu>."""
-    from .gamma import p_monomial, pair
-    from .vertexops import schur_q
+    from . import gamma, vertexops
 
     lam, mu = check_pair(lam, mu, check_odd)
     total = ZERO
     for nu in enumerate_strict(sum(lam)):
         l_poly = l_recursive(nu, lam)
         if not l_poly.is_zero:
-            total = total + l_poly * pair(schur_q(nu), p_monomial(mu))
+            total = total + l_poly * gamma.pair(vertexops.schur_q(nu), gamma.p_monomial(mu))
     return total
 
 
