@@ -105,18 +105,15 @@ def _one_error_line(capsys) -> str:
     return err
 
 
-@pytest.mark.parametrize(
-    "argv, expected",
-    [
+def test_usage_errors(capsys):
+    for argv, expected in (
         (["lkostka"], "required: --n"),
         (["lkostka", "--n", "x"], "argument --n: invalid int value: 'x'"),
         (["spin-green", "--n", "3", "--format", "yaml"], "invalid choice: 'yaml'"),
         ([], "required: command"),
-    ],
-)
-def test_usage_errors(capsys, argv, expected):
-    assert main(argv) == 2
-    assert expected in _one_error_line(capsys)
+    ):
+        assert main(argv) == 2, argv
+        assert expected in _one_error_line(capsys)
 
 
 def test_help_still_exits_0(capsys):
