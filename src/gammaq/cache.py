@@ -1,8 +1,8 @@
 """Persistent JSON cache of command results.
 
-Each table or expand command stores its own result in one file,
-<name>.json: L-<n> (the Q-Kostka table), Y-<n> (the spin Green table, which
-spin-green and spin-char share) and expand-<family>-<basis>-<lam>.  Every
+lkostka, spin-green and expand each store their result in one file,
+<name>.json: L-<n> (the Q-Kostka table), Y-<n> (the spin Green table) and
+expand-<family>-<basis>-<lam>; spin-char and verify use no cache.  Every
 file is {"version": VERSION_TAG, "kind": <name>, "value": <result>}, where
 VERSION_TAG, gammaq-<version>-<fingerprint>, carries a sha256 over the
 source of every module of the package, this one included, so a change to

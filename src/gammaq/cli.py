@@ -168,9 +168,6 @@ def _cached(args, name, decode, encode, compute):
 def _cached_table(args, kind, columns, build) -> Table:
     """The table build(--n), cached as <kind>-<n>; a file of another weight,
     other axes or a ragged grid is refused."""
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
-
     def decode(data):
         if data["n"] != args.n:
             raise ValueError(f"cached table of weight {data['n']!r}, not {args.n}")
@@ -195,7 +192,7 @@ def cmd_spin_green(args) -> int:
 
 
 def cmd_spin_char(args) -> int:
-    table = spin_char_table(_cached_table(args, "Y", enumerate_odd, y_table))
+    table = spin_char_table(args.n)
     _emit(_render_int_table(table, args.format), args.out)
     return 0
 
@@ -238,8 +235,6 @@ def cmd_expand(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_suite
 
-    if args.max_n < 1:
-        raise ValueError("--max-n must be >= 1")
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     lines = []
     any_fatal = False
@@ -272,6 +267,15 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _count_arg(text: str) -> int:
+    """An --n or --max-n value: a count >= 1 in ASCII decimal digits only."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if not text.strip("0"):
+        raise argparse.ArgumentTypeError(f"must be >= 1, not {text!r}")
+    return int(text)
+
+
 def _lambda_arg(text: str) -> Partition:
     """The --lambda value: a strict partition of positive weight, as 5,3,1."""
     try:
@@ -299,15 +303,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name, text, func in (
-        ("lkostka", "Q-Kostka matrix over strict partitions", cmd_lkostka),
-        ("spin-green", "spin Green polynomial table", cmd_spin_green),
-        ("spin-char", "spin character table", cmd_spin_char),
+    ignored = "accepted and ignored: {} never reads or writes the cache"
+    for name, text, func, cache_help in (
+        ("lkostka", "Q-Kostka matrix over strict partitions", cmd_lkostka, None),
+        ("spin-green", "spin Green polynomial table", cmd_spin_green, None),
+        ("spin-char", "spin character table", cmd_spin_char, ignored.format("spin-char")),
     ):
         p = subs.add_parser(name, help=text)
-        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--n", type=_count_arg, required=True)
         p.add_argument("--format", choices=FORMATS, default="json")
-        _add_common(p)
+        _add_common(p, cache_help)
         p.set_defaults(func=func)
 
     p = subs.add_parser("expand", help="expand a basis vector in another basis")
@@ -324,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("all",) + SUITE_NAMES,
         default="all",
     )
-    p.add_argument("--max-n", type=int, default=5, dest="max_n")
-    _add_common(p, cache_help="accepted and ignored: verify never reads or writes the cache")
+    p.add_argument("--max-n", type=_count_arg, default=5, dest="max_n")
+    _add_common(p, ignored.format("verify"))
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -110,11 +110,13 @@ def partition_str(p: Partition) -> str:
 
 
 def parse_partition(text: str) -> Partition:
-    """Inverse of partition_str; accepts '' or '()' for the empty partition."""
-    text = text.strip()
+    """Inverse of partition_str, for parts in ASCII decimal digits; '' or '()' is ()."""
     if text in ("", "()"):
         return ()
-    return check_partition(int(x) for x in text.split(","))
+    parts = text.split(",")
+    if not all(x.isascii() and x.isdigit() for x in parts):
+        raise ValueError("each part must be ASCII decimal digits")
+    return check_partition(int(x) for x in parts)
 
 
 def _partitions(m: int, cap: int, strict: bool, odd: bool) -> Iterator[Partition]:

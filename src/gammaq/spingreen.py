@@ -12,22 +12,21 @@ Three independent routes are provided:
   y_recursive  peeling the largest row with polynomial odd-partition weights
   y_via_l      Q-Kostka recursion column composed with t = 0 character data
 
-The recursion is the fast path: y_table evaluates it on every cell.  It
-visits each distinct sub-multiset nu of mu once, scaled by its integer
-multiplicity, and multiplies by each rational rho weight once per (i, rho);
-the grouped sub-multisets and the rho weights are memoized.  y_direct and
-y_via_l import the vertex operators when they are called, so the tables
-never load them.
+The recursion is the fast path for Y only: y_table evaluates it on every
+cell.  It visits each distinct sub-multiset nu of mu once, scaled by its
+integer multiplicity, and multiplies by each rational rho weight once per
+(i, rho); the grouped sub-multisets and the rho weights are memoized.
+y_direct and y_via_l import the vertex operators when they are called.
 
-spin_char_table reads each character off the constant coefficient of the
-matching cell of a finished y_table, so it runs no recursion of its own;
-the CLI's spin-green and spin-char share one cached Y table per weight.
+The characters come from X0(lam, mu) = Y(lam, mu; 0) = <Q_lam, p_mu> by
+Morris's bar removal on ints (A. O. Morris, Proc. LMS (3) 12, 1962), memoized
+per call; the recursion's constant terms are its check.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
+from collections.abc import Iterator
 
 from .memo import cached, memo
 from .partitions import (
@@ -136,21 +135,43 @@ def y_via_l(lam: Partition, mu: Partition) -> TPoly:
 
 
 def spin_character(lam: Partition, mu: Partition) -> int:
-    """Spin character value: Y(lam, mu; 0) / 2^{(l(lam)-l(mu)+eps(lam))/2}.
-    The exponent is an integer, since |mu| and l(mu) agree mod 2.
-
-    Raises ArithmeticError if the result is not an integer."""
+    """Spin character value X0(lam, mu) / 2^e, e = (l(lam)-l(mu)+eps(lam))/2,
+    with X0 = Y(lam, mu; 0) by bar removal; e is an integer, since |mu| and
+    l(mu) agree mod 2.  Raises ArithmeticError if the value is not an integer."""
     lam, mu = check_pair(lam, mu, check_odd)
-    return _char(lam, mu, _y_rec(lam, mu))
+    return _char(lam, mu, _x0(lam, mu, {}))
 
 
-def _char(lam: Partition, mu: Partition, y: TPoly) -> int:
-    """The character at (lam, mu) from y = Y(lam, mu; t)."""
-    exponent = (len(lam) - len(mu) + epsilon(lam)) // 2
-    value = y.coefficient(0) * Fraction(2) ** -exponent
-    if value.denominator != 1:
-        raise ArithmeticError(f"non-integer spin character {value} at ({lam}, {mu})")
-    return int(value)
+def _bars(lam: Partition, r: int) -> Iterator[tuple[Partition, int]]:
+    """The (kappa, coefficient) pairs of p_r^* Q_lam = sum c Q_kappa, r odd.
+    A part lam_i becomes lam_i - r when that is not a part (0 drops it),
+    with sign (-1)^(parts strictly between); two parts lam_i + lam_j = r,
+    i < j, are dropped with coefficient 2 (-1)^(lam_j + j - i - 1)."""
+    for i, part in enumerate(lam):
+        low = part - r
+        if 0 < -low < part and -low in lam:  # the pair part + (r - part) = r
+            j = lam.index(-low)
+            yield lam[:i] + lam[i + 1 : j] + lam[j + 1 :], 2 - 4 * ((j - i - low - 1) & 1)
+        elif low >= 0 and low not in lam:
+            j = sum(x > low for x in lam)  # lam[i + 1 : j] lie strictly between
+            yield lam[:i] + lam[i + 1 : j] + (low,) * (low > 0) + lam[j:], 1 - 2 * ((j - i - 1) & 1)
+
+
+def _x0(lam: Partition, mu: Partition, memo: dict) -> int:
+    """<Q_lam, p_mu> for lam strict and mu odd of one weight, memoized in memo."""
+    if mu and (lam, mu) not in memo:  # remove mu's largest part as bars of lam
+        memo[lam, mu] = sum(c * _x0(kappa, mu[1:], memo) for kappa, c in _bars(lam, mu[0]))
+    return memo.get((lam, mu), 1)  # X0((), ()) = 1 is not stored
+
+
+def _char(lam: Partition, mu: Partition, x0: int) -> int:
+    """The character at (lam, mu) from x0 = Y(lam, mu; 0)."""
+    e = (len(lam) - len(mu) + epsilon(lam)) // 2
+    value, rem = divmod(x0 << max(-e, 0), 1 << max(e, 0))
+    if rem:
+        k = (x0 & -x0).bit_length() - 1  # x0 = odd * 2^k with k < e, as 2^e does not divide it
+        raise ArithmeticError(f"non-integer spin character {x0 >> k}/{1 << (e - k)} at ({lam}, {mu})")
+    return value
 
 
 def y_table(n: int) -> Table:
@@ -161,9 +182,10 @@ def y_table(n: int) -> Table:
     return Table.build(n, enumerate_odd, _y_rec)
 
 
-def spin_char_table(y: Table) -> Table:
-    """Spin character matrix of y's weight, read off the spin Green table y
-    at t = 0."""
-    return Table.build(
-        y.weight, enumerate_odd, lambda lam, mu: _char(lam, mu, y.entry(lam, mu)), INT
-    )
+def spin_char_table(n: int) -> Table:
+    """Spin character matrix of weight n by bar removal.  Its cells share one
+    X0 memo that lives as long as the call, and are not checked again."""
+    if n < 1:
+        raise ValueError("weight must be positive")
+    memo: dict = {}
+    return Table.build(n, enumerate_odd, lambda lam, mu: _char(lam, mu, _x0(lam, mu, memo)), INT)

@@ -49,7 +49,6 @@ def _edit(path, edit):
 COMMANDS = [
     (["lkostka", "--n", "6"], "L-6.json"),
     (["spin-green", "--n", "5"], "Y-5.json"),
-    (["spin-char", "--n", "5"], "Y-5.json"),
     (["expand", "--family", "G", "--lambda", "4,2,1", "--basis", "Q"], "expand-G-Q-4,2,1.json"),
     (["expand", "--family", "Q", "--lambda", "4,2,1", "--basis", "Q"], "expand-Q-Q-4,2,1.json"),
     (["expand", "--family", "G", "--lambda", "4,2,1", "--basis", "p"], "expand-G-p-4,2,1.json"),
@@ -70,15 +69,19 @@ def test_warm_hit_is_read_only_and_computes_nothing(tmp_path, capsys, argv, name
     assert not any(MEMOS)  # the answer came from the file
 
 
-@pytest.mark.parametrize("first, second", [("spin-green", "spin-char"), ("spin-char", "spin-green")])
-def test_spin_green_and_spin_char_share_the_y_table(tmp_path, capsys, first, second):
-    expected = _run(capsys, [second, "--n", "5", "--no-cache"])
+def test_spin_char_reads_and_writes_no_cache_file(tmp_path, capsys):
+    # spin-char computes its characters by bar removal, so a Y table that
+    # spin-green left in the directory, even a tampered one, decides nothing
+    expected = _run(capsys, ["spin-char", "--n", "5", "--no-cache"])
+    cdir = ["--cache-dir", str(tmp_path)]
+    assert _run(capsys, ["spin-char", "--n", "5"] + cdir) == expected
+    assert not any(tmp_path.iterdir())
+    _run(capsys, ["spin-green", "--n", "5"] + cdir)
+    _edit(tmp_path / "Y-5.json", lambda t: t["entries"][1].__setitem__(0, ["3", "2"]))
+    before = _files(tmp_path)
     clear_memos()
-    _run(capsys, [first, "--n", "5", "--cache-dir", str(tmp_path)])
-    clear_memos()
-    assert _run(capsys, [second, "--n", "5", "--cache-dir", str(tmp_path)]) == expected
-    assert not spingreen._y_memo  # no Y cell was computed
-    assert [p.name for p in tmp_path.iterdir()] == ["Y-5.json"]
+    assert _run(capsys, ["spin-char", "--n", "5"] + cdir) == expected
+    assert _files(tmp_path) == before
 
 
 def test_cache_round_trip(tmp_path):
@@ -166,8 +169,7 @@ def _set_cell(row, col, value):
 
 # Non-integer cells of a cached table; every L and Y value has integer coefficients.
 FRACTION_CELLS = [
-    (["spin-char", "--n", "3"], _set_cell(1, 0, ["-3/2", "2"])),  # Y cell (2,1)|(3)
-    (["spin-green", "--n", "3", "--format", "csv"], _set_cell(1, 0, ["-3/2", "2"])),
+    (["spin-green", "--n", "3", "--format", "csv"], _set_cell(1, 0, ["-3/2", "2"])),  # Y cell (2,1)|(3)
     (["lkostka", "--n", "5", "--format", "csv"], _set_cell(1, 2, ["1/2", "2"])),  # L cell (4,1)|(3,2)
 ]
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import gammaq
-from gammaq import cli
+from gammaq import cli, spingreen
 from gammaq.cache import Cache, default_cache_dir
 from gammaq.cli import main
 from gammaq.golden import golden_y_polys
@@ -144,6 +144,32 @@ def test_lambda_errors_name_the_flag_and_the_text(capsys, text, expected):
     assert expected in _one_error_line(capsys)
 
 
+# Python's int() also reads these, but the grammar is ASCII decimal digits.
+NOT_DIGITS = [" 1_0", "1_0", "+5", "\u0663"]  # the last is ARABIC-INDIC DIGIT THREE
+
+
+@pytest.mark.parametrize("text", NOT_DIGITS)
+@pytest.mark.parametrize("argv", [["lkostka"], ["spin-char"], ["verify", "--suite", "tables"]])
+def test_counts_are_ascii_digits_only(capsys, argv, text):
+    flag = "--max-n" if argv[0] == "verify" else "--n"
+    assert main(argv + [flag, text, "--no-cache"]) == 2
+    assert f"argument {flag}: invalid int value: {text!r}" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("text", NOT_DIGITS + ["3,1_0", "5, 1"])
+def test_lambda_parts_are_ascii_digits_only(capsys, text):
+    assert main(["expand", "--family", "Q", "--lambda", text, "--basis", "Q", "--no-cache"]) == 2
+    err = _one_error_line(capsys)
+    assert f"argument --lambda: {text!r} is not a strict partition" in err
+    assert "each part must be ASCII decimal digits" in err
+
+
+@pytest.mark.parametrize("argv", [["spin-char", "--n", "0"], ["verify", "--max-n", "00"]])
+def test_counts_must_be_at_least_1(capsys, argv):
+    assert main(argv + ["--no-cache"]) == 2
+    assert f"argument {argv[1]}: must be >= 1, not '{argv[2]}'" in _one_error_line(capsys)
+
+
 def test_domain_errors_exit_2(capsys):
     assert main(["lkostka", "--n", "0", "--no-cache"]) == 2
     assert main(["expand", "--family", "G", "--lambda", "3,3", "--basis", "Q",
@@ -274,17 +300,13 @@ def test_malformed_cache_file_is_dropped(tmp_path, capsys, malform):
     clear_memos()
 
 
-def test_non_integer_character_exits_1(tmp_path, capsys):
-    cdir = tmp_path / "cache"
-    clear_memos()
-    assert main(["spin-char", "--n", "3", "--cache-dir", str(cdir)]) == 0
-    _edit_cache_file(cdir / "Y-3.json", lambda d: d["value"]["entries"][1].__setitem__(0, ["1", "5"]))
-    clear_memos()
-    code = main(["spin-char", "--n", "3", "--cache-dir", str(cdir)])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("error: non-integer spin character") and err.count("\n") == 1
-    clear_memos()
+def test_non_integer_character_exits_1(monkeypatch, capsys):
+    # every X0 value 1 makes the character at ((2,1), (3,)) one half
+    monkeypatch.setattr(spingreen, "_x0", lambda lam, mu, memo: 1)
+    code = main(["spin-char", "--n", "3", "--no-cache"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == "error: non-integer spin character 1/2 at ((2, 1), (3,))\n"
 
 
 def test_verify_ignores_the_cache(tmp_path, capsys):
@@ -333,6 +355,14 @@ def test_table_commands_import_only_the_recursions():
         print("gammaq.vertexops" in sys.modules)
     """)
     assert _fresh_python(probe) == "[]\nTrue\n"
+
+
+def test_spin_char_with_a_cache_dir_imports_no_hashlib(tmp_path):
+    # spin-char never opens its cache, so it never computes the fingerprint
+    run = "import sys; from gammaq.cli import main; main(sys.argv[1:]); print('hashlib' in sys.modules)"
+    out = _fresh_python(run, "spin-char", "--n", "3", "--format", "csv", "--cache-dir", str(tmp_path))
+    assert out.endswith("\nFalse\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_suite_names_are_the_verify_suites():

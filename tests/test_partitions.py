@@ -144,6 +144,12 @@ def test_text_forms():
         parse_partition("1,2")
 
 
+@pytest.mark.parametrize("text", [" 4,2", "4,2 ", "4,+2", "1_0", "4,\u0662", "()1", "4,,1"])
+def test_parse_partition_reads_ascii_digits_only(text):
+    with pytest.raises(ValueError):
+        parse_partition(text)
+
+
 def test_horizontal_strips_examples():
     assert horizontal_strips((2,), 1) == [
         HorizontalStrip((2,), (3,), 1),

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gammaq.spingreen as spingreen
+from gammaq.gamma import pn_star
 from gammaq.golden import golden_y_polys
 from gammaq.memo import clear_memos
 from gammaq.partitions import enumerate_odd, enumerate_strict
@@ -21,6 +22,7 @@ from gammaq.spingreen import (
     y_via_l,
 )
 from gammaq.tpoly import ONE, TPoly
+from gammaq.vertexops import expand_in_schur_q, schur_q
 from gammaq.verify import (
     check_char_integrality,
     check_frobenius,
@@ -76,22 +78,64 @@ def test_spin_character_examples():
 
 
 def test_spin_char_table_reads_cells_unchecked(monkeypatch):
-    """The table's cells come from y and enumerated partitions: no cell is
-    checked again, no polynomial is evaluated and no Y cell is computed."""
-    y = y_table(6)
-    expected = spin_char_table(y)
+    """The table's cells come from bar removal on enumerated partitions: no
+    cell is checked again, no polynomial is evaluated and no Y cell is
+    computed."""
+    expected = spin_char_table(6)
     clear_memos()
 
     def refuse(*args):
         raise AssertionError("called per cell")
 
     monkeypatch.setattr(spingreen, "check_pair", refuse)
+    monkeypatch.setattr(spingreen, "_y_rec", refuse)
     monkeypatch.setattr(TPoly, "__call__", refuse)
-    assert spin_char_table(y) == expected
-    assert not spingreen._y_memo  # the cells come from y, not the recursion
+    assert spin_char_table(6) == expected
+    assert not spingreen._y_memo
     monkeypatch.undo()
     with pytest.raises(ValueError):
         spin_character((2, 2), (3, 1))  # (2,2) is not strict
+
+
+def test_bars_are_the_adjoint_of_p_r_on_schur_q():
+    # p_r^* Q_lam expanded in the Schur Q-basis by the vertex operators, for
+    # every strict lam of weight <= 10 and every odd r <= |lam|: 165 cases
+    cases = 0
+    for n in range(1, 11):
+        for lam in enumerate_strict(n):
+            for r in range(1, n + 1, 2):
+                bars = {}
+                for kappa, c in spingreen._bars(lam, r):
+                    assert kappa not in bars, (lam, r, kappa)
+                    bars[kappa] = TPoly([c])
+                assert bars == expand_in_schur_q(pn_star(r, schur_q(lam))), (lam, r)
+                cases += 1
+    assert cases == 165
+
+
+def test_bar_removal_is_the_constant_term_of_the_recursion():
+    for n in range(1, 15):
+        memo = {}
+        for lam in enumerate_strict(n):
+            for mu in enumerate_odd(n):
+                assert spingreen._x0(lam, mu, memo) == y_recursive(lam, mu).coefficient(0), (lam, mu)
+
+
+def test_spin_char_table_does_not_depend_on_memo_state():
+    clear_memos()
+    cold = spin_char_table(8)
+    for lam in enumerate_strict(8):
+        for mu in enumerate_odd(8):
+            assert spin_character(lam, mu) == cold.entry(lam, mu)
+    y_table(8)
+    assert spin_char_table(8) == cold
+
+
+def test_non_integer_character_names_the_reduced_fraction(monkeypatch):
+    monkeypatch.setattr(spingreen, "_x0", lambda lam, mu, memo: 6)
+    # the exponent at ((5,4,3,2,1), (15,)) is 2, so the value is 6/4
+    with pytest.raises(ArithmeticError, match=r"^non-integer spin character 3/2 at \(\(5, 4, 3, 2, 1\), \(15,\)\)$"):
+        spin_character((5, 4, 3, 2, 1), (15,))
 
 
 def test_y_table_matches_golden():
@@ -116,7 +160,8 @@ def test_y_table_spot_values():
 
 
 # sha256 of json.dumps(table.to_json(), sort_keys=True) for y_table(n) and for
-# spin_char_table(y_table(n)), n = 8..18.  The Y digests for n <= 12 were
+# spin_char_table(n), n = 8..18, recorded when the characters were read off
+# y_table(n) at t = 0.  The Y digests for n <= 12 were
 # recorded from the recursion that summed over every index subset of mu, the
 # rest from the recursion over distinct sub-multisets.
 DATA = Path(__file__).parent / "data"
@@ -136,13 +181,13 @@ def test_larger_y_tables_are_pinned():
         y = y_table(int(n))
         if _sha256(y) != Y_DIGESTS[n]:
             changed.append(f"Y-{n}")
-        if _sha256(spin_char_table(y)) != CHAR_DIGESTS[n]:
+        if _sha256(spin_char_table(int(n))) != CHAR_DIGESTS[n]:
             changed.append(f"char-{n}")
     assert not changed
 
 
 def test_spin_char_table_small():
-    table = spin_char_table(y_table(4))
+    table = spin_char_table(4)
     assert table.entry((4,), (3, 1)) == 1
     assert table.entry((4,), (1, 1, 1, 1)) == 2
     assert table.entry((3, 1), (3, 1)) == -1
@@ -152,7 +197,7 @@ def test_spin_char_table_small():
 def test_table_round_trips():
     yt = y_table(5)
     assert Table.from_json(yt.to_json(), enumerate_odd).entries == yt.entries
-    ct = spin_char_table(yt)
+    ct = spin_char_table(5)
     assert Table.from_json(ct.to_json(), enumerate_odd, INT).entries == ct.entries
 
 
