@@ -69,19 +69,23 @@ def test_warm_hit_is_read_only_and_computes_nothing(tmp_path, capsys, argv, name
     assert not any(MEMOS)  # the answer came from the file
 
 
-def test_spin_char_reads_and_writes_no_cache_file(tmp_path, capsys):
-    # spin-char computes its characters by bar removal, so a Y table that
-    # spin-green left in the directory, even a tampered one, decides nothing
-    expected = _run(capsys, ["spin-char", "--n", "5", "--no-cache"])
+@pytest.mark.parametrize("first, second", [("spin-green", "spin-char"), ("spin-char", "spin-green")])
+def test_spin_green_and_spin_char_share_the_y_table(tmp_path, capsys, first, second):
+    # The Y table in a cache directory both commands use is spin-green's
+    # alone: spin-char computes its characters by bar removal, so it neither
+    # writes the table nor reads it, even a tampered one.
     cdir = ["--cache-dir", str(tmp_path)]
-    assert _run(capsys, ["spin-char", "--n", "5"] + cdir) == expected
-    assert not any(tmp_path.iterdir())
-    _run(capsys, ["spin-green", "--n", "5"] + cdir)
-    _edit(tmp_path / "Y-5.json", lambda t: t["entries"][1].__setitem__(0, ["3", "2"]))
-    before = _files(tmp_path)
-    clear_memos()
-    assert _run(capsys, ["spin-char", "--n", "5"] + cdir) == expected
-    assert _files(tmp_path) == before
+    expected = {cmd: _run(capsys, [cmd, "--n", "5", "--no-cache"]) for cmd in (first, second)}
+    for cmd in (first, second):
+        clear_memos()
+        before = _files(tmp_path)
+        assert _run(capsys, [cmd, "--n", "5"] + cdir) == expected[cmd]
+        if cmd == "spin-char":
+            assert _files(tmp_path) == before
+            assert not spingreen._y_memo  # no Y cell was computed
+        else:
+            assert [p.name for p in tmp_path.iterdir()] == ["Y-5.json"]
+            _edit(tmp_path / "Y-5.json", lambda t: t["entries"][1].__setitem__(0, ["3", "2"]))
 
 
 def test_cache_round_trip(tmp_path):
