@@ -3,12 +3,12 @@
 lkostka, spin-green and expand each store their result in one file,
 <name>.json: L-<n> (the Q-Kostka table), Y-<n> (the spin Green table) and
 expand-<family>-<basis>-<lam>; spin-char and verify use no cache.  Every
-file is {"version": VERSION_TAG, "kind": <name>, "value": <result>}, where
-VERSION_TAG, gammaq-<version>-<fingerprint>, carries a sha256 over the
-source of every module of the package, this one included, so a change to
-the layout or to any code retires every file written before.  The
-fingerprint is computed, and hashlib imported, when a cache is first used:
-the first time an enabled cache reads a file or writes one, so a --no-cache
+file is {"version": <tag>, "kind": <name>, "value": <result>}, where the
+tag, gammaq-<version>-<fingerprint> from _version_tag(), carries a sha256
+over the source of every module of the package, this one included, so a
+change to the layout or to any code retires every file written before.  The
+tag is computed once, and hashlib imported, when a cache is first used: the
+first time an enabled cache reads a file or writes one, so a --no-cache
 command never hashes the source.  A file that is missing, carries another
 tag or kind, or whose value the command's decoder refuses is ignored whole,
 and the result is recomputed rather than trusted.  The recursion memos
@@ -43,22 +43,17 @@ def _fingerprint() -> str:
     return digest.hexdigest()[:12]
 
 
+# A plain global, not functools.cache: the benchmark clears every lru_cache
+# before each request, and each warm request would then hash the source again.
 _tag: str | None = None
 
 
 def _version_tag() -> str:
-    """VERSION_TAG, computed on the first call."""
+    """The tag every cache file carries, computed on the first call."""
     global _tag
     if _tag is None:
         _tag = f"gammaq-{__version__}-{_fingerprint()}"
     return _tag
-
-
-def __getattr__(name: str) -> str:
-    # VERSION_TAG is a module attribute (PEP 562) that costs nothing until read
-    if name == "VERSION_TAG":
-        return _version_tag()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def default_cache_dir() -> str:

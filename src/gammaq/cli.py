@@ -273,7 +273,10 @@ def _count_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     if not text.strip("0"):
         raise argparse.ArgumentTypeError(f"must be >= 1, not {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _lambda_arg(text: str) -> Partition:

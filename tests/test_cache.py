@@ -9,7 +9,7 @@ import gammaq.cache as cache
 import gammaq.qkostka as qkostka
 import gammaq.spingreen as spingreen
 import gammaq.vertexops as vertexops
-from gammaq.cache import VERSION_TAG, Cache
+from gammaq.cache import Cache
 from gammaq.cli import main
 from gammaq.memo import clear_memos
 from gammaq.qkostka import Table, l_table
@@ -228,7 +228,7 @@ def test_fingerprint_covers_every_module(tmp_path, monkeypatch):
     for path in package.glob("*.py"):
         shutil.copy(path, copy / path.name)
     monkeypatch.setattr(cache, "__file__", str(copy / "cache.py"))
-    assert cache._fingerprint() in cache.VERSION_TAG
+    assert cache._fingerprint() in cache._version_tag()
     seen = {cache._fingerprint()}
     with open(copy / "cli.py", "a", encoding="utf-8") as fh:
         fh.write("\n")
@@ -243,4 +243,4 @@ def test_file_without_source_fingerprint_is_ignored(tmp_path, capsys):
     _retag(tmp_path / "L-3.json", "gammaq-0.1.0-fmt2")
     clear_memos()
     assert _run(capsys, ["lkostka", "--n", "3", "--cache-dir", str(tmp_path)]) == expected
-    assert json.loads((tmp_path / "L-3.json").read_text())["version"] == VERSION_TAG
+    assert json.loads((tmp_path / "L-3.json").read_text())["version"] == cache._version_tag()

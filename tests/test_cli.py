@@ -148,7 +148,7 @@ def test_lambda_errors_name_the_flag_and_the_text(capsys, text, expected):
 NOT_DIGITS = [" 1_0", "1_0", "+5", "\u0663"]  # the last is ARABIC-INDIC DIGIT THREE
 
 
-@pytest.mark.parametrize("text", NOT_DIGITS)
+@pytest.mark.parametrize("text", NOT_DIGITS + [pytest.param("9" * 5000, id="5000-digits")])
 @pytest.mark.parametrize("argv", [["lkostka"], ["spin-char"], ["verify", "--suite", "tables"]])
 def test_counts_are_ascii_digits_only(capsys, argv, text):
     flag = "--max-n" if argv[0] == "verify" else "--n"
@@ -199,22 +199,26 @@ def test_out_flag(tmp_path, capsys):
 
 
 def test_determinism(capsys):
-    _, first = _run(capsys, ["spin-green", "--n", "6", "--no-cache"])
-    _, second = _run(capsys, ["spin-green", "--n", "6", "--no-cache"])
-    assert first == second
+    for n in range(1, 8):
+        clear_memos()
+        _, first = _run(capsys, ["spin-green", "--n", str(n), "--no-cache"])
+        _, second = _run(capsys, ["spin-green", "--n", str(n), "--no-cache"])
+        assert first == second, n
+    clear_memos()
 
 
 def test_warm_cold_cache_bit_identity(tmp_path, capsys):
-    cdir = str(tmp_path / "cache")
     for n in range(1, 8):
+        cdir = str(tmp_path / f"cache{n}")
         clear_memos()
         _, cold = _run(capsys, ["spin-green", "--n", str(n), "--cache-dir", cdir])
         clear_memos()
         _, warm = _run(capsys, ["spin-green", "--n", str(n), "--cache-dir", cdir])
-        assert cold == warm, n
+        # a --no-cache run on the memos the warm run left, then from cleared memos
+        _, repeat = _run(capsys, ["spin-green", "--n", str(n), "--no-cache"])
         clear_memos()
         _, nocache = _run(capsys, ["spin-green", "--n", str(n), "--no-cache"])
-        assert cold == nocache, n
+        assert cold == warm == repeat == nocache, n
     clear_memos()
 
 
@@ -378,4 +382,4 @@ def test_cache_dir_run_writes_the_source_fingerprint(tmp_path):
     run = "import sys; from gammaq.cli import main; sys.exit(main(sys.argv[1:]))"
     _fresh_python(run, "lkostka", "--n", "3", "--cache-dir", str(tmp_path))
     tag = json.loads((tmp_path / "L-3.json").read_text())["version"]
-    assert tag == f"gammaq-{gammaq.__version__}-{cache._fingerprint()}" == cache.VERSION_TAG
+    assert tag == f"gammaq-{gammaq.__version__}-{cache._fingerprint()}" == cache._version_tag()

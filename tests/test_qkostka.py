@@ -16,17 +16,8 @@ from gammaq.qkostka import (
     l_two_row,
 )
 from gammaq.tpoly import ONE, TPoly, ZERO
-from gammaq.verify import (
-    check_l_degree,
-    check_l_divisibility,
-    check_l_oracle,
-    check_l_prefix,
-    check_l_stability,
-    check_l_support,
-    check_l_top_row,
-    check_l_two_row,
-    diagnostic_l_positivity,
-)
+
+from check_bounds import run_checks
 
 
 def test_l_direct_examples():
@@ -131,41 +122,6 @@ def test_strips_enumerated_once_per_inner_and_size(monkeypatch):
     assert not qkostka._strips_memo
 
 
-def test_recursion_equals_oracle():
-    r = check_l_oracle(7)
-    assert r.passed, r.detail
-
-
-def test_support_and_diagonal():
-    r = check_l_support(7)
-    assert r.passed, r.detail
-
-
-def test_top_row_value():
-    r = check_l_top_row(7)
-    assert r.passed, r.detail
-
-
-def test_degree_law():
-    r = check_l_degree(7)
-    assert r.passed, r.detail
-
-
-def test_two_power_divisibility():
-    r = check_l_divisibility(7)
-    assert r.passed, r.detail
-
-
-def test_prefix_property():
-    r = check_l_prefix(9)
-    assert r.passed, r.detail
-
-
-def test_stability():
-    r = check_l_stability(7)
-    assert r.passed, r.detail
-
-
 def _grown(lam, mu, r):
     return l_recursive((lam[0] + r,) + lam[1:], (mu[0] + r,) + mu[1:])
 
@@ -193,12 +149,4 @@ def test_stability_holds_when_mu_1_exceeds_lam_2():
 
 
 def test_two_row_closed_form():
-    r = check_l_two_row(9)
-    assert r.passed, r.detail
-
-
-def test_positivity_diagnostic_runs():
-    r = diagnostic_l_positivity(7)
-    assert r.diagnostic
-    if not r.passed:  # conjectural: report, never fail
-        print(f"positivity diagnostic: {r.detail}")
+    run_checks("test_qkostka::test_two_row_closed_form")

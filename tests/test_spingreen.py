@@ -23,16 +23,8 @@ from gammaq.spingreen import (
 )
 from gammaq.tpoly import ONE, TPoly
 from gammaq.vertexops import expand_in_schur_q, schur_q
-from gammaq.verify import (
-    check_char_integrality,
-    check_frobenius,
-    check_y_degree,
-    check_y_one_row,
-    check_y_reconstruction,
-    check_y_routes,
-    check_y_two_row,
-    diagnostic_y_positivity,
-)
+
+from check_bounds import run_checks
 
 
 def test_y_direct_examples():
@@ -201,46 +193,8 @@ def test_table_round_trips():
     assert Table.from_json(ct.to_json(), enumerate_odd, INT).entries == ct.entries
 
 
-def test_three_routes_agree():
-    r = check_y_routes(7)
-    assert r.passed, r.detail
-
-
-def test_degree_and_leading_coefficient():
-    r = check_y_degree(7)
-    assert r.passed, r.detail
-
-
-def test_one_row_values():
-    r = check_y_one_row(9)
-    assert r.passed, r.detail
-
-
-def test_two_row_closed_form():
-    r = check_y_two_row(7)
-    assert r.passed, r.detail
-
-
 def test_reconstruction():
-    r = check_y_reconstruction(7)
-    assert r.passed, r.detail
-
-
-def test_frobenius_consistency():
-    r = check_frobenius(7)
-    assert r.passed, r.detail
-
-
-def test_character_integrality_and_parity():
-    r = check_char_integrality(9)
-    assert r.passed, r.detail
-
-
-def test_positivity_diagnostic_runs():
-    r = diagnostic_y_positivity(7)
-    assert r.diagnostic
-    if not r.passed:  # conjectural: report, never fail
-        print(f"positivity diagnostic: {r.detail}")
+    run_checks("test_spingreen::test_reconstruction")
 
 
 # (lam, nu, mu) of one weight in 10..12: lam and nu strict, mu odd.

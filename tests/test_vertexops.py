@@ -13,17 +13,6 @@ from gammaq.gamma import GammaElement, d_dp, one, p_monomial, pair
 from gammaq.memo import clear_memos
 from gammaq.partitions import enumerate_odd, enumerate_strict, multiplicities
 from gammaq.tpoly import ONE, TPoly, inv_z_t
-from gammaq.verify import (
-    check_adjointness,
-    check_clifford,
-    check_gstar_on_schur,
-    check_gstar_powersum,
-    check_mixed_relations,
-    check_pieri,
-    check_powersum_adjoint_on_g,
-    check_quadratic,
-    check_vacuum,
-)
 from gammaq.vertexops import (
     G_SPEC,
     GSTAR_SPEC,
@@ -196,48 +185,3 @@ def test_gstar_on_schur_examples():
     # index 2 on (3,1): only the first row survives
     assert gstar_on_schur(2, (3, 1)) == apply_component(GSTAR_SPEC, 2, schur_q((3, 1)))
     assert gstar_on_schur(2, (3, 1)) == q_row(1) * schur_q((1,)) * TPoly([0, 2])
-
-
-# Operator identity properties.  Mode-composition checks run here at small
-# bounds; the acceptance suite repeats them at the full index range.
-
-
-def test_clifford_relations():
-    assert check_clifford(3).passed
-
-
-def test_quadratic_relations():
-    assert check_quadratic(3).passed
-
-
-def test_mixed_relations():
-    assert check_mixed_relations(3).passed
-
-
-def test_vacuum_relations():
-    assert check_vacuum(6).passed
-
-
-def test_gstar_closed_form_matches_operator():
-    r = check_gstar_on_schur(8)
-    assert r.passed, r.detail
-
-
-def test_gstar_on_power_sums():
-    r = check_gstar_powersum(7)
-    assert r.passed, r.detail
-
-
-def test_power_sum_adjoint_on_g_vectors():
-    r = check_powersum_adjoint_on_g(7)
-    assert r.passed, r.detail
-
-
-def test_pieri_rule():
-    r = check_pieri(9)
-    assert r.passed, r.detail
-
-
-def test_adjointness_sign_conventions():
-    r = check_adjointness(5)
-    assert r.passed, r.detail
