@@ -1,18 +1,18 @@
 """Persistent JSON cache of command results.
 
-lkostka, spin-green and expand each store their result in one file,
-<name>.json: L-<n> (the Q-Kostka table), Y-<n> (the spin Green table) and
-expand-<family>-<basis>-<lam>; spin-char and verify use no cache.  Every
-file is {"version": <tag>, "kind": <name>, "value": <result>}, where the
-tag, gammaq-<version>-<fingerprint> from _version_tag(), carries a sha256
-over the source of every module of the package, this one included, so a
-change to the layout or to any code retires every file written before.  The
-tag is computed once, and hashlib imported, when a cache is first used: the
-first time an enabled cache reads a file or writes one, so a --no-cache
-command never hashes the source.  A file that is missing, carries another
-tag or kind, or whose value the command's decoder refuses is ignored whole,
-and the result is recomputed rather than trusted.  The recursion memos
-(memo.py) are never stored.
+lkostka, spin-green and expand --basis p each store their result in one
+file, <name>.json: L-<n> (the Q-Kostka table), Y-<n> (the spin Green table)
+and expand-<family>-p-<lam>; spin-char, expand --basis Q and verify use no
+cache.  Every file is {"version": <tag>, "kind": <name>, "value":
+<result>}, where the tag, gammaq-<version>-<fingerprint> from
+_version_tag(), carries a sha256 over the source of every module of the
+package, this one included, so a change to the layout or to any code
+retires every file written before.  The tag is computed once, and hashlib
+imported, when a cache is first used: the first time an enabled cache reads
+a file or writes one, so a --no-cache command never hashes the source.  A
+file that is missing, carries another tag or kind, or whose value the
+command's decoder refuses is ignored whole, and the result is recomputed
+rather than trusted.  The recursion memos (memo.py) are never stored.
 
 load(name, decode) reads one file; save(name, value, encode) writes it
 unless that load found it.  A write goes to a temporary file in the cache

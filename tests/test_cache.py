@@ -39,18 +39,31 @@ def _files(directory):
     }
 
 
+def _value(edit):
+    """A file edit, from the parsed file to new file text, that applies edit
+    to the stored value in place."""
+
+    def text(data):
+        edit(data["value"])
+        return json.dumps(data)
+
+    return text
+
+
 def _edit(path, edit):
-    data = json.loads(path.read_text())
-    edit(data["value"])
-    path.write_text(json.dumps(data))
+    """Apply edit to the value stored in the cache file at path."""
+    path.write_text(_value(edit)(json.loads(path.read_text())))
+
+
+def _set_cell(row, col, value):
+    """An edit that stores value in the cached table cell (row, col)."""
+    return lambda table: table["entries"][row].__setitem__(col, value)
 
 
 # Each command with the one file that caches its result.
 COMMANDS = [
     (["lkostka", "--n", "6"], "L-6.json"),
     (["spin-green", "--n", "5"], "Y-5.json"),
-    (["expand", "--family", "G", "--lambda", "4,2,1", "--basis", "Q"], "expand-G-Q-4,2,1.json"),
-    (["expand", "--family", "Q", "--lambda", "4,2,1", "--basis", "Q"], "expand-Q-Q-4,2,1.json"),
     (["expand", "--family", "G", "--lambda", "4,2,1", "--basis", "p"], "expand-G-p-4,2,1.json"),
     (["expand", "--family", "Q", "--lambda", "4,2,1", "--basis", "p"], "expand-Q-p-4,2,1.json"),
 ]
@@ -85,7 +98,7 @@ def test_spin_green_and_spin_char_share_the_y_table(tmp_path, capsys, first, sec
             assert not spingreen._y_memo  # no Y cell was computed
         else:
             assert [p.name for p in tmp_path.iterdir()] == ["Y-5.json"]
-            _edit(tmp_path / "Y-5.json", lambda t: t["entries"][1].__setitem__(0, ["3", "2"]))
+            _edit(tmp_path / "Y-5.json", _set_cell(1, 0, ["3", "2"]))
 
 
 def test_cache_round_trip(tmp_path):
@@ -117,15 +130,12 @@ def test_failed_save_keeps_the_old_file(tmp_path, monkeypatch):
 def test_tampered_cell_is_copied_into_no_later_file(tmp_path, capsys):
     cdir = ["--cache-dir", str(tmp_path)]
     _run(capsys, ["lkostka", "--n", "5"] + cdir)
-    _edit(tmp_path / "L-5.json", lambda t: t["entries"][0].__setitem__(1, ["0", "7777"]))
+    _edit(tmp_path / "L-5.json", _set_cell(0, 1, ["0", "7777"]))
     for argv, _ in COMMANDS + [(["lkostka", "--n", "5"], None)]:
         clear_memos()
         _run(capsys, argv + cdir)
-    for lam in ("4,1", "3,2", "5"):
-        clear_memos()
-        _run(capsys, ["expand", "--family", "G", "--lambda", lam, "--basis", "Q"] + cdir)
     later = [p for p in tmp_path.iterdir() if p.name != "L-5.json"]
-    assert len(later) == 9
+    assert len(later) == 4
     assert not [p.name for p in later if "7777" in p.read_text()]
 
 
@@ -140,52 +150,89 @@ def _recoeff(parts, coeff):
     return edit
 
 
+def _restamp(**fields):
+    """A file edit that sets the file's top-level fields and a wrong first cell."""
+
+    def text(data):
+        data["value"]["entries"][0][0] = ["9"]
+        return json.dumps(dict(data, **fields))
+
+    return text
+
+
+def _module_list_tag():
+    """The tag of the earlier rule, which hashed seven named modules."""
+    named = ("partitions", "tpoly", "gamma", "vertexops", "qkostka", "spingreen", "memo")
+    package = Path(cache.__file__).parent
+    source = b"".join((package / f"{name}.py").read_bytes() for name in named)
+    return "gammaq-0.1.0-fmt2-" + hashlib.sha256(source).hexdigest()[:12]
+
+
+L_3 = ["lkostka", "--n", "3"]
+L_5 = ["lkostka", "--n", "5", "--format", "csv"]
+Y_3 = ["spin-green", "--n", "3", "--format", "csv"]
 G_P = ["expand", "--family", "G", "--lambda", "3,1", "--basis", "p", "--format", "csv"]
-G_Q = ["expand", "--family", "G", "--lambda", "3,2", "--basis", "Q", "--format", "latex"]
-# Edits of a cached expansion that no computation can produce.
-BAD_EXPANSIONS = [
-    (G_P, lambda terms: terms.append([[2, 1, 1], ["1"]])),  # not odd under basis p
-    (G_P, lambda terms: terms.append([[3, 1, 1], ["1"]])),  # odd, but of weight 5
-    (G_Q, list.clear),  # an empty term list
-    (G_P, _recoeff([3, 1], ["0"])),  # a zero coefficient
-    (G_P, lambda terms: terms.append([[3, 1], ["7"]])),  # a repeated partition
-    (G_Q, _recoeff([3, 2], ["2"])),  # coefficient 2 at lambda under basis Q
-    (G_Q, _recoeff([4, 1], ["1/2"])),  # a Q-Kostka coefficient that is not an integer
+# Each row: a command, and an edit of the file it wrote, from the parsed file
+# to new file text, after which the command must refuse the file.  A refused
+# file is dropped whole, its well-formed cells included.
+REFUSED = [
+    pytest.param(L_3, lambda data: "[]", id="not an object"),
+    pytest.param(L_3, lambda data: "[" * 100000 + "]" * 100000, id="deeply nested"),
+    pytest.param(L_3, lambda data: json.dumps(dict(data, value=[])), id="value not a table"),
+    pytest.param(L_3, _value(_set_cell(0, 0, "7")), id="cell not a list"),
+    pytest.param(L_3, _value(_set_cell(0, 0, ["1.5"])), id="inexact cell"),
+    pytest.param(L_3, _value(_set_cell(0, 0, ["1/0"])), id="zero denominator"),
+    pytest.param(L_3, _value(lambda v: v.update(n=4, rows=[[4], [3, 1]], cols=[[4], [3, 1]])),
+                 id="wrong weight"),
+    pytest.param(L_3, _value(lambda v: (v["rows"].reverse(), v["entries"].reverse())),
+                 id="rows out of order"),
+    pytest.param(L_3, _value(lambda v: [x.reverse() for x in [v["cols"], *v["entries"]]]),
+                 id="columns out of order"),
+    pytest.param(L_3, _value(lambda v: v["entries"][0].pop()), id="short row"),
+    pytest.param(L_3, _value(lambda v: v["entries"].pop()), id="missing row"),
+    # every L and Y value has integer coefficients
+    pytest.param(Y_3, _value(_set_cell(1, 0, ["-3/2", "2"])), id="Y fraction cell"),  # (2,1)|(3)
+    pytest.param(L_5, _value(_set_cell(1, 2, ["1/2", "2"])), id="L fraction cell"),  # (4,1)|(3,2)
+    # terms of an expansion that no computation can produce
+    pytest.param(G_P, _value(lambda terms: terms.append([[2, 1, 1], ["1"]])), id="term not odd"),
+    pytest.param(G_P, _value(lambda terms: terms.append([[3, 1, 1], ["1"]])), id="term of weight 5"),
+    pytest.param(G_P, _value(list.clear), id="empty term list"),
+    pytest.param(G_P, _value(_recoeff([3, 1], ["0"])), id="zero coefficient"),
+    pytest.param(G_P, _value(lambda terms: terms.append([[3, 1], ["7"]])), id="repeated partition"),
+    # a file stamped for another code version or another result
+    pytest.param(Y_3, _restamp(version="other"), id="another version"),
+    pytest.param(Y_3, _restamp(version=_module_list_tag()), id="module-list tag"),
+    pytest.param(L_3, _restamp(version="gammaq-0.1.0-fmt2"), id="no source fingerprint"),
+    pytest.param(L_3, _restamp(kind="L-4"), id="another kind"),
+    pytest.param(
+        Y_3, _value(_set_cell(1, 0, ["7"])), id="well-formed wrong value",  # true value 2t-2
+        marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 3: cached values are not checked on load"),
+    ),
 ]
 
 
-@pytest.mark.parametrize(
-    "argv, edit", BAD_EXPANSIONS, ids=[f"term{i}" for i in range(len(BAD_EXPANSIONS))]
-)
-def test_expansion_with_a_bad_partition_is_dropped(tmp_path, capsys, argv, edit):
+@pytest.mark.parametrize("argv, edit", REFUSED)
+def test_refused_file_is_recomputed_and_rewritten(tmp_path, capsys, argv, edit):
     expected = _run(capsys, argv + ["--no-cache"])
+    clear_memos()
     _run(capsys, argv + ["--cache-dir", str(tmp_path)])
     (path,) = tmp_path.iterdir()
-    _edit(path, edit)
+    written = path.read_bytes()
+    path.write_text(edit(json.loads(written)))
     clear_memos()
-    assert _run(capsys, argv + ["--cache-dir", str(tmp_path)]) == expected
+    assert main(argv + ["--cache-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr() == (expected, "")
+    assert path.read_bytes() == written
 
 
-def _set_cell(row, col, value):
-    """An edit that stores value in the cached table cell (row, col)."""
-    return lambda table: table["entries"][row].__setitem__(col, value)
-
-
-# Non-integer cells of a cached table; every L and Y value has integer coefficients.
-FRACTION_CELLS = [
-    (["spin-green", "--n", "3", "--format", "csv"], _set_cell(1, 0, ["-3/2", "2"])),  # Y cell (2,1)|(3)
-    (["lkostka", "--n", "5", "--format", "csv"], _set_cell(1, 2, ["1/2", "2"])),  # L cell (4,1)|(3,2)
-]
-
-
-@pytest.mark.parametrize("argv, edit", FRACTION_CELLS, ids=[argv[0] for argv, _ in FRACTION_CELLS])
-def test_table_with_a_fraction_cell_is_dropped(tmp_path, capsys, argv, edit):
-    expected = _run(capsys, argv + ["--no-cache"])
-    _run(capsys, argv + ["--cache-dir", str(tmp_path)])
-    (path,) = tmp_path.iterdir()
-    _edit(path, edit)
+def test_verify_ignores_the_cache(tmp_path, capsys):
+    _run(capsys, ["spin-green", "--n", "3", "--cache-dir", str(tmp_path)])
+    _edit(tmp_path / "Y-3.json", _set_cell(1, 0, ["7"]))
+    before = (tmp_path / "Y-3.json").read_bytes()
     clear_memos()
-    assert _run(capsys, argv + ["--cache-dir", str(tmp_path)]) == expected
+    out = _run(capsys, ["verify", "--suite", "tables", "--max-n", "3", "--cache-dir", str(tmp_path)])
+    assert "[PASS] golden-table-3" in out
+    assert (tmp_path / "Y-3.json").read_bytes() == before
 
 
 def test_unwritable_cache_warns_and_keeps_the_answer(tmp_path, capsys):
@@ -198,27 +245,6 @@ def test_unwritable_cache_warns_and_keeps_the_answer(tmp_path, capsys):
     assert captured.out == expected
     assert captured.err.startswith("warning: ") and captured.err.count("\n") == 1
     assert blocker.read_bytes() == b"keep me"
-
-
-def _retag(path, tag):
-    """Give the file at path another version tag and a wrong first cell."""
-    data = json.loads(path.read_text())
-    data["version"] = tag
-    data["value"]["entries"][0][0] = ["9"]
-    path.write_text(json.dumps(data))
-
-
-def test_file_tagged_by_the_module_list_rule_is_ignored(tmp_path, capsys):
-    # The earlier rule hashed seven named modules and tagged files "fmt2".
-    named = ("partitions", "tpoly", "gamma", "vertexops", "qkostka", "spingreen", "memo")
-    package = Path(cache.__file__).parent
-    source = b"".join((package / f"{name}.py").read_bytes() for name in named)
-    tag = "gammaq-0.1.0-fmt2-" + hashlib.sha256(source).hexdigest()[:12]
-    argv = ["spin-green", "--n", "3", "--format", "csv"]
-    expected = _run(capsys, argv + ["--cache-dir", str(tmp_path)])
-    _retag(tmp_path / "Y-3.json", tag)
-    clear_memos()
-    assert _run(capsys, argv + ["--cache-dir", str(tmp_path)]) == expected
 
 
 def test_fingerprint_covers_every_module(tmp_path, monkeypatch):
@@ -236,11 +262,3 @@ def test_fingerprint_covers_every_module(tmp_path, monkeypatch):
     (copy / "extra.py").write_text("")
     seen.add(cache._fingerprint())
     assert len(seen) == 3
-
-
-def test_file_without_source_fingerprint_is_ignored(tmp_path, capsys):
-    expected = _run(capsys, ["lkostka", "--n", "3", "--cache-dir", str(tmp_path)])
-    _retag(tmp_path / "L-3.json", "gammaq-0.1.0-fmt2")
-    clear_memos()
-    assert _run(capsys, ["lkostka", "--n", "3", "--cache-dir", str(tmp_path)]) == expected
-    assert json.loads((tmp_path / "L-3.json").read_text())["version"] == cache._version_tag()

@@ -9,11 +9,9 @@ import pytest
 
 import gammaq
 from gammaq import cli, spingreen
-from gammaq.cache import Cache, default_cache_dir
+from gammaq.cache import default_cache_dir
 from gammaq.cli import main
-from gammaq.golden import golden_y_polys
 from gammaq.memo import clear_memos
-from gammaq.partitions import enumerate_odd
 from gammaq.qkostka import Table, l_table
 from gammaq.tpoly import TPoly
 
@@ -33,15 +31,6 @@ def test_lkostka_json(capsys):
     table = Table.from_json(data)
     assert table.entries == l_table(5).entries  # parse-back round trip
     assert table.entry((4, 1), (3, 2)) == TPoly([0, 2])
-
-
-def test_spin_green_json_matches_golden(capsys):
-    code, out = _run(capsys, ["spin-green", "--n", "3", "--no-cache"])
-    assert code == 0
-    table = Table.from_json(json.loads(out), enumerate_odd)
-    golden = golden_y_polys(3)
-    for (lam, mu), poly in golden.items():
-        assert table.entry(lam, mu) == poly
 
 
 def test_spin_char_matrix(capsys):
@@ -222,86 +211,12 @@ def test_warm_cold_cache_bit_identity(tmp_path, capsys):
     clear_memos()
 
 
-def test_warm_cold_cache_lkostka(tmp_path, capsys):
-    cdir = str(tmp_path / "cache")
-    clear_memos()
-    _, cold = _run(capsys, ["lkostka", "--n", "7", "--cache-dir", cdir])
-    clear_memos()
-    _, warm = _run(capsys, ["lkostka", "--n", "7", "--cache-dir", cdir])
-    assert cold == warm
-    clear_memos()
-
-
-def test_stale_cache_version_is_ignored(tmp_path, capsys):
-    cdir = tmp_path / "cache"
-    clear_memos()
-    assert main(["spin-green", "--n", "3", "--cache-dir", str(cdir)]) == 0
-    capsys.readouterr()
-
-    def stale(data):
-        data["version"] = "other"
-        data["value"]["entries"][0][0] = ["9"]
-
-    _edit_cache_file(cdir / "Y-3.json", stale)
-    clear_memos()
-    _, out = _run(capsys, ["spin-green", "--n", "3", "--cache-dir", str(cdir)])
-    table = Table.from_json(json.loads(out), enumerate_odd)
-    assert table.entry((3,), (3,)) == TPoly([1])
-    clear_memos()
-
-
 def test_cache_dir_env(monkeypatch, tmp_path):
     monkeypatch.setenv("GAMMA_CACHE_DIR", str(tmp_path / "envcache"))
     assert default_cache_dir() == str(tmp_path / "envcache")
     monkeypatch.delenv("GAMMA_CACHE_DIR")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     assert default_cache_dir() == str(tmp_path / "xdg" / "gammaq")
-
-
-def _edit_cache_file(path, edit):
-    data = json.loads(path.read_text())
-    edit(data)
-    path.write_text(json.dumps(data))
-
-
-def _value(edit):
-    """The file content with edit applied to the stored table."""
-
-    def content(data):
-        edit(data["value"])
-        return json.dumps(data)
-
-    return content
-
-
-# Each case maps the good cache file of lkostka --n 3 to a bad one.
-MALFORMED = {
-    "not an object": lambda data: "[]",
-    "deeply nested": lambda data: "[" * 100000 + "]" * 100000,
-    "value not a table": lambda data: json.dumps(dict(data, value=[])),
-    # each one below drops the whole file, including the well-formed cells
-    "cell not a list": _value(lambda v: v["entries"][0].__setitem__(0, "7")),
-    "inexact cell": _value(lambda v: v["entries"][0].__setitem__(0, ["1.5"])),
-    "zero denominator": _value(lambda v: v["entries"][0].__setitem__(0, ["1/0"])),
-    "wrong weight": _value(lambda v: v.update(n=4, rows=[[4], [3, 1]], cols=[[4], [3, 1]])),
-    "rows out of order": _value(lambda v: (v["rows"].reverse(), v["entries"].reverse())),
-    "columns out of order": _value(lambda v: [x.reverse() for x in [v["cols"], *v["entries"]]]),
-    "short row": _value(lambda v: v["entries"][0].pop()),
-    "missing row": _value(lambda v: v["entries"].pop()),
-}
-
-
-@pytest.mark.parametrize("malform", MALFORMED.values(), ids=MALFORMED.keys())
-def test_malformed_cache_file_is_dropped(tmp_path, capsys, malform):
-    clear_memos()
-    _, expected = _run(capsys, ["lkostka", "--n", "3", "--no-cache"])
-    Cache(str(tmp_path)).save("L-3", l_table(3), Table.to_json)
-    path = tmp_path / "L-3.json"
-    path.write_text(malform(json.loads(path.read_text())))
-    clear_memos()
-    assert main(["lkostka", "--n", "3", "--cache-dir", str(tmp_path)]) == 0
-    assert capsys.readouterr() == (expected, "")
-    clear_memos()
 
 
 def test_non_integer_character_exits_1(monkeypatch, capsys):
@@ -311,20 +226,6 @@ def test_non_integer_character_exits_1(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert err == "error: non-integer spin character 1/2 at ((2, 1), (3,))\n"
-
-
-def test_verify_ignores_the_cache(tmp_path, capsys):
-    cdir = tmp_path / "cache"
-    clear_memos()
-    assert main(["spin-green", "--n", "3", "--cache-dir", str(cdir)]) == 0
-    _edit_cache_file(cdir / "Y-3.json", lambda d: d["value"]["entries"][1].__setitem__(0, ["7"]))
-    before = (cdir / "Y-3.json").read_text()
-    clear_memos()
-    code, out = _run(capsys, ["verify", "--suite", "tables", "--max-n", "3", "--cache-dir", str(cdir)])
-    assert code == 0
-    assert "[PASS] golden-table-3" in out
-    assert (cdir / "Y-3.json").read_text() == before
-    clear_memos()
 
 
 def _fresh_python(code: str, *args: str) -> str:
@@ -361,11 +262,17 @@ def test_table_commands_import_only_the_recursions():
     assert _fresh_python(probe) == "[]\nTrue\n"
 
 
-def test_spin_char_with_a_cache_dir_imports_no_hashlib(tmp_path):
-    # spin-char never opens its cache, so it never computes the fingerprint
-    run = "import sys; from gammaq.cli import main; main(sys.argv[1:]); print('hashlib' in sys.modules)"
-    out = _fresh_python(run, "spin-char", "--n", "3", "--format", "csv", "--cache-dir", str(tmp_path))
-    assert out.endswith("\nFalse\n")
+def test_spin_char_and_expand_basis_q_with_a_cache_dir_import_no_hashlib(tmp_path):
+    # neither command opens its cache, so neither computes the fingerprint
+    run = textwrap.dedent("""
+        import sys
+        from gammaq.cli import main
+        cache_dir = ["--cache-dir", sys.argv[1]]
+        assert main(["spin-char", "--n", "3", "--format", "csv"] + cache_dir) == 0
+        assert main(["expand", "--family", "G", "--lambda", "3,1", "--basis", "Q"] + cache_dir) == 0
+        print("hashlib" in sys.modules)
+    """)
+    assert _fresh_python(run, str(tmp_path)).endswith("\nFalse\n")
     assert not any(tmp_path.iterdir())
 
 
