@@ -3,7 +3,6 @@
 All comparisons are exact (zero tolerance).  Run with `pytest -s` to see the
 per-criterion lines.  Criteria 3, 4, 6 and 7 run the checks of gammaq.verify
 that check_bounds.CHECK_BOUNDS gives them, each once, at the bound it gives.
-Criterion 5, the closed-form t-identities, is checked by test_tpoly.py.
 """
 
 import json
@@ -13,10 +12,15 @@ from contextlib import contextmanager
 from gammaq.cli import main
 from gammaq.gamma import pair
 from gammaq.golden import golden_y_polys
-from gammaq.partitions import enumerate_odd, enumerate_strict
+from gammaq.partitions import (
+    enumerate_odd,
+    enumerate_partitions,
+    enumerate_strict,
+    index_subpartitions,
+)
 from gammaq.qkostka import Table, l_direct, l_recursive
 from gammaq.spingreen import y_recursive
-from gammaq.tpoly import ONE, TPoly
+from gammaq.tpoly import ONE, TPoly, ZERO, d_poly, inv_z_t, signed_t
 from gammaq.vertexops import expand_in_schur_q, g_modes_on_vacuum, qhl, schur_q
 
 from check_bounds import CHECK_BOUNDS, run_checks, verify_checks
@@ -73,6 +77,27 @@ def test_criterion_3_oracle_equivalence():
 def test_criterion_4_operator_identities():
     with criterion(4, "operator identity suites hold"):
         run_checks(4)
+
+
+def test_criterion_5_closed_form_identities():
+    with criterion(5, "closed-form t-identities hold at stated ranges"):
+        # odd-partition weight sum: 1 at n=0, else 2(t-1)(n)_t, n <= 20
+        assert sum((inv_z_t(r) for r in enumerate_odd(0)), ZERO) == ONE
+        for n in range(1, 21):
+            total = sum((inv_z_t(rho) for rho in enumerate_odd(n)), ZERO)
+            assert total == TPoly([-2, 2]) * signed_t(n), n
+        # signed t-integer telescoping, k <= 30
+        for k in range(1, 31):
+            total = signed_t(k)
+            for i in range(1, k):
+                total = total + 2 * signed_t(i)
+            assert total == TPoly([1] * k), k
+        # subpartition generating polynomial product formula, |lam| <= 10
+        for n in range(11):
+            for p in enumerate_partitions(n):
+                poly = d_poly(p)
+                for i in range(n + 1):
+                    assert poly.coefficient(i) == len(index_subpartitions(p, i)), (p, i)
 
 
 def test_criterion_6_structural_properties():

@@ -11,7 +11,9 @@ import gammaq
 from gammaq import cli, spingreen
 from gammaq.cache import default_cache_dir
 from gammaq.cli import main
+from gammaq.golden import golden_y_polys
 from gammaq.memo import clear_memos
+from gammaq.partitions import enumerate_odd
 from gammaq.qkostka import Table, l_table
 from gammaq.tpoly import TPoly
 
@@ -31,6 +33,15 @@ def test_lkostka_json(capsys):
     table = Table.from_json(data)
     assert table.entries == l_table(5).entries  # parse-back round trip
     assert table.entry((4, 1), (3, 2)) == TPoly([0, 2])
+
+
+def test_spin_green_json_matches_golden(capsys):
+    code, out = _run(capsys, ["spin-green", "--n", "3", "--no-cache"])
+    assert code == 0
+    table = Table.from_json(json.loads(out), enumerate_odd)
+    golden = golden_y_polys(3)
+    for (lam, mu), poly in golden.items():
+        assert table.entry(lam, mu) == poly
 
 
 def test_spin_char_matrix(capsys):
@@ -211,6 +222,16 @@ def test_warm_cold_cache_bit_identity(tmp_path, capsys):
     clear_memos()
 
 
+def test_warm_cold_cache_lkostka(tmp_path, capsys):
+    cdir = str(tmp_path / "cache")
+    clear_memos()
+    _, cold = _run(capsys, ["lkostka", "--n", "7", "--cache-dir", cdir])
+    clear_memos()
+    _, warm = _run(capsys, ["lkostka", "--n", "7", "--cache-dir", cdir])
+    assert cold == warm
+    clear_memos()
+
+
 def test_cache_dir_env(monkeypatch, tmp_path):
     monkeypatch.setenv("GAMMA_CACHE_DIR", str(tmp_path / "envcache"))
     assert default_cache_dir() == str(tmp_path / "envcache")
@@ -262,8 +283,8 @@ def test_table_commands_import_only_the_recursions():
     assert _fresh_python(probe) == "[]\nTrue\n"
 
 
-def test_spin_char_and_expand_basis_q_with_a_cache_dir_import_no_hashlib(tmp_path):
-    # neither command opens its cache, so neither computes the fingerprint
+def test_spin_char_with_a_cache_dir_imports_no_hashlib(tmp_path):
+    # spin-char and expand --basis Q never open their cache, so neither computes the fingerprint
     run = textwrap.dedent("""
         import sys
         from gammaq.cli import main

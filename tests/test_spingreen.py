@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import gammaq.spingreen as spingreen
 from gammaq.gamma import pn_star
+from gammaq.golden import golden_y_polys
 from gammaq.memo import clear_memos
 from gammaq.partitions import enumerate_odd, enumerate_strict
 from gammaq.qkostka import INT, Table, l_direct, l_recursive
@@ -127,6 +128,15 @@ def test_non_integer_character_names_the_reduced_fraction(monkeypatch):
     # the exponent at ((5,4,3,2,1), (15,)) is 2, so the value is 6/4
     with pytest.raises(ArithmeticError, match=r"^non-integer spin character 3/2 at \(\(5, 4, 3, 2, 1\), \(15,\)\)$"):
         spin_character((5, 4, 3, 2, 1), (15,))
+
+
+def test_y_table_matches_golden():
+    for n in range(3, 8):
+        table = y_table(n)
+        golden = golden_y_polys(n)
+        for lam in enumerate_strict(n):
+            for mu in enumerate_odd(n):
+                assert table.entry(lam, mu) == golden[(lam, mu)], (n, lam, mu)
 
 
 def test_y_table_spot_values():
