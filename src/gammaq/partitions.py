@@ -19,8 +19,11 @@ Partition = tuple[int, ...]
 
 
 def check_partition(parts: Iterable[int]) -> Partition:
-    """Validate and canonicalize to a tuple, else raise ValueError."""
-    p = tuple(int(x) for x in parts)
+    """Validate and canonicalize to a tuple: TypeError unless every part is
+    an int (not a bool), ValueError unless positive and weakly decreasing."""
+    p = tuple(parts)
+    if any(type(x) is not int for x in p):
+        raise TypeError(f"parts must be ints: {p}")
     if any(x < 1 for x in p):
         raise ValueError(f"parts must be positive integers: {p}")
     if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
@@ -122,6 +125,8 @@ def parse_partition(text: str) -> Partition:
 def _partitions(m: int, cap: int, strict: bool, odd: bool) -> Iterator[Partition]:
     """Partitions of m with parts <= cap, decreasing lexicographic; strict
     ones have distinct parts, odd ones only odd parts."""
+    if m < 0:
+        raise ValueError(f"weight must be non-negative: {m}")
     if m == 0:
         yield ()
         return

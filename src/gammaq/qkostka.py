@@ -183,10 +183,8 @@ class Table(NamedTuple):
 
 
 def l_table(n: int) -> Table:
-    """Full matrix over the strict partitions of n, via the recursion.  The
-    enumerated partitions are valid, so no cell is checked again."""
-    if n < 0:
-        raise ValueError("weight must be non-negative")
+    """Full matrix over the strict partitions of n >= 0, via the recursion.
+    The enumerated partitions are valid, so no cell is checked again."""
     return Table.build(n, enumerate_strict, _l_rec)
 
 

@@ -175,17 +175,13 @@ def _char(lam: Partition, mu: Partition, x0: int) -> int:
 
 
 def y_table(n: int) -> Table:
-    """Full spin Green matrix of weight n via the recursion.  The enumerated
-    partitions are valid, so no cell is checked again."""
-    if n < 1:
-        raise ValueError("weight must be positive")
+    """Full spin Green matrix of weight n >= 0 via the recursion.  The
+    enumerated partitions are valid, so no cell is checked again."""
     return Table.build(n, enumerate_odd, _y_rec)
 
 
 def spin_char_table(n: int) -> Table:
-    """Spin character matrix of weight n by bar removal.  Its cells share one
-    X0 memo that lives as long as the call, and are not checked again."""
-    if n < 1:
-        raise ValueError("weight must be positive")
+    """Spin character matrix of weight n >= 0 by bar removal.  Its cells share
+    one X0 memo that lives as long as the call, and are not checked again."""
     memo: dict = {}
     return Table.build(n, enumerate_odd, lambda lam, mu: _char(lam, mu, _x0(lam, mu, memo)), INT)

@@ -11,9 +11,7 @@ import gammaq
 from gammaq import cli, spingreen
 from gammaq.cache import default_cache_dir
 from gammaq.cli import main
-from gammaq.golden import golden_y_polys
 from gammaq.memo import clear_memos
-from gammaq.partitions import enumerate_odd
 from gammaq.qkostka import Table, l_table
 from gammaq.tpoly import TPoly
 
@@ -33,15 +31,6 @@ def test_lkostka_json(capsys):
     table = Table.from_json(data)
     assert table.entries == l_table(5).entries  # parse-back round trip
     assert table.entry((4, 1), (3, 2)) == TPoly([0, 2])
-
-
-def test_spin_green_json_matches_golden(capsys):
-    code, out = _run(capsys, ["spin-green", "--n", "3", "--no-cache"])
-    assert code == 0
-    table = Table.from_json(json.loads(out), enumerate_odd)
-    golden = golden_y_polys(3)
-    for (lam, mu), poly in golden.items():
-        assert table.entry(lam, mu) == poly
 
 
 def test_spin_char_matrix(capsys):
@@ -219,16 +208,6 @@ def test_warm_cold_cache_bit_identity(tmp_path, capsys):
         clear_memos()
         _, nocache = _run(capsys, ["spin-green", "--n", str(n), "--no-cache"])
         assert cold == warm == repeat == nocache, n
-    clear_memos()
-
-
-def test_warm_cold_cache_lkostka(tmp_path, capsys):
-    cdir = str(tmp_path / "cache")
-    clear_memos()
-    _, cold = _run(capsys, ["lkostka", "--n", "7", "--cache-dir", cdir])
-    clear_memos()
-    _, warm = _run(capsys, ["lkostka", "--n", "7", "--cache-dir", cdir])
-    assert cold == warm
     clear_memos()
 
 

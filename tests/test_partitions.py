@@ -1,4 +1,5 @@
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
 
@@ -70,6 +71,9 @@ def test_validators():
         check_strict((3, 3))
     with pytest.raises(ValueError):
         check_odd((3, 2))
+    for part in (4.9, Fraction(4), "4", True):  # never truncated or converted
+        with pytest.raises(TypeError):
+            check_partition((part, 1))
 
 
 def test_enumerate_order():
@@ -84,6 +88,9 @@ def test_enumerate_order():
     assert enumerate_strict(0) == ((),)
     assert enumerate_odd(0) == ((),)
     assert enumerate_partitions(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
+    for enumerator in (enumerate_partitions, enumerate_strict, enumerate_odd):
+        with pytest.raises(ValueError):
+            enumerator(-1)
 
 
 def test_euler_identity():

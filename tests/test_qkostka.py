@@ -35,6 +35,8 @@ def test_l_recursive_examples():
     assert l_recursive((5, 2), (4, 3)) == TPoly([0, 2])
     assert l_recursive((4, 2, 1), (4, 2, 1)) == ONE
     assert l_recursive((), ()) == ONE
+    with pytest.raises(TypeError):
+        l_recursive((4.9, 1.2), (3, 2))  # parts are not truncated to (4, 1)
 
 
 def test_l_two_row_examples():
@@ -129,7 +131,8 @@ def _grown(lam, mu, r):
 def test_stability_holds_when_mu_1_exceeds_lam_2():
     """Growing both top rows by r preserves L when mu_1 > lam_2 (lam_2 = 0
     for one row).  With mu_1 = lam_2 it fails from |lam| = 9, on both routes,
-    which is why check_l_stability, stating mu_1 >= lam_2, stops at 7."""
+    which is why lkostka_suite runs check_l_stability, stating
+    mu_1 >= lam_2, to 7 at most."""
     broken, checked = [], 0
     for n in range(1, 13):
         for lam in enumerate_strict(n):

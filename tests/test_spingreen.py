@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 import gammaq.spingreen as spingreen
 from gammaq.gamma import pn_star
-from gammaq.golden import golden_y_polys
 from gammaq.memo import clear_memos
 from gammaq.partitions import enumerate_odd, enumerate_strict
-from gammaq.qkostka import INT, Table, l_direct, l_recursive
+from gammaq.qkostka import INT, Table, l_direct, l_recursive, l_table
 from gammaq.spingreen import (
     spin_char_table,
     spin_character,
@@ -130,15 +129,6 @@ def test_non_integer_character_names_the_reduced_fraction(monkeypatch):
         spin_character((5, 4, 3, 2, 1), (15,))
 
 
-def test_y_table_matches_golden():
-    for n in range(3, 8):
-        table = y_table(n)
-        golden = golden_y_polys(n)
-        for lam in enumerate_strict(n):
-            for mu in enumerate_odd(n):
-                assert table.entry(lam, mu) == golden[(lam, mu)], (n, lam, mu)
-
-
 def test_y_table_spot_values():
     t6 = y_table(6)
     assert [t6.entry(lam, (3, 1, 1, 1)) for lam in enumerate_strict(6)] == [
@@ -184,6 +174,14 @@ def test_spin_char_table_small():
     assert table.entry((4,), (1, 1, 1, 1)) == 2
     assert table.entry((3, 1), (3, 1)) == -1
     assert table.entry((3, 1), (1, 1, 1, 1)) == 4
+
+
+@pytest.mark.parametrize("table, one", [(l_table, ONE), (y_table, ONE), (spin_char_table, 1)])
+def test_weight_0_is_the_table_of_the_empty_partition(table, one):
+    t = table(0)
+    assert (t.rows(), t.cols(), t.entries) == (((),), ((),), {((), ()): one})
+    with pytest.raises(ValueError):
+        table(-1)
 
 
 def test_table_round_trips():
