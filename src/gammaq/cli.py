@@ -5,6 +5,10 @@ Formats: json (canonical), csv, latex (published table layout), markdown.
 Exit codes: 0 success, 1 verification or arithmetic failure, 2 usage error;
 every error is one line on stderr.
 
+main(argv) may be called many times in one process: it builds the parser on
+its first call and reuses it, and it finds each command's cmd_* function by
+name when it is called.
+
 A table command imports only the recursions it runs: verify and the vertex
 operators are imported by the commands that use them.
 """
@@ -303,16 +307,15 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     ignored = "accepted and ignored: {} never reads or writes the cache"
-    for name, text, func, cache_help in (
-        ("lkostka", "Q-Kostka matrix over strict partitions", cmd_lkostka, None),
-        ("spin-green", "spin Green polynomial table", cmd_spin_green, None),
-        ("spin-char", "spin character table", cmd_spin_char, ignored.format("spin-char")),
+    for name, text, cache_help in (
+        ("lkostka", "Q-Kostka matrix over strict partitions", None),
+        ("spin-green", "spin Green polynomial table", None),
+        ("spin-char", "spin character table", ignored.format("spin-char")),
     ):
         p = subs.add_parser(name, help=text)
         p.add_argument("--n", type=_count_arg, required=True)
         p.add_argument("--format", choices=FORMATS, default="json")
         _add_common(p, cache_help)
-        p.set_defaults(func=func)
 
     p = subs.add_parser("expand", help="expand a basis vector in another basis")
     p.add_argument("--family", choices=("G", "Q"), required=True)
@@ -320,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", choices=("Q", "p"), required=True)
     p.add_argument("--format", choices=FORMATS, default="json")
     _add_common(p, "used by --basis p only: --basis Q never reads or writes the cache")
-    p.set_defaults(func=cmd_expand)
 
     p = subs.add_parser("verify", help="run verification suites")
     p.add_argument(
@@ -330,16 +332,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-n", type=_count_arg, default=5, dest="max_n")
     _add_common(p, ignored.format("verify"))
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
+_parser = None  # built by the first main call and reused by every later one
+
+
 def main(argv=None) -> int:
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
-    except (ValueError, IndexError, OSError) as exc:
+        args = _parser.parse_args(argv)
+        # looked up by name on each call, so a rebound cmd_* is the one called
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

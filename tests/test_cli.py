@@ -1,17 +1,24 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gammaq
 from gammaq import cli, spingreen
 from gammaq.cache import default_cache_dir
 from gammaq.cli import main
 from gammaq.memo import clear_memos
+from gammaq.partitions import enumerate_strict
 from gammaq.qkostka import Table, l_table
 from gammaq.tpoly import TPoly
 
@@ -228,10 +235,21 @@ def test_non_integer_character_exits_1(monkeypatch, capsys):
     assert err == "error: non-integer spin character 1/2 at ((2, 1), (3,))\n"
 
 
-def _fresh_python(code: str, *args: str) -> str:
-    """stdout of code run by a fresh interpreter that imports this gammaq."""
+def test_an_internal_index_error_escapes_main(monkeypatch):
+    # no input reaches an IndexError, so one is a bug, never a usage error
+    def broken(args):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr(cli, "cmd_spin_char", broken)
+    with pytest.raises(IndexError):
+        main(["spin-char", "--n", "3", "--no-cache"])
+
+
+def _fresh_python(code: str, *args: str, **env_vars: str) -> str:
+    """stdout of code run by a fresh interpreter that imports this gammaq,
+    with env_vars added to its environment."""
     src = str(Path(gammaq.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **env_vars)
     env.pop("GAMMA_CACHE_DIR", None)
     out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
     return out.stdout
@@ -290,3 +308,143 @@ def test_cache_dir_run_writes_the_source_fingerprint(tmp_path):
     _fresh_python(run, "lkostka", "--n", "3", "--cache-dir", str(tmp_path))
     tag = json.loads((tmp_path / "L-3.json").read_text())["version"]
     assert tag == f"gammaq-{gammaq.__version__}-{cache._fingerprint()}" == cache._version_tag()
+
+
+# ------------------------------------------ many main calls in one process
+
+
+def _send(argv):
+    """(exit code, stdout, stderr) of main(argv) in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_main_calls_the_cmd_function_bound_when_it_is_called(monkeypatch):
+    assert _send(["lkostka", "--n", "2", "--no-cache"])[0] == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_lkostka", lambda args: calls.append(args.n) or 0)
+    assert _send(["lkostka", "--n", "3", "--no-cache"]) == (0, "", "")
+    assert calls == [3]
+
+
+def test_main_builds_one_parser_and_build_parser_a_new_one_each_call(monkeypatch):
+    assert cli.build_parser() is not cli.build_parser()
+    assert _send(["spin-char", "--n", "2", "--no-cache"])[0] == 0
+
+    def second_build():
+        raise AssertionError("main built its parser again")
+
+    monkeypatch.setattr(cli, "build_parser", second_build)
+    assert _send(["spin-char", "--n", "3", "--no-cache"])[0] == 0
+
+
+# A grammar of command lines: every flag of every command, each with good
+# values and refused ones.  No good count is above 8, and verify always gets
+# --max-n of at most 2, since its default of 5 takes seconds.
+
+
+def _mostly(good, refused):
+    """A good value 3 times in 4, else a refused one."""
+    return st.integers(0, 3).flatmap(lambda k: st.sampled_from(refused) if k == 3 else good)
+
+
+_BAD_COUNTS = ["0", "00", "-3", "x", "", "1_0", "+5", " 2", "2.0", "\u0663"]
+_COUNT = _mostly(st.integers(1, 8).map(str), _BAD_COUNTS)
+_FORMAT = _mostly(st.sampled_from(cli.FORMATS), ["yaml", "", "JSON"])
+_STRICT = [",".join(map(str, lam)) for k in range(1, 9) for lam in enumerate_strict(k)]
+_TABLE_FLAGS = {"--n": _COUNT, "--format": _FORMAT}
+_FLAGS = {
+    "lkostka": _TABLE_FLAGS,
+    "spin-green": _TABLE_FLAGS,
+    "spin-char": _TABLE_FLAGS,
+    "expand": {
+        "--family": _mostly(st.sampled_from("GQ"), ["P", ""]),
+        "--lambda": _mostly(st.sampled_from(_STRICT), ["3,,1", "1,3", "3,3", "", "()", "4,x", "-2", "5,"]),
+        "--basis": _mostly(st.sampled_from("Qp"), ["s"]),
+        "--format": _FORMAT,
+    },
+    "verify": {
+        "--suite": _mostly(st.sampled_from(("all",) + cli.SUITE_NAMES), ["bogus"]),
+        "--max-n": _mostly(st.sampled_from(["1", "2"]), _BAD_COUNTS),
+    },
+}
+_STRAYS = ["--bogus", "--format", "-x", "stray", "--n"]
+
+
+@st.composite
+def _argvs(draw, directory):
+    rarely = lambda: draw(st.integers(0, 7)) == 7
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    groups = [
+        [flag, draw(values)]
+        for flag, values in _FLAGS[command].items()
+        if flag == "--max-n" or not rarely()
+    ]
+    if rarely():
+        groups.append([draw(st.sampled_from(_STRAYS))])
+    if rarely():  # a file, or a directory that cannot be opened as one
+        groups.append(["--out", draw(st.sampled_from([os.path.join(directory, "out.txt"), directory]))])
+    name = draw(st.sampled_from(["bogus", "", command.upper()])) if rarely() else command
+    cache = draw(st.sampled_from([["--no-cache"], ["--cache-dir", os.path.join(directory, "cache")]]))
+    return [name] + [word for group in draw(st.permutations(groups)) for word in group] + cache
+
+
+def test_any_command_line_exits_0_1_or_2_with_at_most_one_stderr_line():
+    with tempfile.TemporaryDirectory() as directory:
+
+        @settings(max_examples=200, deadline=None, derandomize=True)
+        @given(_argvs(directory))
+        def check(argv):
+            code, _, err = _send(argv)
+            assert code in (0, 1, 2), argv
+            assert err.count("\n") <= 1 and err[-1:] in ("", "\n"), (argv, err)
+            if code == 2:
+                assert err.startswith("error: "), (argv, err)
+
+        check()
+
+
+DIGESTS = json.loads((Path(__file__).parent / "data" / "cli_stdout_sha256.json").read_text())
+REFUSED = [
+    "spin-green --n 3 --format yaml",
+    "lkostka --format csv",
+    "expand --family G --lambda 3,,1 --basis Q",
+    "spin-char --n 3 --bogus",
+]
+
+
+def test_any_run_order_prints_the_pinned_stdout_and_the_fresh_process_error():
+    # each refused line's stderr and exit code as a fresh process prints them
+    fresh = "import sys; from gammaq.cli import main; sys.stderr = sys.stdout; print(main(sys.argv[1:]))"
+    expected = {line: _fresh_python(fresh, *line.split(), "--no-cache") for line in REFUSED}
+    assert all(out.endswith("\n2\n") and out.count("\n") == 2 for out in expected.values()), expected
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from(sorted(DIGESTS) + REFUSED), min_size=2, max_size=40))
+    def check(lines):
+        for line in lines:  # one process, shared memos, no clear_memos()
+            code, out, err = _send(line.split() + ["--no-cache"])
+            if line in expected:
+                assert out == "" and f"{err}{code}\n" == expected[line], line
+            else:
+                assert (code, err) == (0, ""), line
+                assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS[line], line
+
+    check()
+
+
+def test_stdout_does_not_depend_on_the_hash_seed():
+    # the seed moves str and bytes hashes, not those of int tuples: this
+    # guards output that iterates over a set or dict keyed by strings
+    run = textwrap.dedent("""
+        import sys
+        from gammaq.cli import main
+        for line in sys.argv[1:]:
+            assert main(line.split() + ["--no-cache"]) == 0, line
+    """)
+    lines = ["spin-green --n 6", "lkostka --n 7", "spin-char --n 7",
+             "expand --family G --lambda 4,2,1 --basis p"]
+    first, second = (_fresh_python(run, *lines, PYTHONHASHSEED=seed) for seed in ("0", "12345"))
+    assert first == second and first.count("\n") > len(lines)
