@@ -11,6 +11,12 @@ name when it is called.
 
 A table command imports only the recursions it runs: verify and the vertex
 operators are imported by the commands that use them.
+
+A table is rendered by walking its axes, looking each cell up once and
+writing each stored cell once; the zero cell is written once per table.
+The json format is written by _json_table, byte for byte what
+json.dumps(table.to_json(), indent=2) writes, without the json module's
+pure-Python indenting encoder.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import csv
 import io
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .cache import Cache
 from .partitions import (
@@ -43,9 +50,11 @@ SUITE_NAMES = ("operators", "lkostka", "spingreen", "tables")  # the keys of ver
 
 
 def _poly_latex(p: TPoly) -> str:
-    out = str(p)
-    for k in range(p.degree, 1, -1):
-        out = out.replace(f"t^{k}", f"t^{{{k}}}")
+    """str(p) with every exponent braced, as in 2t^{10}+t^{2}, in one pass."""
+    out, *powers = str(p).split("t^")
+    for rest in powers:
+        tail = rest.lstrip("0123456789")
+        out += "t^{" + rest[: len(rest) - len(tail)] + "}" + tail
     return out
 
 
@@ -83,10 +92,52 @@ def _grid(fmt: str, rows) -> str:
     raise ValueError(f"unknown format {fmt}")
 
 
+def _json_list(items: list[str], pad: str) -> str:
+    """A list of written JSON values laid out as json.dumps(..., indent=2)
+    lays it out where its closing bracket is indented by pad."""
+    if not items:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+
+
+def _json_value(value, pad: str) -> str:
+    """value, an int, a str or a nested list of them, as json.dumps(value,
+    indent=2) writes it where its closing bracket is indented by pad."""
+    if type(value) is list:
+        inner = pad + "  "
+        return _json_list(
+            [encode_basestring_ascii(v) if type(v) is str else _json_value(v, inner) for v in value], pad
+        )
+    if type(value) is int:
+        return str(value)
+    return json.dumps(value)
+
+
+def _cell_texts(table, write) -> list[list[str]]:
+    """write(cell) for every cell of table, row by row; the value of the
+    cells that are not stored, zero, is written once for the whole table."""
+    get, cols = table.entries.get, table.cols()
+    zero = write(table.cell.zero)
+    return [[zero if (v := get((r, c))) is None else write(v) for c in cols] for r in table.rows()]
+
+
+def _json_table(table) -> str:
+    """json.dumps(table.to_json(), indent=2) + "\n", written cell by cell."""
+    encode = table.cell.encode
+    pad = " " * 6  # a cell is an item of a row of the entries list
+    grid = [_json_list(row, "    ") for row in _cell_texts(table, lambda v: _json_value(encode(v), pad))]
+    return '{\n  "n": %s,\n  "rows": %s,\n  "cols": %s,\n  "entries": %s\n}\n' % (
+        _json_value(table.weight, "  "),
+        _json_value([list(r) for r in table.rows()], "  "),
+        _json_value([list(c) for c in table.cols()], "  "),
+        _json_list(grid, "  "),
+    )
+
+
 def _render_table(table, fmt: str, latex_cell, latex_transposed: bool) -> str:
-    rows, cols = table.rows(), table.cols()
     if fmt == "json":
-        return json.dumps(table.to_json(), indent=2) + "\n"
+        return _json_table(table)
     if fmt == "latex":
         corner = "$\\mu\\backslash\\lambda$" if latex_transposed else "$\\lambda\\backslash\\mu$"
         label = lambda p: f"${_part_compact(p)}$"
@@ -94,8 +145,8 @@ def _render_table(table, fmt: str, latex_cell, latex_transposed: bool) -> str:
     else:
         corner, cell = "lambda\\mu", str
         label = partition_str if fmt == "csv" else _part_compact
-    grid = [[corner] + [label(c) for c in cols]]
-    grid += [[label(r)] + [cell(table.entry(r, c)) for c in cols] for r in rows]
+    grid = [[corner] + [label(c) for c in table.cols()]]
+    grid += [[label(r)] + row for r, row in zip(table.rows(), _cell_texts(table, cell))]
     if fmt == "latex" and latex_transposed:
         # published layout: rows are the odd shapes, columns the strict ones
         grid = list(zip(*grid))

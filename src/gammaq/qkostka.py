@@ -127,7 +127,13 @@ class Table(NamedTuple):
     """A matrix over one weight: rows are the strict partitions of weight,
     columns the partitions columns(weight) lists (strict or odd).  Only
     nonzero cells are kept, as build and from_json make them; cell encodes a
-    cell for JSON and gives the value of a cell that is not stored."""
+    cell for JSON and gives the value of a cell that is not stored.
+
+    entries is keyed by the canonical axis tuples, so a reader that walks
+    rows() and cols() looks each cell up once, as to_json does; entry()
+    canonicalizes its keys for callers that pass other sequences.
+    from_json decodes each cell once, straight into entries, and skips a
+    cell whose JSON is that of the zero value ([] for POLY) undecoded."""
 
     weight: int
     entries: dict[tuple[Partition, Partition], Any]
@@ -150,14 +156,13 @@ class Table(NamedTuple):
         return self.entries.get((tuple(lam), tuple(mu)), self.cell.zero)
 
     def to_json(self) -> dict:
+        rows, cols = self.rows(), self.cols()
+        get, encode, zero = self.entries.get, self.cell.encode, self.cell.zero
         return {
             "n": self.weight,
-            "rows": [list(r) for r in self.rows()],
-            "cols": [list(c) for c in self.cols()],
-            "entries": [
-                [self.cell.encode(self.entry(lam, mu)) for mu in self.cols()]
-                for lam in self.rows()
-            ],
+            "rows": [list(r) for r in rows],
+            "cols": [list(c) for c in cols],
+            "entries": [[encode(get((lam, mu), zero)) for mu in cols] for lam in rows],
         }
 
     @classmethod
@@ -174,12 +179,16 @@ class Table(NamedTuple):
         grid = data["entries"]
         if len(grid) != len(rows) or any(len(row) != len(cols) for row in grid):
             raise ValueError(f"table entries are not a {len(rows)} x {len(cols)} grid")
-        cells = {
-            (lam, mu): cell.decode(value)
-            for lam, row in zip(rows, grid)
-            for mu, value in zip(cols, row)
-        }
-        return cls(n, {k: v for k, v in cells.items() if v != cell.zero}, columns, cell)
+        decode, zero = cell.decode, cell.zero
+        empty = cell.encode(zero)  # the JSON of a zero cell, skipped undecoded
+        entries = {}
+        for lam, row in zip(rows, grid):
+            for mu, value in zip(cols, row):
+                if value != empty:
+                    value = decode(value)
+                    if value != zero:
+                        entries[lam, mu] = value
+        return cls(n, entries, columns, cell)
 
 
 def l_table(n: int) -> Table:

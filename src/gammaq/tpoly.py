@@ -11,8 +11,13 @@ representation of FLINT's fmpq_poly:
 This normal form is unique, so equality and hashing compare the pair
 directly.  Arithmetic runs on ints with one gcd reduction per result, and
 denominator 1, the case of every L, Y and character value, takes no gcd at
-all.  Only int and Fraction scalars are accepted, so no float or string can
-slip into an exact value.  A TPoly is immutable and hashable.
+all.  Printing takes the same shortcut: str() of an integer polynomial
+writes each term's sign, magnitude and power straight from _num, and only a
+polynomial with a denominator goes through the reduced-fraction path.
+from_int_json, the decoder of every cached table cell, builds the normal
+form directly when the top coefficient is nonzero.  Only int and Fraction
+scalars are accepted, so no float or string can slip into an exact value.
+A TPoly is immutable and hashable.
 
 The module also carries the small t-arithmetic gadgets the closed formulas
 need: the signed t-integer (k)_t, from which the two-row spin Green form
@@ -47,6 +52,26 @@ def _ratio_str(n: int, d: int) -> str:
     """n/d, d > 0, in lowest terms as Fraction prints it: '3', '-1/2'."""
     g = gcd(n, d)
     return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def _int_str(num: tuple[int, ...]) -> str:
+    """TPoly.__str__ of the integer polynomial with coefficients num: the
+    sign, magnitude and power of each term straight from the ints."""
+    pieces = []
+    for k in range(len(num) - 1, -1, -1):
+        c = num[k]
+        if not c:
+            continue
+        if c < 0:
+            sign, c = "-", -c
+        else:
+            sign = "+" if pieces else ""
+        if k == 0:
+            pieces.append(f"{sign}{c}")
+        else:
+            tpow = "t" if k == 1 else f"t^{k}"
+            pieces.append(sign + tpow if c == 1 else f"{sign}{c}{tpow}")
+    return "".join(pieces)
 
 
 class TPoly:
@@ -266,6 +291,8 @@ class TPoly:
         num, den = self._num, self._den
         if not num:
             return "0"
+        if den == 1:
+            return _int_str(num)
         pieces = []
         for k in range(len(num) - 1, -1, -1):
             c = num[k]
@@ -309,7 +336,10 @@ class TPoly:
         if not isinstance(data, list):
             raise TypeError(f"TPoly JSON must be a list of coefficients: {data!r}")
         "".join(data)  # raises TypeError on a non-string
-        return TPoly._reduce([int(s) for s in data], 1)
+        num = tuple(map(int, data))
+        if num and num[-1]:
+            return TPoly._raw(num, 1)  # already in normal form
+        return TPoly._reduce(list(num), 1)
 
 
 ZERO = TPoly()

@@ -4,7 +4,8 @@ tests/data/cli_stdout_sha256.json maps each command line (without
 --no-cache) to the sha256 of its stdout: lkostka, spin-green and spin-char
 for n = 1..7 and expand for every family/basis pair at lambda = (4,2,1),
 each in all four formats.  A refactor of the tables, the renderers or the
-cache must leave every digest unchanged, cold and warm.
+cache must leave every digest unchanged, cold and warm, these and the
+larger ones below.
 
 tests/data/cli_stdout_large_sha256.json pins larger outputs the same way:
 lkostka --n 12, spin-green and spin-char --n 10, and expand for every
@@ -22,8 +23,10 @@ import json
 import re
 from pathlib import Path
 
-from gammaq.cli import main
+from gammaq.cli import _render_int_table, _render_poly_table, main
 from gammaq.memo import clear_memos
+from gammaq.qkostka import l_table
+from gammaq.spingreen import spin_char_table, y_table
 
 DATA = Path(__file__).parent / "data"
 DIGESTS = json.loads((DATA / "cli_stdout_sha256.json").read_text())
@@ -73,6 +76,18 @@ def test_cli_stdout_bytes_are_pinned_warm(tmp_path, capsys):
         return out
 
     assert not _changed(warm)
+    assert not _changed(warm, LARGE_DIGESTS)
+
+
+def test_json_table_writer_matches_the_json_module():
+    # the renderer writes the json format itself; json.dumps is the reference
+    tables = [(_render_poly_table, l_table, n, [False]) for n in range(15)]
+    tables += [(_render_poly_table, y_table, n, [True]) for n in range(10)]
+    tables += [(_render_int_table, spin_char_table, n, []) for n in range(13)]
+    for render, build, n, flags in tables:
+        table = build(n)
+        expected = json.dumps(table.to_json(), indent=2) + "\n"
+        assert render(table, "json", *flags) == expected, (build.__name__, n)
 
 
 def test_verify_stdout_bytes_are_pinned(capsys):
