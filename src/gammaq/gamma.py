@@ -1,16 +1,33 @@
 """The graded ring generated by odd power sums, in power-sum coordinates.
 
 A GammaElement is a finite linear combination of power-sum monomials p_mu,
-mu an odd partition, with TPoly coefficients.  The power-sum monomial basis
-is the unique internal representation: products reduce to multiset unions of
-parts, the derivative d/dp_n acts diagonally, and the bilinear form
-<p_lam, p_mu> = 2^{-l(lam)} delta_{lam,mu} z_lam is diagonal.
+mu an odd partition, with coefficients polynomials in t over the rationals.
+The power-sum monomial basis is the unique internal representation: products
+reduce to multiset unions of parts, the derivative d/dp_n acts diagonally,
+and the bilinear form <p_lam, p_mu> = 2^{-l(lam)} delta_{lam,mu} z_lam is
+diagonal.
+
+The coefficients share one denominator, the fmpq_poly idea of TPoly applied
+one level up:
+
+  * _terms maps each odd partition to a tuple of ints, the numerator of its
+    coefficient ascending in t, with no trailing zeros and never empty;
+  * _den is a positive int with gcd(_den, every coefficient of every term)
+    = 1, and 1 for the zero element.
+
+This normal form is unique, so equality compares (_den, _terms) directly.
+Sums, products, d/dp_n and the pairing run on ints and reduce once per
+result; _den == 1, the case of every Schur Q- and Q-Hall-Littlewood vector,
+takes no gcd at all.  coefficient() and terms() hand out reduced TPolys, and
+the constructor accepts TPoly, int and Fraction coefficients.  A
+GammaElement has no mutator, so results may be shared.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from math import gcd, lcm
+from typing import Iterator, Mapping, Sequence, Union
 
 from .partitions import Partition, check_odd, union_sorted, z_factor
 from .tpoly import ONE, TPoly, ZERO, _as_tpoly
@@ -18,42 +35,87 @@ from .tpoly import ONE, TPoly, ZERO, _as_tpoly
 CoeffLike = Union[int, Fraction, TPoly]
 
 
-class GammaElement:
-    """Finite map from odd partitions to nonzero TPoly coefficients."""
+def _pmul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two int coefficient sequences, ascending in t."""
+    if len(a) == 1:
+        s = a[0]
+        return [s * c for c in b]
+    if len(b) == 1:
+        s = b[0]
+        return [c * s for c in a]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
 
-    __slots__ = ("_terms",)
+
+def _padd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Sum of two int coefficient sequences, as a new list."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return out
+
+
+def _accumulate(table: dict, key, num: list[int]) -> None:
+    """table[key] += num, in place on the int lists of table, which must be
+    lists owned by the caller, as num becomes."""
+    prev = table.get(key)
+    if prev is None:
+        table[key] = num
+        return
+    if len(prev) < len(num):
+        table[key] = num
+        prev, num = num, prev
+    for i, c in enumerate(num):
+        prev[i] += c
+
+
+def _as_poly(num: tuple[int, ...], den: int) -> TPoly:
+    """The reduced TPoly num/den of one normal-form term."""
+    return TPoly._raw(num, 1) if den == 1 else TPoly._reduce(list(num), den)
+
+
+class GammaElement:
+    """Finite map from odd partitions to nonzero coefficients over one
+    common denominator."""
+
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: Mapping[Partition, CoeffLike] = ()):
-        clean: dict[Partition, TPoly] = {}
+        polys: dict[Partition, TPoly] = {}
         for mu, c in dict(terms).items():
             mu = check_odd(mu)
             poly = _as_tpoly(c)
             if poly is None:
                 raise TypeError(f"coefficient of p_{mu} must be TPoly or rational")
-            if not poly.is_zero:
-                clean[mu] = poly
-        self._terms = clean
+            polys[mu] = poly
+        den = lcm(*(poly._den for poly in polys.values()))
+        self._terms, self._den = _normal_form(
+            {mu: [c * (den // poly._den) for c in poly._num] for mu, poly in polys.items()}, den
+        )
 
     @classmethod
-    def _from_raw(cls, terms: dict[Partition, TPoly]) -> "GammaElement":
-        """Internal fast path: keys already odd partitions, coefficients
-        already nonzero.  Negation, a nonzero scalar and d_dp keep them so."""
+    def _make(cls, terms: Mapping[Partition, Sequence[int]], den: int) -> "GammaElement":
+        """Internal constructor: keys already odd partitions, each value an
+        int numerator over den > 0, in any form; see _normal_form."""
         self = object.__new__(cls)
-        self._terms = terms
+        self._terms, self._den = _normal_form(terms, den)
         return self
-
-    @classmethod
-    def _pruned(cls, terms: dict[Partition, TPoly]) -> "GammaElement":
-        """_from_raw after dropping the zeros that cancellation in a sum leaves."""
-        return cls._from_raw({mu: c for mu, c in terms.items() if not c.is_zero})
 
     def terms(self) -> Iterator[tuple[Partition, TPoly]]:
         """(partition, coefficient) pairs in decreasing lexicographic key order."""
+        den = self._den
         for mu in sorted(self._terms, reverse=True):
-            yield mu, self._terms[mu]
+            yield mu, _as_poly(self._terms[mu], den)
 
     def coefficient(self, mu: Partition) -> TPoly:
-        return self._terms.get(tuple(mu), ZERO)
+        num = self._terms.get(tuple(mu))
+        return ZERO if num is None else _as_poly(num, self._den)
 
     @property
     def is_zero(self) -> bool:
@@ -69,14 +131,29 @@ class GammaElement:
     def __add__(self, other) -> "GammaElement":
         if not isinstance(other, GammaElement):
             return NotImplemented
-        out = dict(self._terms)
-        for mu, c in other._terms.items():
+        a, da = self._terms, self._den
+        b, db = other._terms, other._den
+        if not b:
+            return self
+        if not a:
+            return other
+        if da == db:
+            den = da
+            out = dict(a)
+        else:
+            g = gcd(da, db)
+            den = da // g * db
+            fa, fb = db // g, da // g
+            out = {mu: [c * fa for c in num] for mu, num in a.items()} if fa != 1 else dict(a)
+            if fb != 1:
+                b = {mu: [c * fb for c in num] for mu, num in b.items()}
+        for mu, num in b.items():
             s = out.get(mu)
-            out[mu] = c if s is None else s + c
-        return GammaElement._pruned(out)
+            out[mu] = num if s is None else _padd(s, num)
+        return GammaElement._make(out, den)
 
     def __neg__(self) -> "GammaElement":
-        return GammaElement._from_raw({mu: -c for mu, c in self._terms.items()})
+        return GammaElement._make({mu: [-c for c in num] for mu, num in self._terms.items()}, self._den)
 
     def __sub__(self, other) -> "GammaElement":
         if not isinstance(other, GammaElement):
@@ -84,38 +161,60 @@ class GammaElement:
         return self + (-other)
 
     def __mul__(self, other) -> "GammaElement":
+        a = self._terms
+        if isinstance(other, GammaElement):
+            b = other._terms
+            out: dict[Partition, list[int]] = {}
+            for mu, cf in a.items():
+                for nu, cg in b.items():
+                    _accumulate(out, union_sorted(mu, nu), _pmul(cf, cg))
+            return GammaElement._make(out, self._den * other._den)
         c = _as_tpoly(other)
-        if c is not None:
-            if c.is_zero:
-                return GammaElement()
-            return GammaElement._from_raw(
-                {mu: coeff * c for mu, coeff in self._terms.items()}
-            )
-        if not isinstance(other, GammaElement):
+        if c is None:
             return NotImplemented
-        out: dict[Partition, TPoly] = {}
-        for mu, cf in self._terms.items():
-            for nu, cg in other._terms.items():
-                key = union_sorted(mu, nu)
-                prod = cf * cg
-                s = out.get(key)
-                out[key] = prod if s is None else s + prod
-        return GammaElement._pruned(out)
+        return GammaElement._make({mu: _pmul(num, c._num) for mu, num in a.items()}, self._den * c._den)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GammaElement):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
-    __hash__ = None  # mutable-dict backed; compare by value only
+    __hash__ = None  # compared by value only
 
     def __repr__(self) -> str:
         if self.is_zero:
             return "GammaElement(0)"
         body = " + ".join(f"({c})*p[{','.join(map(str, mu))}]" for mu, c in self.terms())
         return f"GammaElement({body})"
+
+
+def _normal_form(
+    terms: Mapping[Partition, Sequence[int]], den: int
+) -> tuple[dict[Partition, tuple[int, ...]], int]:
+    """(_terms, _den) of the element sum_mu (terms[mu] / den) p_mu, den > 0:
+    trailing zeros trimmed, zero terms dropped, and the content common to den
+    and every coefficient cancelled by one gcd scan that stops at 1."""
+    out: dict[Partition, tuple[int, ...]] = {}
+    for mu, num in terms.items():
+        k = len(num)
+        while k and not num[k - 1]:
+            k -= 1
+        if k:
+            out[mu] = tuple(num) if k == len(num) else tuple(num[:k])
+    if not out:
+        return out, 1
+    if den != 1:
+        g = den
+        for num in out.values():
+            g = gcd(g, *num)
+            if g == 1:
+                break
+        else:
+            den //= g
+            out = {mu: tuple([c // g for c in num]) for mu, num in out.items()}
+    return out, den
 
 
 def p_monomial(mu: Partition) -> GammaElement:
@@ -132,16 +231,16 @@ def d_dp(n: int, f: GammaElement) -> GammaElement:
     """The derivative d/dp_n, n odd: kills p_n-free monomials, else removes one part.
 
     Distinct monomials stay distinct, since mu is the result's key plus one
-    part n, so no two terms meet and no coefficient becomes zero."""
+    part n, so no two terms meet."""
     if n < 1 or n % 2 == 0:
         raise ValueError(f"derivative index must be odd and positive: {n}")
-    out: dict[Partition, TPoly] = {}
-    for mu, c in f._terms.items():
+    out: dict[Partition, list[int]] = {}
+    for mu, num in f._terms.items():
         m = mu.count(n)
         if m:
             i = mu.index(n)
-            out[mu[:i] + mu[i + 1 :]] = c * m
-    return GammaElement._from_raw(out)
+            out[mu[:i] + mu[i + 1 :]] = [c * m for c in num]
+    return GammaElement._make(out, f._den)
 
 
 def pn_star(n: int, f: GammaElement) -> GammaElement:
@@ -150,12 +249,17 @@ def pn_star(n: int, f: GammaElement) -> GammaElement:
 
 
 def pair(f: GammaElement, g: GammaElement) -> TPoly:
-    """Bilinear form with <p_lam, p_mu> = 2^{-l(lam)} delta_{lam,mu} z_lam."""
-    total = ZERO
-    small, big = (f._terms, g._terms) if len(f._terms) <= len(g._terms) else (g._terms, f._terms)
-    for mu, cf in small.items():
-        cg = big.get(mu)
-        if cg is not None:
-            total = total + cf * cg * Fraction(z_factor(mu), 2 ** len(mu))
-    return total
+    """Bilinear form with <p_lam, p_mu> = 2^{-l(lam)} delta_{lam,mu} z_lam.
 
+    Summed on ints as cf cg z_mu 2^{top - l(mu)} over den_f den_g 2^top,
+    top the longest common key, with one reduction."""
+    small, big = (f._terms, g._terms) if len(f._terms) <= len(g._terms) else (g._terms, f._terms)
+    common = [(mu, cf, cg) for mu, cf in small.items() if (cg := big.get(mu)) is not None]
+    if not common:
+        return ZERO
+    top = max(len(mu) for mu, _, _ in common)
+    total: list[int] = []
+    for mu, cf, cg in common:
+        w = z_factor(mu) << (top - len(mu))
+        total = _padd(total, [c * w for c in _pmul(cf, cg)])
+    return TPoly._reduce(total, f._den * g._den << top)

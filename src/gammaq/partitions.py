@@ -17,16 +17,18 @@ from typing import Iterable, Iterator, NamedTuple
 
 Partition = tuple[int, ...]
 
+_INT_ONLY = frozenset((int,))
+
 
 def check_partition(parts: Iterable[int]) -> Partition:
     """Validate and canonicalize to a tuple: TypeError unless every part is
     an int (not a bool), ValueError unless positive and weakly decreasing."""
     p = tuple(parts)
-    if any(type(x) is not int for x in p):
+    if not _INT_ONLY.issuperset(map(type, p)):
         raise TypeError(f"parts must be ints: {p}")
-    if any(x < 1 for x in p):
+    if p and min(p) < 1:
         raise ValueError(f"parts must be positive integers: {p}")
-    if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
+    if list(p) != sorted(p, reverse=True):
         raise ValueError(f"parts must be weakly decreasing: {p}")
     return p
 

@@ -120,7 +120,16 @@ class Codec(NamedTuple):
 
 POLY = Codec(TPoly.to_json, TPoly.from_int_json, ZERO)  # every L and Y value is integral
 
-INT = Codec(int, int, 0)
+
+def _int_cell(value) -> int:
+    """Decode an INT cell: a JSON integer only, so a float is never
+    truncated and true, false and strings are refused."""
+    if type(value) is not int:
+        raise TypeError(f"integer cell must be a JSON integer: {value!r}")
+    return value
+
+
+INT = Codec(int, _int_cell, 0)
 
 
 class Table(NamedTuple):

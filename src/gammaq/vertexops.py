@@ -12,13 +12,20 @@ expansion in a formal variable z.  A mode is extracted exactly:
 
 No series-order parameter is exposed; results are exact.
 
+A mode runs on the int numerators of its input over the input's one
+denominator (see gamma): the substitution weights are int coefficient
+tuples, since every annihilation rule here is an integer polynomial, and
+the products with the creation terms are summed over the lcm of their
+denominators and reduced once.
+
 Four registered memos, each filled by memo.cached, keep the work from
 repeating: the creation term of each z-degree, the substitution weights of
 each part value and multiplicity, each mode applied to a whole input vector
-(keyed by the vector's terms, so equal vectors hit whatever their term
-order), and each mode sequence applied to the vacuum.  The operator
-identities apply the same inner modes for every outer mode, so most mode
-applications are repeats.
+(keyed by the vector's denominator and the set of its numerator terms, so
+equal vectors hit whatever their term order, and vectors with equal
+numerators over different denominators never meet), and each mode sequence
+applied to the vacuum.  The operator identities apply the same inner modes
+for every outer mode, so most mode applications are repeats.
 
 Specs provided here:
 
@@ -34,10 +41,10 @@ Q-function vectors; G-modes yield the Q-Hall-Littlewood vectors.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 from typing import Callable, NamedTuple, Sequence
 
-from .gamma import GammaElement, one, pair
+from .gamma import GammaElement, _accumulate, _pmul, one, pair
 from .memo import cached, memo
 from .partitions import (
     Partition,
@@ -46,6 +53,7 @@ from .partitions import (
     enumerate_strict,
     multiplicities,
     remove_part,
+    union_sorted,
 )
 from .tpoly import ONE, TPoly
 
@@ -101,8 +109,8 @@ QSTAR_SPEC = OperatorSpec(
 
 
 _creation_memo: dict[tuple[str, int], GammaElement] = memo()
-_apply_memo: dict[tuple[str, int, frozenset], GammaElement] = memo()
-_weights_memo: dict[tuple[str, int, int], list[TPoly]] = memo()
+_apply_memo: dict[tuple[str, int, int, frozenset], GammaElement] = memo()
+_weights_memo: dict[tuple[str, int, int], list[tuple[int, ...]]] = memo()
 _vacuum_memo: dict[tuple[str, tuple[int, ...]], GammaElement] = memo()
 
 
@@ -118,21 +126,23 @@ def _creation_term(spec: OperatorSpec, r: int) -> GammaElement:
         w = ONE
         for part in rho:
             w = w * spec.creation(part)
-        w = w * Fraction(1, _aut(rho))
-        if not w.is_zero:
-            terms[rho] = w
-    return GammaElement._from_raw(terms)
+        terms[rho] = w * Fraction(1, _aut(rho))
+    return GammaElement(terms)
 
 
 @cached(_weights_memo, key=lambda spec, n, count: (spec.key, n, count))
-def _weights(spec: OperatorSpec, n: int, count: int) -> list[TPoly]:
-    """C(count, k) a_n^k for k = 0..count: the weights of the substitution
-    p_n -> p_n + a_n z^{-n} on p_n^count."""
+def _weights(spec: OperatorSpec, n: int, count: int) -> list[tuple[int, ...]]:
+    """C(count, k) a_n^k for k = 0..count, as int coefficient tuples: the
+    weights of the substitution p_n -> p_n + a_n z^{-n} on p_n^count.
+    Raises ValueError unless a_n is an integer polynomial, as it is for
+    every spec here."""
     a = spec.annihilation(n)
-    return [a**k * comb(count, k) for k in range(count + 1)]
+    if a._den != 1:
+        raise ValueError(f"annihilation rule of {spec.key} at {n} is not an integer polynomial: {a}")
+    return [(a**k * comb(count, k))._num for k in range(count + 1)]
 
 
-@cached(_apply_memo, key=lambda spec, m, f: (spec.key, m, frozenset(f._terms.items())))
+@cached(_apply_memo, key=lambda spec, m, f: (spec.key, m, f._den, frozenset(f._terms.items())))
 def apply_component(spec: OperatorSpec, m: int, f: GammaElement) -> GammaElement:
     """Apply the mode of index m: the coefficient of z^m (z^{-m} for starred
     specs) in (creation exponential) (annihilation exponential) f.
@@ -140,34 +150,43 @@ def apply_component(spec: OperatorSpec, m: int, f: GammaElement) -> GammaElement
     On c p_mu the annihilation exponential is the substitution
     p_n -> p_n + a_n z^{-n}, so a part value n of multiplicity c_n expands to
     sum_k C(c_n, k) a_n^k z^{-nk} p_n^{c_n - k}.  The products are grouped by
-    the weight s taken off; each group that does not cancel is multiplied by
-    the creation term of z-degree r = m + s (s - m when starred).
+    the weight s taken off, on the int numerators over f's denominator; each
+    group that does not cancel is multiplied by the creation term of
+    z-degree r = m + s (s - m when starred).  The products are summed over
+    the lcm of the creation terms' denominators and reduced once.
 
-    Memoized on (spec, m, the set of f's terms); the result is shared, as
-    GammaElement has no mutator."""
-    groups: dict[int, dict[Partition, TPoly]] = {}
+    Memoized on (spec, m, f's denominator, the set of f's numerator terms);
+    the result is shared, as GammaElement has no mutator."""
+    groups: dict[int, dict[Partition, list[int]]] = {}
     for mu, c in f._terms.items():
         expansion = [(0, (), c)]
         for n, count in multiplicities(mu).items():
             weights = _weights(spec, n, count)
             expansion = [
-                (s + n * k, nu + (n,) * (count - k), w * weights[k])
+                (s + n * k, nu + (n,) * (count - k), _pmul(weights[k], w) if k else w)
                 for s, nu, w in expansion
                 for k in range(count + 1)
             ]
+        # _accumulate adds in place.  Only the s = 0 entry is c itself, a
+        # tuple, under nu = mu, which no other term of f reaches, so nothing
+        # is added into it; every other w is a new list.
         for s, nu, w in expansion:
-            group = groups.setdefault(s, {})
-            prev = group.get(nu)
-            group[nu] = w if prev is None else prev + w
-    result = GammaElement()
+            _accumulate(groups.setdefault(s, {}), nu, w)
+    factors = []
     for s, group in groups.items():
         r = (s - m) if spec.star else (m + s)
-        if r < 0:
-            continue
-        g = GammaElement._pruned(group)
-        if not g.is_zero:
-            result = result + _creation_term(spec, r) * g
-    return result
+        if r >= 0 and any(any(num) for num in group.values()):
+            factors.append((_creation_term(spec, r), group))
+    den = lcm(*(creation._den for creation, _ in factors))
+    out: dict[Partition, list[int]] = {}
+    for creation, group in factors:
+        scale = den // creation._den
+        for rho, cr in creation._terms.items():
+            if scale != 1:
+                cr = [c * scale for c in cr]
+            for nu, cg in group.items():
+                _accumulate(out, union_sorted(rho, nu), _pmul(cr, cg))
+    return GammaElement._make(out, f._den * den)
 
 
 @cached(_vacuum_memo, key=lambda spec, modes: (spec.key, modes))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from gammaq.gamma import (
     pair,
     pn_star,
 )
-from gammaq.partitions import enumerate_odd, enumerate_strict
+from gammaq.partitions import enumerate_odd, enumerate_strict, union_sorted
 from gammaq.tpoly import ONE, TPoly, ZERO
 from gammaq.vertexops import q_row, qhl, schur_q
 
@@ -117,9 +118,8 @@ _nonzero_scalars = st.one_of(
 @settings(max_examples=100, deadline=None)
 @given(_elements, _nonzero_scalars)
 def test_unpruned_results_hold_no_zero(f, c):
-    """Negation, a nonzero scalar and d_dp build their result without
-    re-scanning for zeros: none can appear, and each equals the pruned
-    construction from the same terms."""
+    """Negation, a nonzero scalar and d_dp leave no zero coefficient, and
+    each equals the construction from the same terms."""
     derivative_terms = {n: {} for n in (1, 3, 5, 7)}
     for n, out in derivative_terms.items():
         for mu, coeff in f.terms():
@@ -134,3 +134,56 @@ def test_unpruned_results_hold_no_zero(f, c):
     for result, terms in cases:
         assert all(not coeff.is_zero for _, coeff in result.terms())
         assert result == GammaElement(terms)
+
+
+# Rational coefficients, so that elements carry denominators other than 1.
+_qcoeffs = st.lists(st.fractions(-3, 3, max_denominator=6), min_size=1, max_size=3).map(TPoly)
+_qelements = st.dictionaries(st.sampled_from(_odd_pool), _qcoeffs, max_size=4).map(GammaElement)
+_rational_scalars = st.one_of(
+    st.integers(-5, 5).filter(bool),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool),
+)
+
+
+def _in_normal_form(element):
+    """Positive _den, no trailing or all-zero numerator, and no factor common
+    to _den and every coefficient (so _den is 1 for the zero element)."""
+    nums = list(element._terms.values())
+    coeffs = [c for num in nums for c in num]
+    return element._den > 0 and all(num and num[-1] for num in nums) and gcd(element._den, *coeffs) == 1
+
+
+def _nonzero(terms):
+    return {mu: c for mu, c in terms.items() if not c.is_zero}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_qelements, _qelements, _nonzero_scalars, _rational_scalars)
+def test_ring_operations_match_termwise_tpoly_arithmetic(f, g, c, r):
+    """Each operation on the common-denominator form gives the terms that
+    TPoly arithmetic on the coefficients gives, and the normal form is
+    unique: an element rebuilt along any route compares equal."""
+    ft, gt = dict(f.terms()), dict(g.terms())
+    total = dict(ft)
+    for mu, cg in gt.items():
+        total[mu] = total.get(mu, ZERO) + cg
+    product = {}
+    for mu, cf in ft.items():
+        for nu, cg in gt.items():
+            key = union_sorted(mu, nu)
+            product[key] = product.get(key, ZERO) + cf * cg
+    assert dict((f + g).terms()) == _nonzero(total)
+    assert dict((f * g).terms()) == _nonzero(product)
+    assert dict((f * c).terms()) == {mu: cf * c for mu, cf in ft.items()}
+    for n in (1, 3, 5, 7):
+        derivative = {}
+        for mu, cf in ft.items():
+            if n in mu:
+                i = mu.index(n)
+                key = mu[:i] + mu[i + 1 :]
+                derivative[key] = derivative.get(key, ZERO) + cf * mu.count(n)
+        assert dict(d_dp(n, f).terms()) == derivative
+    assert (f + g) - g == f
+    assert f * r * (1 / Fraction(r)) == f
+    for element in (f, g, f + g, f * g, f * c, (f + g) - g, d_dp(1, f)):
+        assert _in_normal_form(element), element

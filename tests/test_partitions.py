@@ -4,6 +4,8 @@ from itertools import combinations
 from math import comb, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gammaq.partitions import (
     HorizontalStrip,
@@ -74,6 +76,46 @@ def test_validators():
     for part in (4.9, Fraction(4), "4", True):  # never truncated or converted
         with pytest.raises(TypeError):
             check_partition((part, 1))
+
+
+def _old_check_partition(parts):
+    """The three rules check_partition applied as generator scans, kept as
+    the oracle for its refusals and their messages."""
+    p = tuple(parts)
+    if any(type(x) is not int for x in p):
+        raise TypeError(f"parts must be ints: {p}")
+    if any(x < 1 for x in p):
+        raise ValueError(f"parts must be positive integers: {p}")
+    if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
+        raise ValueError(f"parts must be weakly decreasing: {p}")
+    return p
+
+
+def _outcome(fn, parts):
+    try:
+        return fn(parts)
+    except (TypeError, ValueError) as e:
+        return type(e), str(e)
+
+
+_parts = st.one_of(
+    st.integers(-3, 6),
+    st.integers(max_value=0),
+    st.booleans(),
+    st.floats(),
+    st.fractions(-3, 6),
+    st.text(max_size=2),
+)
+
+
+# Int-only tuples reach the two ValueError rules; mixed ones the TypeError.
+_part_tuples = st.one_of(st.lists(st.integers(-3, 6), max_size=6), st.lists(_parts, max_size=5)).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_part_tuples)
+def test_check_partition_refuses_as_the_generator_scans_did(parts):
+    assert _outcome(check_partition, parts) == _outcome(_old_check_partition, parts)
 
 
 def test_enumerate_order():

@@ -191,6 +191,13 @@ def test_table_round_trips():
     assert Table.from_json(ct.to_json(), enumerate_odd, INT).entries == ct.entries
 
 
+@pytest.mark.parametrize("cell", [1.9, True, "1"])
+def test_int_table_refuses_a_cell_that_is_not_a_json_integer(cell):
+    data = {"n": 2, "rows": [[2]], "cols": [[1, 1]], "entries": [[cell]]}
+    with pytest.raises(TypeError):
+        Table.from_json(data, enumerate_odd, INT)
+
+
 def test_reconstruction():
     run_checks("test_spingreen::test_reconstruction")
 

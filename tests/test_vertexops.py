@@ -151,6 +151,23 @@ def test_apply_component_is_memoized_by_value(monkeypatch):
     assert not vertexops._apply_memo
 
 
+def test_apply_memo_key_holds_the_denominator():
+    # Equal numerators over different denominators: a memo keyed on the
+    # numerators alone would hand one vector's image to the other.
+    clear_memos()
+    f = p_monomial((3,))
+    g = f * Fraction(1, 2)
+    assert g._terms == f._terms and g._den != f._den
+    for m in range(-3, 4):
+        assert apply_component(Q_SPEC, m, g) == apply_component(Q_SPEC, m, f) * Fraction(1, 2), m
+
+
+def test_a_non_integral_annihilation_rule_is_refused():
+    spec = vertexops.OperatorSpec("half", Q_SPEC.creation, lambda n: TPoly([Fraction(1, 2)]))
+    with pytest.raises(ValueError, match="integer polynomial"):
+        apply_component(spec, 0, p_monomial((1,)))
+
+
 _specs = st.sampled_from([Q_SPEC, G_SPEC, GSTAR_SPEC, QSTAR_SPEC])
 _odd_small = [mu for w in range(7) for mu in enumerate_odd(w)]
 _coeffs = st.one_of(
