@@ -4,10 +4,13 @@ structural laws, golden-table comparison, and positivity diagnostics.
 A check states an identity lhs = rhs as a stream of cases (label, lhs, rhs),
 one per instance, built while the check runs.  _agree is the one loop that
 runs the stream: it compares the two sides of each case exactly and keeps the
-labels of the cases that differ.  Each suite returns a list of CheckResult.
-Diagnostics report violations but never fail a run; everything else is an
-exact assertion.  The suites are shared between the command-line `verify`
-subcommand and the test suite.
+labels of the cases that differ.  Diagnostics report violations but never
+fail a run; everything else is an exact assertion.
+
+_check registers each check, its suite and its cap on max_n in CHECKS.
+SUITES maps a suite name to a callable(max_n) returning a list of
+CheckResult, derived from CHECKS but for the hand-written tables suite.  The
+suites are shared between the command-line `verify` subcommand and the tests.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .gamma import GammaElement, one, p_monomial, pair, pn_star
-from .golden import golden_y_polys
+from .golden import GOLDEN_Y, golden_y_polys
 from .partitions import (
     Partition,
     dominance_leq,
@@ -85,18 +88,25 @@ def _agree(cases) -> tuple[list[str], int]:
     return failures, count
 
 
-def _check(name: str, ok_detail: str, diagnostic: bool = False):
-    """Turn cases(max_n), a generator of cases, into the check named name.
-    When every case agrees, its detail is ok_detail formatted with the
-    number of cases (count) and max_n.  A diagnostic check never fails a run."""
+# (suite, function name, cap) of every check, in the order the suites run them.
+CHECKS: list[tuple[str, str, int | None]] = []
+
+
+def _check(name: str, ok_detail: str, suite: str, cap: int | None = None, diagnostic: bool = False):
+    """Turn cases(max_n), a generator of cases, into the check named name,
+    registered in CHECKS under suite, that runs to min(max_n, cap).  When every
+    case agrees, its detail is ok_detail formatted with the number of cases
+    (count) and that max_n.  A diagnostic check never fails a run."""
 
     def make(cases):
         @functools.wraps(cases)
         def check(max_n: int) -> CheckResult:
+            max_n = max_n if cap is None else min(max_n, cap)
             failures, count = _agree(cases(max_n))
             detail = ok_detail.format(count=count, max_n=max_n)
             return _result(name, failures, detail, diagnostic)
 
+        CHECKS.append((suite, cases.__name__, cap))
         return check
 
     return make
@@ -163,7 +173,7 @@ def _qs(m, f):
 # ---------------------------------------------------------------- operators
 
 
-@_check("clifford", "{count} anticommutators checked")
+@_check("clifford", "{count} anticommutators checked", "operators")
 def check_clifford(max_n: int):
     """Anticommutators of Q-modes: {Q_m, Q_n} = (-1)^n 2 delta_{m,-n}."""
     for mu, f, m, n in _mode_pairs(max_n):
@@ -172,7 +182,7 @@ def check_clifford(max_n: int):
         yield f"m={m},n={n},p_{mu}", lhs, rhs
 
 
-@_check("vacuum", "modes 0..{max_n} checked")
+@_check("vacuum", "modes 0..{max_n} checked", "operators")
 def check_vacuum(max_n: int):
     """Negative Q-modes kill the vacuum; negative starred G-modes expand in
     power sums with the (-2)^l / z(t) polynomial weights."""
@@ -182,7 +192,7 @@ def check_vacuum(max_n: int):
         yield f"G*_{-n}.1", _Gs(-n, one()), rhs
 
 
-@_check("quadratic", "{count} relations checked")
+@_check("quadratic", "{count} relations checked", "operators")
 def check_quadratic(max_n: int):
     """Quadratic relations among G-modes."""
     one_minus_t_sq = TPoly((1, 0, -1))
@@ -198,7 +208,7 @@ def check_quadratic(max_n: int):
         yield f"m={m},n={n},p_{mu}", lhs, rhs
 
 
-@_check("mixed-relations", "{count} relations checked")
+@_check("mixed-relations", "{count} relations checked", "operators")
 def check_mixed_relations(max_n: int):
     """Commutation relations mixing starred G-modes, Q-modes, one-row
     multiplications and their adjoints.  The relation with 1/t factors is
@@ -241,7 +251,7 @@ def check_mixed_relations(max_n: int):
                     yield f"rel3 m={m},n={n},p_{mu}", lhs, rhs
 
 
-@_check("gstar-on-schur", "{count} pairs checked")
+@_check("gstar-on-schur", "{count} pairs checked", "operators")
 def check_gstar_on_schur(max_n: int):
     """Closed form for starred G-modes on Schur Q-vectors vs the operator."""
     for lam in _shapes(0, max_n):
@@ -249,7 +259,7 @@ def check_gstar_on_schur(max_n: int):
             yield f"k={k},lam={lam}", gstar_on_schur(k, lam), _Gs(k, schur_q(lam))
 
 
-@_check("gstar-powersum", "{count} cases checked")
+@_check("gstar-powersum", "{count} cases checked", "operators")
 def check_gstar_powersum(max_n: int):
     """Starred G-modes on power-sum monomials: peel index subpartitions."""
     for w in range(max_n + 1):
@@ -263,7 +273,7 @@ def check_gstar_powersum(max_n: int):
                 yield f"k={k},mu={mu}", lhs, rhs
 
 
-@_check("powersum-adjoint", "{count} cases checked")
+@_check("powersum-adjoint", "{count} cases checked", "operators")
 def check_powersum_adjoint_on_g(max_n: int):
     """Adjoint power sums on Q-Hall-Littlewood vectors lower one row index."""
     for lam in _shapes(0, max_n):
@@ -276,7 +286,7 @@ def check_powersum_adjoint_on_g(max_n: int):
             yield f"k={k},lam={lam}", lhs, rhs
 
 
-@_check("pieri", "{count} products checked")
+@_check("pieri", "{count} products checked", "operators")
 def check_pieri(max_n: int):
     """One-row multiplication rule on Schur Q-vectors with strip statistics."""
     for mu in _shapes(0, max_n):
@@ -289,7 +299,7 @@ def check_pieri(max_n: int):
             yield f"mu={mu},r={r}", lhs, rhs
 
 
-@_check("adjointness", "{count} pairings checked")
+@_check("adjointness", "{count} pairings checked", "operators")
 def check_adjointness(max_n: int):
     """<G_n u, v> = <u, G*_n v> exactly, and <Q_n u, v> = (-1)^n <u, Q_{-n} v>.
 
@@ -307,30 +317,16 @@ def check_adjointness(max_n: int):
                     yield f"G n={n},{mu},{nu}", pair(_G(n, u), v), pair(u, _Gs(n, v))
 
 
-def operators_suite(max_n: int) -> list[CheckResult]:
-    return [
-        check_clifford(max_n),
-        check_vacuum(max_n),
-        check_quadratic(max_n),
-        check_mixed_relations(max_n),
-        check_gstar_on_schur(max_n),
-        check_gstar_powersum(max_n),
-        check_powersum_adjoint_on_g(max_n),
-        check_pieri(max_n),
-        check_adjointness(max_n),
-    ]
-
-
 # ----------------------------------------------------------------- lkostka
 
 
-@_check("l-recursion-vs-oracle", "{count} pairs agree (n<={max_n})")
+@_check("l-recursion-vs-oracle", "{count} pairs agree (n<={max_n})", "lkostka")
 def check_l_oracle(max_n: int):
     """Recursion equals the vertex-operator definition on every pair."""
     yield from _cell_cases(_cells(0, max_n, enumerate_strict), l_recursive, l_direct)
 
 
-@_check("l-support-diagonal", "support and diagonal verified (n<={max_n})")
+@_check("l-support-diagonal", "support and diagonal verified (n<={max_n})", "lkostka")
 def check_l_support(max_n: int):
     """Zero outside dominance; one on the diagonal."""
     for lam, mu in _cells(0, max_n, enumerate_strict):
@@ -341,14 +337,14 @@ def check_l_support(max_n: int):
             yield f"support {lam},{mu}", v, ZERO
 
 
-@_check("l-top-row", "one-row values verified (n<={max_n})")
+@_check("l-top-row", "one-row values verified (n<={max_n})", "lkostka")
 def check_l_top_row(max_n: int):
     """Value at the one-row shape: 2^{l(mu)-1} t^{n(mu)}."""
     for mu in _shapes(1, max_n):
         yield f"{mu}", l_recursive((sum(mu),), mu), TPoly.term(2 ** (len(mu) - 1), n_stat(mu))
 
 
-@_check("l-degree", "degree law verified (n<={max_n})")
+@_check("l-degree", "degree law verified (n<={max_n})", "lkostka")
 def check_l_degree(max_n: int):
     """Nonzero entries have degree n(mu) - n(lam)."""
     for lam, mu in _cells(0, max_n, enumerate_strict):
@@ -357,7 +353,7 @@ def check_l_degree(max_n: int):
             yield f"{lam},{mu}: deg {v.degree}", v.degree, n_stat(mu) - n_stat(lam)
 
 
-@_check("l-divisibility", "2-power divisibility verified (n<={max_n})")
+@_check("l-divisibility", "2-power divisibility verified (n<={max_n})", "lkostka")
 def check_l_divisibility(max_n: int):
     """Integer coefficients divisible by 2^{l(mu)-l(lam)} under dominance;
     a case compares the first coefficient that is not with none."""
@@ -369,7 +365,7 @@ def check_l_divisibility(max_n: int):
             yield f"{lam},{mu}: {bad}", bad, None
 
 
-@_check("l-prefix", "{count} prefixed pairs checked")
+@_check("l-prefix", "{count} prefixed pairs checked", "lkostka")
 def check_l_prefix(max_n: int):
     """Prepending a common new largest part preserves the value:
     L((n',lam), (n',mu)) = L(lam, mu) whenever n' exceeds both top parts."""
@@ -380,11 +376,11 @@ def check_l_prefix(max_n: int):
             yield f"n'={new},{lam},{mu}", l_recursive((new,) + lam, (new,) + mu), base
 
 
-@_check("l-stability", "{count} grown pairs checked (|lam|<={max_n})")
+@_check("l-stability", "{count} grown pairs checked (|lam|<={max_n})", "lkostka", cap=7)
 def check_l_stability(max_n: int):
     """Growing the top row of both shapes by r = 1..4 preserves the value
     when mu_1 > lam_2.  This check also takes mu_1 = lam_2, where the law
-    first fails at |lam| = 9, so lkostka_suite runs it to |lam| = 7 at most;
+    first fails at |lam| = 9, so its cap=7 runs it to |lam| = 7 at most;
     tests/test_qkostka.py checks the strict law further."""
     for lam, mu in _cells(1, max_n, enumerate_strict):
         if len(lam) > 1 and mu[0] < lam[1]:
@@ -395,14 +391,14 @@ def check_l_stability(max_n: int):
             yield f"{lam},{mu},r={r}", grown, base
 
 
-@_check("l-two-row", "{count} two-row values checked")
+@_check("l-two-row", "{count} two-row values checked", "lkostka")
 def check_l_two_row(max_n: int):
     """Two-row closed form agrees with the recursion."""
     cells = ((lam, mu) for mu, lam in _cells(3, max_n, enumerate_strict) if len(mu) == 2)
     yield from _cell_cases(cells, l_two_row, l_recursive)
 
 
-@_check("l-positivity", "all entries non-negative (n<={max_n})", diagnostic=True)
+@_check("l-positivity", "all entries non-negative (n<={max_n})", "lkostka", diagnostic=True)
 def diagnostic_l_positivity(max_n: int):
     """Report any negative coefficient in the Q-Kostka matrices (conjecturally
     none exist; never fatal)."""
@@ -411,24 +407,10 @@ def diagnostic_l_positivity(max_n: int):
         yield f"{lam},{mu}: {v}", [c for c in v.coeffs if c < 0], []
 
 
-def lkostka_suite(max_n: int) -> list[CheckResult]:
-    return [
-        check_l_oracle(max_n),
-        check_l_support(max_n),
-        check_l_top_row(max_n),
-        check_l_degree(max_n),
-        check_l_divisibility(max_n),
-        check_l_prefix(max_n),
-        check_l_stability(min(max_n, 7)),
-        check_l_two_row(max_n),
-        diagnostic_l_positivity(max_n),
-    ]
-
-
 # ---------------------------------------------------------------- spingreen
 
 
-@_check("y-three-routes", "{count} cells agree (n<={max_n})")
+@_check("y-three-routes", "{count} cells agree (n<={max_n})", "spingreen")
 def check_y_routes(max_n: int):
     """Recursion, direct pairing and transition-matrix routes agree."""
     for lam, mu in _cells(1, max_n, enumerate_odd):
@@ -436,7 +418,7 @@ def check_y_routes(max_n: int):
         yield f"{lam},{mu}", (a, a), (y_direct(lam, mu), y_via_l(lam, mu))
 
 
-@_check("y-degree", "degree/leading law verified (n<={max_n})")
+@_check("y-degree", "degree/leading law verified (n<={max_n})", "spingreen")
 def check_y_degree(max_n: int):
     """Degree n(lam) with leading coefficient 2^{l(lam)-1}."""
     for lam, mu in _cells(1, max_n, enumerate_odd):
@@ -445,7 +427,7 @@ def check_y_degree(max_n: int):
         yield f"{lam},{mu}: {v}", (v.degree, v.leading_coefficient), law
 
 
-@_check("y-one-row", "one-row values verified (n<={max_n})")
+@_check("y-one-row", "one-row values verified (n<={max_n})", "spingreen")
 def check_y_one_row(max_n: int):
     """One-row shapes give the constant 1."""
     for n in range(1, max_n + 1):
@@ -453,7 +435,7 @@ def check_y_one_row(max_n: int):
             yield f"{mu}", y_recursive((n,), mu), ONE
 
 
-@_check("y-two-row", "{count} two-row values checked")
+@_check("y-two-row", "{count} two-row values checked", "spingreen")
 def check_y_two_row(max_n: int):
     """Two-row closed form agrees with the recursion."""
     cells = ((lam, mu) for lam, mu in _cells(3, max_n, enumerate_odd) if len(lam) == 2)
@@ -461,7 +443,7 @@ def check_y_two_row(max_n: int):
     yield from _cell_cases(cells, two_row, y_recursive)
 
 
-@_check("y-reconstruction", "expansions rebuilt (n<={max_n})")
+@_check("y-reconstruction", "expansions rebuilt (n<={max_n})", "spingreen")
 def check_y_reconstruction(max_n: int):
     """Summing z_mu^{-1} 2^{l(mu)} Y p_mu over odd mu rebuilds the
     Q-Hall-Littlewood vector."""
@@ -469,7 +451,7 @@ def check_y_reconstruction(max_n: int):
     yield from _rebuilds(max_n, weight, qhl)
 
 
-@_check("frobenius", "character expansions rebuilt (n<={max_n})")
+@_check("frobenius", "character expansions rebuilt (n<={max_n})", "spingreen", cap=8)
 def check_frobenius(max_n: int):
     """Spin characters with their 2-power normalization rebuild the Schur
     Q-vectors."""
@@ -481,7 +463,7 @@ def check_frobenius(max_n: int):
     yield from _rebuilds(max_n, weight, schur_q)
 
 
-@_check("char-integrality", "{count} values integral (n<={max_n})")
+@_check("char-integrality", "{count} values integral (n<={max_n})", "spingreen")
 def check_char_integrality(max_n: int):
     """Every spin character value is an integer with even 2-power parity; a
     case compares the ArithmeticError message, labelled by itself, with none."""
@@ -494,7 +476,8 @@ def check_char_integrality(max_n: int):
         yield error, error, None
 
 
-@_check("y-positivity", "reversed one-column values non-negative (n<={max_n})", diagnostic=True)
+@_check("y-positivity", "reversed one-column values non-negative (n<={max_n})", "spingreen",
+        diagnostic=True)
 def diagnostic_y_positivity(max_n: int):
     """Report negative coefficients of the degree-reversed one-column values
     t^{n(lam)} Y(lam, 1^n; 1/t) (never fatal)."""
@@ -504,44 +487,34 @@ def diagnostic_y_positivity(max_n: int):
         yield f"{lam}: {v}", [c for c in reversed_coeffs if c < 0], []
 
 
-def spingreen_suite(max_n: int) -> list[CheckResult]:
-    return [
-        check_y_routes(max_n),
-        check_y_degree(max_n),
-        check_y_one_row(max_n),
-        check_y_two_row(max_n),
-        check_y_reconstruction(max_n),
-        check_frobenius(min(max_n, 8)),
-        check_char_integrality(max_n),
-        diagnostic_y_positivity(max_n),
-    ]
-
-
 # ------------------------------------------------------------------- tables
 
 
 def tables_suite(max_n: int) -> list[CheckResult]:
-    """Cell-for-cell comparison of generated tables with the golden data."""
+    """Cell-for-cell comparison of generated tables with the golden data, one
+    result per golden table of weight <= max_n."""
     results = []
-    for n in range(3, min(max_n, 7) + 1):
+    for n in [w for w in GOLDEN_Y if w <= max_n]:
         golden = golden_y_polys(n)
         golden_entry = lambda lam, mu: golden.get((lam, mu), ZERO)
         cases = _cell_cases(_cells(n, n, enumerate_odd), y_table(n).entry, golden_entry)
         failures, _ = _agree(cases)
         if len(golden) != len(enumerate_strict(n)) * len(enumerate_odd(n)):
             failures.append("golden grid incomplete")
-        results.append(
-            _result(f"golden-table-{n}", failures, f"{len(golden)} cells match")
-        )
+        results.append(_result(f"golden-table-{n}", failures, f"{len(golden)} cells match"))
     return results
 
 
-SUITES = {
-    "operators": operators_suite,
-    "lkostka": lkostka_suite,
-    "spingreen": spingreen_suite,
-    "tables": tables_suite,
-}
+def _suite(name: str):
+    """The suite that runs each check registered under name, in order.  It
+    looks each check up in the module globals when it runs, so a check
+    rebound on the module is the one that runs."""
+    checks = [fn for suite, fn, _ in CHECKS if suite == name]
+    return lambda max_n: [globals()[fn](max_n) for fn in checks]
+
+
+SUITES = {name: _suite(name) for name in dict.fromkeys(s for s, _, _ in CHECKS)}
+SUITES["tables"] = tables_suite
 
 
 def run_suite(name: str, max_n: int) -> tuple[list[CheckResult], float]:

@@ -4,7 +4,8 @@ A row names a check as the benchmark tracer does: without a check's "check_"
 prefix, and with a diagnostic's "diagnostic_".  Each check runs once, from
 the test its row names: an acceptance criterion by number, or a unit test by
 name for the two laws no criterion covers.  test_acceptance's guard holds the
-rows' names equal to the checks gammaq.verify defines.
+rows' names equal to the checks in gammaq.verify.CHECKS, and each row's
+max_n within its check's cap.
 """
 
 import time
@@ -13,7 +14,7 @@ from gammaq import verify
 
 # name: (max_n, runner).  The mode-composition checks (clifford, quadratic,
 # mixed_relations) stop at 5: each weight more about triples their cost.
-# l_stability stops at 7, as lkostka_suite runs it (see check_l_stability).
+# l_stability and frobenius stop at their caps in gammaq.verify, 7 and 8.
 CHECK_BOUNDS = {
     "l_oracle": (9, 3),
     "y_routes": (9, 3),
@@ -45,12 +46,13 @@ CHECK_BOUNDS = {
 
 
 def verify_checks():
-    """Each check_* and diagnostic_* callable of gammaq.verify, by row name."""
-    return {
-        name.removeprefix("check_"): fn
-        for name, fn in vars(verify).items()
-        if callable(fn) and name.startswith(("check_", "diagnostic_"))
-    }
+    """Each check of gammaq.verify.CHECKS, as bound on the module, by row name."""
+    return {fn.removeprefix("check_"): getattr(verify, fn) for _, fn, _ in verify.CHECKS}
+
+
+def verify_caps():
+    """The cap of each capped check of gammaq.verify.CHECKS, by row name."""
+    return {fn.removeprefix("check_"): cap for _, fn, cap in verify.CHECKS if cap is not None}
 
 
 def run_checks(runner):

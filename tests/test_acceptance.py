@@ -20,7 +20,7 @@ from gammaq.tpoly import ONE, TPoly
 from gammaq.vertexops import expand_in_schur_q, g_modes_on_vacuum, qhl, schur_q
 
 import test_tpoly
-from check_bounds import CHECK_BOUNDS, run_checks, verify_checks
+from check_bounds import CHECK_BOUNDS, run_checks, verify_caps, verify_checks
 
 
 @contextmanager
@@ -64,6 +64,9 @@ def test_criterion_2_pinpoint_values():
 
 def test_check_bounds_name_every_verify_check():
     assert set(CHECK_BOUNDS) == set(verify_checks())
+    # a row past its check's cap would claim cases the check never runs
+    for name, cap in verify_caps().items():
+        assert CHECK_BOUNDS[name][0] <= cap, name
 
 
 def test_criterion_3_oracle_equivalence():

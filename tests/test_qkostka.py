@@ -131,8 +131,7 @@ def _grown(lam, mu, r):
 def test_stability_holds_when_mu_1_exceeds_lam_2():
     """Growing both top rows by r preserves L when mu_1 > lam_2 (lam_2 = 0
     for one row).  With mu_1 = lam_2 it fails from |lam| = 9, on both routes,
-    which is why lkostka_suite runs check_l_stability, stating
-    mu_1 >= lam_2, to 7 at most."""
+    which is why check_l_stability, stating mu_1 >= lam_2, has cap=7."""
     broken, checked = [], 0
     for n in range(1, 13):
         for lam in enumerate_strict(n):

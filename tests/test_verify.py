@@ -151,3 +151,18 @@ def test_a_wrong_table_fails_the_golden_comparison(monkeypatch):
         ("golden-table-3", False, "3 violation(s): (3,),(3,); (2, 1),(3,); (2, 1),(1, 1, 1)"),
         ("golden-table-4", False, "2 violation(s): (3, 1),(3, 1); (3, 1),(1, 1, 1, 1)"),
     ]
+
+
+def test_a_capped_check_runs_to_its_cap_when_called_directly():
+    # the >= form of the stability law breaks from |lam| = 9
+    stability = verify.check_l_stability(9)
+    assert stability.passed
+    assert stability.detail.endswith("(|lam|<=7)")
+    assert verify.check_frobenius(9).detail.endswith("(n<=8)")
+
+
+def test_a_suite_runs_the_check_bound_on_the_module_when_it_runs(monkeypatch):
+    stub = verify.CheckResult("stub", True, "stub ran")
+    monkeypatch.setattr(verify, "check_clifford", lambda max_n: stub)
+    results, _ = verify.run_suite("operators", 1)
+    assert results[0] is stub
