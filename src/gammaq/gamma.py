@@ -252,14 +252,19 @@ def pair(f: GammaElement, g: GammaElement) -> TPoly:
     """Bilinear form with <p_lam, p_mu> = 2^{-l(lam)} delta_{lam,mu} z_lam.
 
     Summed on ints as cf cg z_mu 2^{top - l(mu)} over den_f den_g 2^top,
-    top the longest common key, with one reduction."""
+    top the longest common key: each common term reads the memoized z_mu
+    once and adds its products in place into one int list, reduced once."""
     small, big = (f._terms, g._terms) if len(f._terms) <= len(g._terms) else (g._terms, f._terms)
     common = [(mu, cf, cg) for mu, cf in small.items() if (cg := big.get(mu)) is not None]
     if not common:
         return ZERO
     top = max(len(mu) for mu, _, _ in common)
-    total: list[int] = []
+    total = [0] * (max(len(cf) + len(cg) for _, cf, cg in common) - 1)
     for mu, cf, cg in common:
         w = z_factor(mu) << (top - len(mu))
-        total = _padd(total, [c * w for c in _pmul(cf, cg)])
+        for i, a in enumerate(cf):
+            if a:
+                a *= w
+                for j, b in enumerate(cg, i):
+                    total[j] += a * b
     return TPoly._reduce(total, f._den * g._den << top)

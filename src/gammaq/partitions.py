@@ -15,9 +15,12 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable, Iterator, NamedTuple
 
+from .memo import cached, memo
+
 Partition = tuple[int, ...]
 
 _INT_ONLY = frozenset((int,))
+_z_memo: dict[tuple[Partition], int] = memo()
 
 
 def check_partition(parts: Iterable[int]) -> Partition:
@@ -71,8 +74,9 @@ def multiplicities(p: Partition) -> dict[int, int]:
     return m
 
 
+@cached(_z_memo)
 def z_factor(p: Partition) -> int:
-    """The order z_p = prod over part values i of i^{m_i} * m_i!."""
+    """The order z_p = prod over part values i of i^{m_i} * m_i!, memoized."""
     z = 1
     for i, m in multiplicities(p).items():
         z *= i**m * factorial(m)

@@ -39,7 +39,7 @@ from .partitions import (
     index_subpartitions,
     union_sorted,
 )
-from .qkostka import INT, Table, l_recursive
+from .qkostka import INT, Table, _l_rec
 from .tpoly import ONE, TPoly, ZERO, d_poly, inv_z_t, signed_t
 
 _y_memo: dict[tuple[Partition, Partition], TPoly] = memo()
@@ -122,15 +122,17 @@ def y_two_row(k: int, n: int, mu: Partition) -> TPoly:
 
 def y_via_l(lam: Partition, mu: Partition) -> TPoly:
     """Transition-matrix route: sum over strict nu of L(nu, lam; t) times the
-    t = 0 value <Q_nu.1, p_mu>."""
+    t = 0 value <Q_nu.1, p_mu>.  The pair is checked once, p_mu built once,
+    and each L read from the memoized recursion on the enumerated nu."""
     from . import gamma, vertexops
 
     lam, mu = check_pair(lam, mu, check_odd)
+    p_mu = gamma.p_monomial(mu)
     total = ZERO
     for nu in enumerate_strict(sum(lam)):
-        l_poly = l_recursive(nu, lam)
+        l_poly = _l_rec(nu, lam)
         if not l_poly.is_zero:
-            total = total + l_poly * gamma.pair(vertexops.schur_q(nu), gamma.p_monomial(mu))
+            total = total + l_poly * gamma.pair(vertexops.schur_q(nu), p_mu)
     return total
 
 

@@ -54,6 +54,18 @@ def _ratio_str(n: int, d: int) -> str:
     return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
+def _parse_ratio(s: str) -> tuple[int, int]:
+    """(n, d) of a string 'n/d' of the form -?digits/digits, in ASCII, with
+    Fraction's value; ValueError on any other string, ZeroDivisionError on d = 0."""
+    n, _, d = s.partition("/")
+    digits = n[1:] if n[:1] == "-" else n
+    if not (digits.isascii() and digits.isdigit() and d.isascii() and d.isdigit()):
+        raise ValueError(f"coefficient must be an integer or num/den: {s!r}")
+    if not int(d):
+        raise ZeroDivisionError(f"zero denominator: {s!r}")
+    return int(n), int(d)
+
+
 def _int_str(num: tuple[int, ...]) -> str:
     """TPoly.__str__ of the integer polynomial with coefficients num: the
     sign, magnitude and power of each term straight from the ints."""
@@ -324,9 +336,13 @@ class TPoly:
     def from_json(data: list[str]) -> "TPoly":
         """Inverse of to_json.  Raises TypeError unless data is a list of
         strings, and ValueError on a string that is neither an integer nor
-        'num/den' (so '1.5' and '1e3' are refused)."""
+        'num/den' in ASCII digits, as _ratio_str writes it (so '1.5', '1e3'
+        and ' 1/2' are refused); ZeroDivisionError on a zero den.  The
+        numerators are scaled to the lcm of the denominators and reduced once."""
         if isinstance(data, list) and "/" in "".join(data):
-            return TPoly(Fraction(s) if "/" in s else int(s) for s in data)
+            ratios = [_parse_ratio(s) if "/" in s else (int(s), 1) for s in data]
+            den = lcm(*(d for _, d in ratios))
+            return TPoly._reduce([n * (den // d) for n, d in ratios], den)
         return TPoly.from_int_json(data)
 
     @staticmethod

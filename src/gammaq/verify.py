@@ -11,6 +11,10 @@ _check registers each check, its suite and its cap on max_n in CHECKS.
 SUITES maps a suite name to a callable(max_n) returning a list of
 CheckResult, derived from CHECKS but for the hand-written tables suite.  The
 suites are shared between the command-line `verify` subcommand and the tests.
+
+The checks call the memoized recursions _l_rec and _y_rec directly, as
+l_table and y_table do: every cell is enumerated, or strict by construction
+(a new largest part, a grown top row), so none is validated again.
 """
 
 from __future__ import annotations
@@ -33,11 +37,11 @@ from .partitions import (
     n_stat,
     z_factor,
 )
-from .qkostka import l_direct, l_recursive, l_two_row
+from .qkostka import _l_rec, l_direct, l_two_row
 from .spingreen import (
+    _y_rec,
     spin_character,
     y_direct,
-    y_recursive,
     y_table,
     y_two_row,
     y_via_l,
@@ -139,9 +143,7 @@ def _rebuilds(max_n: int, weight, target):
     """The case of each strict lam of weight 1..max_n: the sum over odd mu of
     weight(lam, mu) p_mu against target(lam)."""
     for lam in _shapes(1, max_n):
-        acc = GammaElement()
-        for mu in enumerate_odd(sum(lam)):
-            acc = acc + p_monomial(mu) * weight(lam, mu)
+        acc = GammaElement({mu: weight(lam, mu) for mu in enumerate_odd(sum(lam))})
         yield f"{lam}", acc, target(lam)
 
 
@@ -323,14 +325,14 @@ def check_adjointness(max_n: int):
 @_check("l-recursion-vs-oracle", "{count} pairs agree (n<={max_n})", "lkostka")
 def check_l_oracle(max_n: int):
     """Recursion equals the vertex-operator definition on every pair."""
-    yield from _cell_cases(_cells(0, max_n, enumerate_strict), l_recursive, l_direct)
+    yield from _cell_cases(_cells(0, max_n, enumerate_strict), _l_rec, l_direct)
 
 
 @_check("l-support-diagonal", "support and diagonal verified (n<={max_n})", "lkostka")
 def check_l_support(max_n: int):
     """Zero outside dominance; one on the diagonal."""
     for lam, mu in _cells(0, max_n, enumerate_strict):
-        v = l_recursive(lam, mu)
+        v = _l_rec(lam, mu)
         if lam == mu:
             yield f"diag {lam}", v, ONE
         if not dominance_leq(mu, lam):
@@ -341,14 +343,14 @@ def check_l_support(max_n: int):
 def check_l_top_row(max_n: int):
     """Value at the one-row shape: 2^{l(mu)-1} t^{n(mu)}."""
     for mu in _shapes(1, max_n):
-        yield f"{mu}", l_recursive((sum(mu),), mu), TPoly.term(2 ** (len(mu) - 1), n_stat(mu))
+        yield f"{mu}", _l_rec((sum(mu),), mu), TPoly.term(2 ** (len(mu) - 1), n_stat(mu))
 
 
 @_check("l-degree", "degree law verified (n<={max_n})", "lkostka")
 def check_l_degree(max_n: int):
     """Nonzero entries have degree n(mu) - n(lam)."""
     for lam, mu in _cells(0, max_n, enumerate_strict):
-        v = l_recursive(lam, mu)
+        v = _l_rec(lam, mu)
         if not v.is_zero:
             yield f"{lam},{mu}: deg {v.degree}", v.degree, n_stat(mu) - n_stat(lam)
 
@@ -360,7 +362,7 @@ def check_l_divisibility(max_n: int):
     for lam, mu in _cells(0, max_n, enumerate_strict):
         if dominance_leq(mu, lam):
             power = 2 ** (len(mu) - len(lam))
-            coeffs = l_recursive(lam, mu).coeffs
+            coeffs = _l_rec(lam, mu).coeffs
             bad = next((c for c in coeffs if c.denominator != 1 or int(c) % power), None)
             yield f"{lam},{mu}: {bad}", bad, None
 
@@ -371,9 +373,9 @@ def check_l_prefix(max_n: int):
     L((n',lam), (n',mu)) = L(lam, mu) whenever n' exceeds both top parts."""
     for lam, mu in _cells(0, min(6, max_n - 1), enumerate_strict):
         top = max(lam[0] if lam else 0, mu[0] if mu else 0)
-        base = l_recursive(lam, mu)
+        base = _l_rec(lam, mu)
         for new in range(top + 1, max_n + 1):
-            yield f"n'={new},{lam},{mu}", l_recursive((new,) + lam, (new,) + mu), base
+            yield f"n'={new},{lam},{mu}", _l_rec((new,) + lam, (new,) + mu), base
 
 
 @_check("l-stability", "{count} grown pairs checked (|lam|<={max_n})", "lkostka", cap=7)
@@ -385,9 +387,9 @@ def check_l_stability(max_n: int):
     for lam, mu in _cells(1, max_n, enumerate_strict):
         if len(lam) > 1 and mu[0] < lam[1]:
             continue
-        base = l_recursive(lam, mu)
+        base = _l_rec(lam, mu)
         for r in range(1, 5):
-            grown = l_recursive((lam[0] + r,) + lam[1:], (mu[0] + r,) + mu[1:])
+            grown = _l_rec((lam[0] + r,) + lam[1:], (mu[0] + r,) + mu[1:])
             yield f"{lam},{mu},r={r}", grown, base
 
 
@@ -395,7 +397,7 @@ def check_l_stability(max_n: int):
 def check_l_two_row(max_n: int):
     """Two-row closed form agrees with the recursion."""
     cells = ((lam, mu) for mu, lam in _cells(3, max_n, enumerate_strict) if len(mu) == 2)
-    yield from _cell_cases(cells, l_two_row, l_recursive)
+    yield from _cell_cases(cells, l_two_row, _l_rec)
 
 
 @_check("l-positivity", "all entries non-negative (n<={max_n})", "lkostka", diagnostic=True)
@@ -403,7 +405,7 @@ def diagnostic_l_positivity(max_n: int):
     """Report any negative coefficient in the Q-Kostka matrices (conjecturally
     none exist; never fatal)."""
     for lam, mu in _cells(0, max_n, enumerate_strict):
-        v = l_recursive(lam, mu)
+        v = _l_rec(lam, mu)
         yield f"{lam},{mu}: {v}", [c for c in v.coeffs if c < 0], []
 
 
@@ -414,7 +416,7 @@ def diagnostic_l_positivity(max_n: int):
 def check_y_routes(max_n: int):
     """Recursion, direct pairing and transition-matrix routes agree."""
     for lam, mu in _cells(1, max_n, enumerate_odd):
-        a = y_recursive(lam, mu)
+        a = _y_rec(lam, mu)
         yield f"{lam},{mu}", (a, a), (y_direct(lam, mu), y_via_l(lam, mu))
 
 
@@ -422,7 +424,7 @@ def check_y_routes(max_n: int):
 def check_y_degree(max_n: int):
     """Degree n(lam) with leading coefficient 2^{l(lam)-1}."""
     for lam, mu in _cells(1, max_n, enumerate_odd):
-        v = y_recursive(lam, mu)
+        v = _y_rec(lam, mu)
         law = (n_stat(lam), 2 ** (len(lam) - 1))
         yield f"{lam},{mu}: {v}", (v.degree, v.leading_coefficient), law
 
@@ -432,7 +434,7 @@ def check_y_one_row(max_n: int):
     """One-row shapes give the constant 1."""
     for n in range(1, max_n + 1):
         for mu in enumerate_odd(n):
-            yield f"{mu}", y_recursive((n,), mu), ONE
+            yield f"{mu}", _y_rec((n,), mu), ONE
 
 
 @_check("y-two-row", "{count} two-row values checked", "spingreen")
@@ -440,14 +442,14 @@ def check_y_two_row(max_n: int):
     """Two-row closed form agrees with the recursion."""
     cells = ((lam, mu) for lam, mu in _cells(3, max_n, enumerate_odd) if len(lam) == 2)
     two_row = lambda lam, mu: y_two_row(lam[0], sum(lam), mu)
-    yield from _cell_cases(cells, two_row, y_recursive)
+    yield from _cell_cases(cells, two_row, _y_rec)
 
 
 @_check("y-reconstruction", "expansions rebuilt (n<={max_n})", "spingreen")
 def check_y_reconstruction(max_n: int):
     """Summing z_mu^{-1} 2^{l(mu)} Y p_mu over odd mu rebuilds the
     Q-Hall-Littlewood vector."""
-    weight = lambda lam, mu: y_recursive(lam, mu) * Fraction(2 ** len(mu), z_factor(mu))
+    weight = lambda lam, mu: _y_rec(lam, mu) * Fraction(2 ** len(mu), z_factor(mu))
     yield from _rebuilds(max_n, weight, qhl)
 
 
@@ -482,7 +484,7 @@ def diagnostic_y_positivity(max_n: int):
     """Report negative coefficients of the degree-reversed one-column values
     t^{n(lam)} Y(lam, 1^n; 1/t) (never fatal)."""
     for lam in _shapes(1, max_n):
-        v = y_recursive(lam, (1,) * sum(lam))
+        v = _y_rec(lam, (1,) * sum(lam))
         reversed_coeffs = [v.coefficient(n_stat(lam) - k) for k in range(n_stat(lam) + 1)]
         yield f"{lam}: {v}", [c for c in reversed_coeffs if c < 0], []
 

@@ -1,5 +1,6 @@
+from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -187,3 +188,20 @@ def test_ring_operations_match_termwise_tpoly_arithmetic(f, g, c, r):
     assert f * r * (1 / Fraction(r)) == f
     for element in (f, g, f + g, f * g, f * c, (f + g) - g, d_dp(1, f)):
         assert _in_normal_form(element), element
+
+
+def _z(mu):
+    """z_mu = prod_i i^{m_i} m_i!, from the multiplicities."""
+    return prod(i**m * factorial(m) for i, m in Counter(mu).items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_qelements, _qelements)
+def test_pair_is_the_termwise_sum_over_common_monomials(f, g):
+    """<f, g> = sum over common mu of c_f c_g z_mu / 2^{l(mu)}, summed in
+    TPoly arithmetic on the rational coefficients."""
+    ft, gt = dict(f.terms()), dict(g.terms())
+    expected = ZERO
+    for mu in ft.keys() & gt.keys():
+        expected = expected + ft[mu] * gt[mu] * Fraction(_z(mu), 2 ** len(mu))
+    assert pair(f, g) == expected

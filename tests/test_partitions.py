@@ -1,12 +1,13 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import comb, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gammaq.memo import clear_memos
 from gammaq.partitions import (
     HorizontalStrip,
     check_odd,
@@ -39,6 +40,18 @@ def test_z_factor():
     assert z_factor((1, 1, 1)) == 6
     assert z_factor((3,)) == 3
     assert z_factor((5, 1, 1)) == 10
+
+
+def test_z_factor_is_the_product_formula_on_a_cold_and_a_warm_memo():
+    def product_formula(p):
+        return prod(i**m * factorial(m) for i, m in Counter(p).items())
+
+    partitions = [p for n in range(13) for p in enumerate_partitions(n)]
+    expected = list(map(product_formula, partitions))
+    assert [z_factor(p) for p in partitions] == expected
+    clear_memos()
+    assert [z_factor(p) for p in partitions] == expected  # fills the memo
+    assert [z_factor(p) for p in partitions] == expected  # reads it
 
 
 def test_epsilon():

@@ -255,3 +255,32 @@ def test_same_value_is_equal_and_hashes_alike(cs):
         assert (b._num, b._den) == (a._num, a._den)
     assert TPoly([Fraction(2, 4)]) == TPoly([Fraction(1, 2)])
     assert hash(TPoly([Fraction(2, 1), 0])) == hash(TPoly([2]))
+
+
+# Strings with a slash: the num/den form _ratio_str writes, zero and
+# unreduced denominators included, and text that Fraction may or may not read.
+_slashed = st.one_of(
+    st.tuples(st.integers(-10**6, 10**6), st.integers(0, 10**6)).map(lambda nd: f"{nd[0]}/{nd[1]}"),
+    st.tuples(st.text("0123456789-+ _.e\u0663", max_size=4), st.text("0123456789-+ _.e/\u0663", max_size=4))
+    .map("/".join),
+    st.tuples(st.text(max_size=4), st.text(max_size=4)).map("/".join),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_slashed | st.integers(-9, 9).map(str), min_size=1, max_size=4), _slashed)
+def test_from_json_reads_a_slash_only_as_fraction_reads_it(data, slashed):
+    """A list that from_json accepts is the TPoly of Fraction's values of
+    its strings; a zero denominator raises ZeroDivisionError, as Fraction
+    does, and anything else it refuses raises ValueError."""
+    data = data + [slashed]
+    try:
+        parsed = TPoly.from_json(data)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            [Fraction(s) for s in data]
+        return
+    except ValueError:
+        return
+    reference = TPoly(Fraction(s) for s in data)
+    assert (parsed._num, parsed._den) == (reference._num, reference._den)

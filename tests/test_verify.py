@@ -111,16 +111,24 @@ BROKEN = [
         "12 violation(s): k=1,lam=(1,); k=3,lam=(1,); k=1,lam=(2,); k=3,lam=(2,) ...",
     ),
     (
-        "l_recursive", _weight_poly, "check_l_prefix", 4,
+        "_l_rec", _weight_poly, "check_l_prefix", 4,
         "14 violation(s): n'=1,(),(); n'=2,(),(); n'=3,(),(); n'=4,(),() ...",
     ),
     (
-        "l_recursive", _weight_poly, "check_l_stability", 4,
+        "_l_rec", _weight_poly, "check_l_stability", 4,
         "40 violation(s): (1,),(1,),r=1; (1,),(1,),r=2; (1,),(1,),r=3; (1,),(1,),r=4 ...",
     ),
     (
-        "l_recursive", _two_then_seven, "check_l_divisibility", 6,
+        "_l_rec", _two_then_seven, "check_l_divisibility", 6,
         "9 violation(s): (3,),(2, 1): 7; (4,),(3, 1): 7; (5,),(4, 1): 7; (5,),(3, 2): 7 ...",
+    ),
+    (
+        "_y_rec", _wrong_poly, "check_y_two_row", 6,
+        "18 violation(s): (2, 1),(3,); (2, 1),(1, 1, 1); (3, 1),(3, 1); (3, 1),(1, 1, 1, 1) ...",
+    ),
+    (
+        "_y_rec", _weight_poly, "check_y_degree", 4,
+        "9 violation(s): (2,),(1, 1): 2; (3,),(3,): 3; (3,),(1, 1, 1): 3; (2, 1),(3,): 3 ...",
     ),
     (
         "spin_character", _no_character_off_one_row, "check_char_integrality", 4,
