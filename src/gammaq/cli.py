@@ -2,8 +2,9 @@
 
 Subcommands: lkostka, spin-green, spin-char, expand, verify.
 Formats: json (canonical), csv, latex (published table layout), markdown.
-Exit codes: 0 success, 1 verification or arithmetic failure, 2 usage error;
-every error is one line on stderr.
+Exit codes: 0 success, 1 verification or arithmetic failure, or a computation
+that ran out of memory or recursion depth, 2 usage error; every error is one
+line on stderr, never a traceback.
 
 main(argv) may be called many times in one process: it builds the parser on
 its first call and reuses it, and it finds each command's cmd_* function by
@@ -405,6 +406,9 @@ def main(argv=None) -> int:
         return 2
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (MemoryError, RecursionError) as exc:
+        print(f"error: {type(exc).__name__}: the computation is too large for this process", file=sys.stderr)
         return 1
 
 

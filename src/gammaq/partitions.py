@@ -12,7 +12,7 @@ lexicographic, e.g. (7), (6,1), (5,2), (4,3), (4,2,1).
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from typing import Iterable, Iterator, NamedTuple
 
 from .memo import cached, memo
@@ -167,29 +167,28 @@ def index_subpartitions(p: Partition, i: int) -> list[Partition]:
 
     Distinct index subsets are listed separately even when equal as
     partitions, e.g. ((1,1), 1) -> [(1), (1)], so a subpartition nu occurs
-    prod_j C(m_j(p), m_j(nu)) times.  Only subsets of weight i are visited:
-    a depth-first walk over the indices that abandons a branch once the
-    weight still needed exceeds the parts left.
+    prod_j C(m_j(p), m_j(nu)) times; the order of the list is unspecified.
+    A depth-first walk over the distinct part values takes k of the m copies
+    of each, and lists each nu it reaches once per choice of copies.  It
+    abandons a branch once the weight still needed exceeds the parts left.
     """
     if not 0 <= i <= sum(p):
         raise ValueError(f"subpartition weight {i} out of range for {p}")
-    suffix = [0] * (len(p) + 1)
-    for j in range(len(p) - 1, -1, -1):
-        suffix[j] = suffix[j + 1] + p[j]
+    values = list(multiplicities(p).items())
+    suffix = [0] * (len(values) + 1)
+    for j in range(len(values) - 1, -1, -1):
+        suffix[j] = suffix[j + 1] + values[j][0] * values[j][1]
     out: list[Partition] = []
-    chosen: list[int] = []
 
-    def walk(j: int, need: int) -> None:
+    def walk(j: int, need: int, chosen: Partition, ways: int) -> None:
         if need == 0:
-            out.append(tuple(chosen))
+            out.extend([chosen] * ways)
         elif suffix[j] >= need:
-            if p[j] <= need:
-                chosen.append(p[j])
-                walk(j + 1, need - p[j])
-                chosen.pop()
-            walk(j + 1, need)
+            part, m = values[j]
+            for k in range(min(m, need // part) + 1):
+                walk(j + 1, need - k * part, chosen + (part,) * k, ways * comb(m, k))
 
-    walk(0, i)
+    walk(0, i, (), 1)
     return out
 
 

@@ -13,10 +13,11 @@ Three independent routes are provided:
   y_via_l      Q-Kostka recursion column composed with t = 0 character data
 
 The recursion is the fast path for Y only: y_table evaluates it on every
-cell.  It visits each distinct sub-multiset nu of mu once, scaled by its
-integer multiplicity, and multiplies by each rational rho weight once per
-(i, rho); the grouped sub-multisets and the rho weights are memoized.
-y_direct and y_via_l import the vertex operators when they are called.
+cell.  Its rho-sum F(kappa, nu) depends only on the peeled shape kappa and
+the sub-multiset nu of mu, so it is memoized and shared by every mu that
+contains nu; each distinct nu is visited once, scaled by its integer
+multiplicity.  The grouped sub-multisets and the rho weights are memoized
+too.  y_direct and y_via_l import the vertex operators when they are called.
 
 The characters come from X0(lam, mu) = Y(lam, mu; 0) = <Q_lam, p_mu> by
 Morris's bar removal on ints (A. O. Morris, Proc. LMS (3) 12, 1962), memoized
@@ -43,6 +44,7 @@ from .qkostka import INT, Table, _l_rec
 from .tpoly import ONE, TPoly, ZERO, d_poly, inv_z_t, signed_t
 
 _y_memo: dict[tuple[Partition, Partition], TPoly] = memo()
+_rho_sum_memo: dict[tuple[Partition, Partition], TPoly] = memo()
 _groups_memo: dict[tuple[Partition, int], list[tuple[Partition, int]]] = memo()
 _inv_z_memo: dict[tuple[Partition], TPoly] = memo()
 
@@ -62,10 +64,17 @@ def y_recursive(lam: Partition, mu: Partition) -> TPoly:
             sum_{nu in {mu}_i} Y(lam^(1), nu U rho)
 
     where {mu}_i are the index subpartitions of weight i with multiplicity.
-    The inner sum runs over the distinct nu, each Y scaled by its integer
-    multiplicity prod_j C(m_j(mu), m_j(nu)), and the rho weight is the
-    polynomial inv_z_t(rho), applied once per rho, keeping all arithmetic in
-    polynomials.  Memoized on the canonical pair."""
+    Swapping the sums over rho and nu gives
+
+        Y(lam, mu) = sum_{nu in {mu}_i, 0 <= i <= n-lam_1} F(lam^(1), nu),
+        F(kappa, nu) = sum_{rho odd of |kappa|-|nu|} ((-2)^{l(rho)} / z_rho(t))
+            Y(kappa, nu U rho),
+
+    where F does not depend on mu and is memoized.  The outer sum runs over
+    the distinct nu, each F scaled by its integer multiplicity
+    prod_j C(m_j(mu), m_j(nu)), and the rho weight is the polynomial
+    inv_z_t(rho), keeping all arithmetic in polynomials.  Memoized on the
+    canonical pair."""
     lam, mu = check_pair(lam, mu, check_odd)
     return _y_rec(lam, mu)
 
@@ -74,19 +83,25 @@ def y_recursive(lam: Partition, mu: Partition) -> TPoly:
 def _y_rec(lam: Partition, mu: Partition) -> TPoly:
     if not lam:
         return ONE  # mu is forced empty by equal weights
-    head, rest = lam[0], lam[1:]
-    n = sum(lam)
+    rest = lam[1:]
     total = ZERO
-    for i in range(n - head + 1):
-        groups = _sub_multisets(mu, i)
-        for rho in enumerate_odd(n - head - i):
-            inner = ZERO
-            for nu, mult in groups:
-                sub = _y_rec(rest, union_sorted(nu, rho))
-                if not sub.is_zero:
-                    inner = inner + (sub if mult == 1 else sub * mult)
-            if not inner.is_zero:
-                total = total + inner * _inv_z(rho)
+    for i in range(sum(rest) + 1):
+        for nu, mult in _sub_multisets(mu, i):
+            f = _rho_sum(rest, nu)
+            if not f.is_zero:
+                total = total + (f if mult == 1 else f * mult)
+    return total
+
+
+@cached(_rho_sum_memo)
+def _rho_sum(kappa: Partition, nu: Partition) -> TPoly:
+    """F(kappa, nu) = sum over odd rho of |kappa| - |nu| of
+    ((-2)^{l(rho)} / z_rho(t)) Y(kappa, nu U rho)."""
+    total = ZERO
+    for rho in enumerate_odd(sum(kappa) - sum(nu)):
+        sub = _y_rec(kappa, union_sorted(nu, rho))
+        if not sub.is_zero:
+            total = total + sub * _inv_z(rho)
     return total
 
 

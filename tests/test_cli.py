@@ -235,6 +235,24 @@ def test_non_integer_character_exits_1(monkeypatch, capsys):
     assert err == "error: non-integer spin character 1/2 at ((2, 1), (3,))\n"
 
 
+@pytest.mark.parametrize(
+    "command, error",
+    [("cmd_spin_green", MemoryError), ("cmd_lkostka", RecursionError("maximum recursion depth exceeded"))],
+)
+def test_an_exhausted_process_exits_1_with_one_line(monkeypatch, capsys, command, error):
+    # raised by a stand-in command: nothing is allocated or recursed for real
+    def exhausted(args):
+        raise error
+
+    monkeypatch.setattr(cli, command, exhausted)
+    name = command[len("cmd_"):].replace("_", "-")
+    code = main([name, "--n", "30", "--no-cache"])
+    out, err = capsys.readouterr()
+    kind = error.__name__ if isinstance(error, type) else type(error).__name__
+    assert code == 1 and out == ""
+    assert err == f"error: {kind}: the computation is too large for this process\n"
+
+
 def test_an_internal_index_error_escapes_main(monkeypatch):
     # no input reaches an IndexError, so one is a bug, never a usage error
     def broken(args):

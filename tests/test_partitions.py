@@ -159,6 +159,8 @@ def test_index_subpartitions():
     assert index_subpartitions((3, 2), 0) == [()]
     assert index_subpartitions((5, 1, 1), 2) == [(1, 1)]
     assert index_subpartitions((3, 2), 5) == [(3, 2)]
+    # one nu chosen C(20, 10) ways, listed once per way
+    assert Counter(index_subpartitions((1,) * 20, 10)) == {(1,) * 10: 184756}
     with pytest.raises(ValueError):
         index_subpartitions((3,), 4)
 
@@ -174,7 +176,8 @@ def _index_subpartitions_reference(p):
 
 
 def test_index_subpartitions_brute_force():
-    for n in range(13):
+    # every partition of weight <= 14, mixed ones such as (5,3,3,1,1,1) too
+    for n in range(15):
         for p in enumerate_partitions(n):
             for i, expected in _index_subpartitions_reference(p).items():
                 assert sorted(index_subpartitions(p, i)) == sorted(expected), (p, i)

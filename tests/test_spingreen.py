@@ -1,5 +1,6 @@
 import hashlib
 import json
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import gammaq.spingreen as spingreen
 from gammaq.gamma import pn_star
 from gammaq.memo import clear_memos
-from gammaq.partitions import enumerate_odd, enumerate_strict
+from gammaq.partitions import enumerate_odd, enumerate_strict, union_sorted
 from gammaq.qkostka import INT, Table, l_direct, l_recursive, l_table
 from gammaq.spingreen import (
     spin_char_table,
@@ -20,7 +21,7 @@ from gammaq.spingreen import (
     y_two_row,
     y_via_l,
 )
-from gammaq.tpoly import ONE, TPoly
+from gammaq.tpoly import ONE, ZERO, TPoly, inv_z_t
 from gammaq.vertexops import expand_in_schur_q, schur_q
 
 from check_bounds import run_checks
@@ -43,6 +44,37 @@ def test_y_recursive_examples():
     assert y_recursive((4, 2, 1), (1,) * 7) == TPoly([7, 28, 46, 20, 4])
     assert y_recursive((5, 1), (5, 1)) == TPoly([-1, 2])
     assert y_recursive((6, 1), (3, 3, 1)) == TPoly([-1, 2])
+
+
+def _y_ungrouped(lam, mu, memo):
+    """The recursion before its rho-sums were shared: for each (i, rho), the
+    Y(lam^(1), nu U rho) summed over every index subset nu of mu of weight i,
+    then weighted by inv_z_t(rho)."""
+    if not lam:
+        return ONE
+    if (lam, mu) not in memo:
+        rest, total = lam[1:], ZERO
+        for i in range(sum(rest) + 1):
+            subsets = [nu for k in range(len(mu) + 1) for nu in combinations(mu, k) if sum(nu) == i]
+            for rho in enumerate_odd(sum(rest) - i):
+                inner = ZERO
+                for nu in subsets:
+                    inner = inner + _y_ungrouped(rest, union_sorted(nu, rho), memo)
+                total = total + inner * inv_z_t(rho)
+        memo[lam, mu] = total
+    return memo[lam, mu]
+
+
+def test_regrouped_recursion_equals_the_ungrouped_one():
+    memo = {}
+    cells = 0
+    for n in range(11):
+        clear_memos()
+        for lam in enumerate_strict(n):
+            for mu in enumerate_odd(n):
+                assert y_recursive(lam, mu) == _y_ungrouped(lam, mu, memo), (lam, mu)
+                cells += 1
+    assert cells == 261
 
 
 def test_y_two_row_examples():
@@ -142,10 +174,12 @@ def test_y_table_spot_values():
 
 
 # sha256 of json.dumps(table.to_json(), sort_keys=True) for y_table(n) and for
-# spin_char_table(n), n = 8..18, recorded when the characters were read off
-# y_table(n) at t = 0.  The Y digests for n <= 12 were
-# recorded from the recursion that summed over every index subset of mu, the
-# rest from the recursion over distinct sub-multisets.
+# spin_char_table(n), n = 8..20.  The pins for n <= 18 were recorded when the
+# characters were read off y_table(n) at t = 0.  The Y digests for n <= 12
+# were recorded from the recursion that summed over every index subset of mu,
+# those for 13..18 from the recursion over distinct sub-multisets, and those
+# for 19 and 20 from that recursion and from the one that shares each rho-sum,
+# which agree.
 DATA = Path(__file__).parent / "data"
 Y_DIGESTS = json.loads((DATA / "y_table_sha256.json").read_text())
 CHAR_DIGESTS = json.loads((DATA / "spin_char_sha256.json").read_text())
