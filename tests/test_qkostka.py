@@ -5,10 +5,11 @@ from pathlib import Path
 import pytest
 
 import gammaq.qkostka as qkostka
-from gammaq.memo import clear_memos
+from gammaq.memo import cached, clear_memos
 from gammaq.partitions import enumerate_strict
 from gammaq.qkostka import (
     Table,
+    _strips,
     expand_g_in_q,
     l_direct,
     l_recursive,
@@ -78,7 +79,8 @@ def test_l_table_round_trip():
 # sha256 of json.dumps(l_table(n).to_json(), sort_keys=True).  n = 13..20
 # were recorded from the strip walk that rebuilt a column set per strip for
 # the a-statistic, n = 21..24 from the recursion that summed one TPoly term
-# per strip and enumerated the strips afresh for every cell.
+# per strip and enumerated the strips afresh for every cell, n = 25 and 26
+# from the per-cell recursion below and from the column route, which agree.
 L_DIGESTS = json.loads((Path(__file__).parent / "data" / "l_table_sha256.json").read_text())
 
 
@@ -122,6 +124,62 @@ def test_strips_enumerated_once_per_inner_and_size(monkeypatch):
     assert qkostka._strips_memo
     clear_memos()
     assert not qkostka._strips_memo
+
+
+# The per-cell recursion the column route replaced, kept verbatim as its
+# reference: one memo entry per (lam, mu), zero cells included.  Its memo is
+# a plain dict, so clear_memos() does not reach it.
+_CELL_MEMO = {}
+
+
+@cached(_CELL_MEMO)
+def _l_rec(lam, mu):
+    if not mu:
+        return ONE  # lam is forced empty by equal weights
+    head, rest = mu[0], mu[1:]
+    acc: list[int] = []  # every L value is integral: sum on its coefficient list
+    for i, part in enumerate(lam):
+        if part < head:
+            break  # parts strictly decrease
+        r = part - head
+        sign = (-1) ** i
+        for outer, weight in _strips(lam[:i] + lam[i + 1 :], r):
+            sub = _l_rec(outer, rest).coeffs
+            if len(acc) < r + len(sub):
+                acc.extend([0] * (r + len(sub) - len(acc)))
+            c = sign * weight
+            for k, x in enumerate(sub, r):
+                acc[k] += c * x
+    return TPoly(acc) if any(acc) else ZERO  # zero cells share one value
+
+
+def test_columns_equal_the_per_cell_recursion():
+    clear_memos()
+    checked = 0
+    for n in range(17):
+        table = l_table(n)
+        for mu in enumerate_strict(n):
+            column = {}
+            for lam in enumerate_strict(n):
+                cell = _l_rec(lam, mu)
+                assert l_recursive(lam, mu) == table.entry(lam, mu) == cell, (lam, mu)
+                if not cell.is_zero:
+                    column[lam] = cell
+                checked += 1
+            assert expand_g_in_q(mu) == column, mu
+    assert checked == 3191
+
+
+def test_columns_store_no_zero_cell():
+    clear_memos()
+    l_table(16)
+    # one column per strict mu of weight 16 and per suffix mu^(k) it peels to
+    assert set(qkostka._l_memo) == {mu[k:] for mu in enumerate_strict(16) for k in range(len(mu) + 1)}
+    assert all(not c.is_zero for column in qkostka._l_memo.values() for c in column.values())
+    assert l_recursive((3, 2, 1), (4, 2)) == ZERO  # (4, 2) is not dominated by (3, 2, 1)
+    assert (3, 2, 1) not in qkostka._l_memo[(4, 2)]
+    assert l_recursive((4, 2), (6,)) == ZERO
+    assert qkostka._l_memo[(6,)] == {(6,): ONE}
 
 
 def _grown(lam, mu, r):
