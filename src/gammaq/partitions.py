@@ -21,6 +21,7 @@ Partition = tuple[int, ...]
 
 _INT_ONLY = frozenset((int,))
 _z_memo: dict[tuple[Partition], int] = memo()
+_subpartitions_memo: dict[tuple[Partition, int], list[tuple[Partition, int]]] = memo()
 
 
 def check_partition(parts: Iterable[int]) -> Partition:
@@ -162,15 +163,15 @@ def enumerate_odd(n: int) -> tuple[Partition, ...]:
     return tuple(_partitions(n, n, strict=False, odd=True))
 
 
-def index_subpartitions(p: Partition, i: int) -> list[Partition]:
-    """Subpartitions of weight i chosen by index subsequence, with multiplicity.
-
-    Distinct index subsets are listed separately even when equal as
-    partitions, e.g. ((1,1), 1) -> [(1), (1)], so a subpartition nu occurs
-    prod_j C(m_j(p), m_j(nu)) times; the order of the list is unspecified.
-    A depth-first walk over the distinct part values takes k of the m copies
-    of each, and lists each nu it reaches once per choice of copies.  It
-    abandons a branch once the weight still needed exceeds the parts left.
+@cached(_subpartitions_memo, key=lambda p, i: (tuple(p), i))
+def index_subpartitions(p: Partition, i: int) -> list[tuple[Partition, int]]:
+    """The subpartitions of weight i chosen by index subsequence, each
+    distinct nu once as (nu, count), where count = prod_j C(m_j(p), m_j(nu))
+    is the number of index subsets that give nu, e.g. ((1,1), 1) -> [((1,), 2)];
+    the order of the list is unspecified.  A depth-first walk over the
+    distinct part values takes k of the m copies of each, multiplying the
+    count by C(m, k).  It abandons a branch once the weight still needed
+    exceeds the parts left.  Memoized on (tuple(p), i); the list is shared.
     """
     if not 0 <= i <= sum(p):
         raise ValueError(f"subpartition weight {i} out of range for {p}")
@@ -178,11 +179,11 @@ def index_subpartitions(p: Partition, i: int) -> list[Partition]:
     suffix = [0] * (len(values) + 1)
     for j in range(len(values) - 1, -1, -1):
         suffix[j] = suffix[j + 1] + values[j][0] * values[j][1]
-    out: list[Partition] = []
+    out: list[tuple[Partition, int]] = []
 
     def walk(j: int, need: int, chosen: Partition, ways: int) -> None:
         if need == 0:
-            out.extend([chosen] * ways)
+            out.append((chosen, ways))
         elif suffix[j] >= need:
             part, m = values[j]
             for k in range(min(m, need // part) + 1):

@@ -6,18 +6,19 @@ of the same weight.  At t = 0 it reduces, up to an explicit power of 2, to
 the irreducible negative (projective) character of the double cover of the
 symmetric group.
 
-Three independent routes are provided:
+Three independent routes are provided, sharing no Y code:
 
   y_direct     pairing of the vertex-operator vector with a power-sum monomial
   y_recursive  peeling the largest row with polynomial odd-partition weights
-  y_via_l      Q-Kostka recursion column composed with t = 0 character data
+  y_via_l      Q-Kostka recursion column composed with bar-removal X0 values
 
 The recursion is the fast path for Y only: y_table evaluates it on every
 cell.  Its rho-sum F(kappa, nu) depends only on the peeled shape kappa and
 the sub-multiset nu of mu, so it is memoized and shared by every mu that
 contains nu; each distinct nu is visited once, scaled by its integer
-multiplicity.  The grouped sub-multisets and the rho weights are memoized
-too.  y_direct and y_via_l import the vertex operators when they are called.
+multiplicity.  It reads the sub-multisets from index_subpartitions and the
+rho weights from inv_z_t, each memoized where it is defined.  Only y_direct
+uses the vertex operators, and imports them when it is called.
 
 The characters come from X0(lam, mu) = Y(lam, mu; 0) = <Q_lam, p_mu> by
 Morris's bar removal on ints (A. O. Morris, Proc. LMS (3) 12, 1962), memoized
@@ -26,7 +27,6 @@ per call; the recursion's constant terms are its check.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterator
 
 from .memo import cached, memo
@@ -44,8 +44,6 @@ from .tpoly import ONE, TPoly, ZERO, d_poly, inv_z_t, signed_t
 
 _y_memo: dict[tuple[Partition, Partition], TPoly] = memo()
 _rho_sum_memo: dict[tuple[Partition, Partition], TPoly] = memo()
-_groups_memo: dict[tuple[Partition, int], list[tuple[Partition, int]]] = memo()
-_inv_z_memo: dict[tuple[Partition], TPoly] = memo()
 
 
 def y_direct(lam: Partition, mu: Partition) -> TPoly:
@@ -85,7 +83,7 @@ def _y_rec(lam: Partition, mu: Partition) -> TPoly:
     rest = lam[1:]
     total = ZERO
     for i in range(sum(rest) + 1):
-        for nu, mult in _sub_multisets(mu, i):
+        for nu, mult in index_subpartitions(mu, i):
             f = _rho_sum(rest, nu)
             if not f.is_zero:
                 total = total + (f if mult == 1 else f * mult)
@@ -100,19 +98,8 @@ def _rho_sum(kappa: Partition, nu: Partition) -> TPoly:
     for rho in enumerate_odd(sum(kappa) - sum(nu)):
         sub = _y_rec(kappa, union_sorted(nu, rho))
         if not sub.is_zero:
-            total = total + sub * _inv_z(rho)
+            total = total + sub * inv_z_t(rho)
     return total
-
-
-@cached(_groups_memo)
-def _sub_multisets(mu: Partition, i: int) -> list[tuple[Partition, int]]:
-    """The distinct index subpartitions of mu of weight i, with multiplicities."""
-    return list(Counter(index_subpartitions(mu, i)).items())
-
-
-@cached(_inv_z_memo)
-def _inv_z(rho: Partition) -> TPoly:
-    return inv_z_t(rho)
 
 
 def y_two_row(k: int, n: int, mu: Partition) -> TPoly:
@@ -136,15 +123,14 @@ def y_two_row(k: int, n: int, mu: Partition) -> TPoly:
 
 def y_via_l(lam: Partition, mu: Partition) -> TPoly:
     """Transition-matrix route: sum over strict nu of L(nu, lam; t) times the
-    t = 0 value <Q_nu.1, p_mu>.  The pair is checked once, p_mu built once,
-    and the sum runs over the nonzero cells of the memoized column L(., lam)."""
-    from . import gamma, vertexops
-
+    t = 0 value X0(nu, mu) = <Q_nu, p_mu>.  The pair is checked once, the sum
+    runs over the nonzero cells of the memoized column L(., lam), and X0 comes
+    from bar removal with one memo for the call."""
     lam, mu = check_pair(lam, mu, check_odd)
-    p_mu = gamma.p_monomial(mu)
+    memo: dict = {}
     total = ZERO
     for nu, l_poly in _column(lam).items():
-        total = total + l_poly * gamma.pair(vertexops.schur_q(nu), p_mu)
+        total = total + l_poly * _x0(nu, mu, memo)
     return total
 
 

@@ -33,9 +33,12 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Union
 
+from .memo import cached, memo
 from .partitions import Partition, check_odd, z_factor
 
 Scalar = Union[int, Fraction]
+
+_inv_z_t_memo: dict[Partition, TPoly] = memo()
 
 
 def _as_tpoly(x) -> TPoly | None:
@@ -380,11 +383,13 @@ def d_poly(p: Partition) -> TPoly:
     return result
 
 
+@cached(_inv_z_t_memo, key=tuple)
 def inv_z_t(rho: Partition) -> TPoly:
     """The polynomial weight (-2)^{l(rho)} / z_rho(t) of an odd partition.
 
     With z_rho(t) = z_rho * prod_j (1 - t^{rho_j})^{-1} this equals
     (-2)^{l(rho)} * prod_j (1 - t^{rho_j}) / z_rho, a genuine polynomial.
+    Memoized on tuple(rho).
     """
     rho = check_odd(rho)
     result = ONE

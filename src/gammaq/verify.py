@@ -14,8 +14,10 @@ suites are shared between the command-line `verify` subcommand and the tests.
 
 The checks call the memoized recursions directly, unvalidated: _y_rec, as
 y_table does, and _l_rec, which reads a cell of the memoized L column that
-l_table is built from.  Every cell is enumerated, or strict by construction
-(a new largest part, a grown top row), so none is validated again.
+l_table is built from.  The character checks read _char(lam, mu, x0) with
+x0 from bar removal, one X0 memo per run, as spin_char_table does.  Every
+cell is enumerated, or strict by construction (a new largest part, a grown
+top row), so none is validated again.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ from .partitions import (
 )
 from .qkostka import _l_rec, l_direct, l_two_row
 from .spingreen import (
+    _char,
+    _x0,
     _y_rec,
-    spin_character,
     y_direct,
     y_table,
     y_two_row,
@@ -271,8 +274,8 @@ def check_gstar_powersum(max_n: int):
                 lhs = _Gs(k, p_monomial(mu))
                 rhs = GammaElement()
                 for i in range(w + 1):
-                    for nu in index_subpartitions(mu, i):
-                        rhs = rhs + p_monomial(nu) * _Gs(k + i - w, one())
+                    for nu, count in index_subpartitions(mu, i):
+                        rhs = rhs + p_monomial(nu) * _Gs(k + i - w, one()) * count
                 yield f"k={k},mu={mu}", lhs, rhs
 
 
@@ -458,10 +461,11 @@ def check_y_reconstruction(max_n: int):
 def check_frobenius(max_n: int):
     """Spin characters with their 2-power normalization rebuild the Schur
     Q-vectors."""
+    memo: dict = {}
 
     def weight(lam, mu):
         e = (len(lam) + len(mu) + epsilon(lam)) // 2
-        return Fraction(2**e, z_factor(mu)) * spin_character(lam, mu)
+        return Fraction(2**e, z_factor(mu)) * _char(lam, mu, _x0(lam, mu, memo))
 
     yield from _rebuilds(max_n, weight, schur_q)
 
@@ -470,9 +474,10 @@ def check_frobenius(max_n: int):
 def check_char_integrality(max_n: int):
     """Every spin character value is an integer with even 2-power parity; a
     case compares the ArithmeticError message, labelled by itself, with none."""
+    memo: dict = {}
     for lam, mu in _cells(1, max_n, enumerate_odd):
         try:
-            spin_character(lam, mu)
+            _char(lam, mu, _x0(lam, mu, memo))
             error = None
         except ArithmeticError as exc:
             error = str(exc)

@@ -174,12 +174,14 @@ def test_y_table_spot_values():
 
 
 # sha256 of json.dumps(table.to_json(), sort_keys=True) for y_table(n) and for
-# spin_char_table(n), n = 8..20.  The pins for n <= 18 were recorded when the
+# spin_char_table(n), n = 8..22.  The pins for n <= 18 were recorded when the
 # characters were read off y_table(n) at t = 0.  The Y digests for n <= 12
 # were recorded from the recursion that summed over every index subset of mu,
 # those for 13..18 from the recursion over distinct sub-multisets, and those
 # for 19 and 20 from that recursion and from the one that shares each rho-sum,
-# which agree.
+# which agree.  Those for 21 and 22 come from the recursion, checked cell by
+# cell against sum_nu L(nu, lam) X0(nu, mu) with X0 by bar removal; their
+# characters were checked against the constant terms of those Y tables.
 DATA = Path(__file__).parent / "data"
 Y_DIGESTS = json.loads((DATA / "y_table_sha256.json").read_text())
 CHAR_DIGESTS = json.loads((DATA / "spin_char_sha256.json").read_text())

@@ -107,7 +107,8 @@ def test_d_poly_counts_index_subpartitions():
             poly = d_poly(p)
             assert poly.degree == n
             for i in range(n + 1):
-                assert poly.coefficient(i) == len(index_subpartitions(p, i)), (p, i)
+                count = sum(c for _, c in index_subpartitions(p, i))
+                assert poly.coefficient(i) == count, (p, i)
 
 
 def test_d_poly_palindromic():
@@ -122,6 +123,13 @@ def test_inv_z_t():
     assert inv_z_t(()) == ONE
     with pytest.raises(ValueError):
         inv_z_t((2,))
+
+
+def test_memoized_helpers_accept_a_list():
+    # both are memoized on the tuple, so a list reads the tuple's entry
+    value, pairs = inv_z_t((3, 1, 1)), index_subpartitions((5, 3, 1, 1), 6)
+    assert inv_z_t([3, 1, 1]) is value
+    assert index_subpartitions([5, 3, 1, 1], 6) is pairs
 
 
 def test_inv_z_t_sum_identity():

@@ -41,7 +41,7 @@ def _identity_mode(m, f):
     return f
 
 
-def _no_character_off_one_row(lam, mu):
+def _no_character_off_one_row(lam, mu, x0):
     if len(lam) > 1:
         raise ArithmeticError(f"non-integer spin character 1/2 at ({lam}, {mu})")
     return 1
@@ -91,6 +91,10 @@ BROKEN = [
         "10 violation(s): (1,),(1,); (2,),(1, 1); (3,),(3,); (3,),(1, 1, 1) ...",
     ),
     (
+        "y_via_l", _wrong_poly, "check_y_routes", 4,
+        "10 violation(s): (1,),(1,); (2,),(1, 1); (3,),(3,); (3,),(1, 1, 1) ...",
+    ),
+    (
         "horizontal_strips", _nothing, "check_pieri", 3,
         "11 violation(s): mu=(),r=0; mu=(),r=1; mu=(),r=2; mu=(),r=3 ...",
     ),
@@ -131,7 +135,7 @@ BROKEN = [
         "9 violation(s): (2,),(1, 1): 2; (3,),(3,): 3; (3,),(1, 1, 1): 3; (2, 1),(3,): 3 ...",
     ),
     (
-        "spin_character", _no_character_off_one_row, "check_char_integrality", 4,
+        "_char", _no_character_off_one_row, "check_char_integrality", 4,
         "4 violation(s): non-integer spin character 1/2 at ((2, 1), (3,)); "
         "non-integer spin character 1/2 at ((2, 1), (1, 1, 1)); "
         "non-integer spin character 1/2 at ((3, 1), (3, 1)); "
@@ -140,9 +144,10 @@ BROKEN = [
 ]
 
 
-# A row that breaks a memoized recursion is named after the public route it
-# serves, so each case keeps one name whichever binding verify calls.
-PUBLIC_ROUTE = {"_l_rec": "l_recursive", "_y_rec": "y_recursive"}
+# A row that breaks a private helper (a memoized recursion, or the character
+# read from X0) is named after the public route it serves, so each case keeps
+# one name whichever binding verify calls.
+PUBLIC_ROUTE = {"_l_rec": "l_recursive", "_y_rec": "y_recursive", "_char": "spin_character"}
 
 
 @pytest.mark.parametrize(
