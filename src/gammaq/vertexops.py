@@ -16,7 +16,9 @@ A mode runs on the int numerators of its input over the input's one
 denominator (see gamma): the substitution weights are int coefficient
 tuples, since every annihilation rule here is an integer polynomial, and
 the products with the creation terms are summed over the lcm of their
-denominators and reduced once.
+denominators and reduced once.  The creation terms are built on ints the
+same way: each term's numerator is a product of the creation rules' int
+numerators, and the terms share the lcm of their denominators.
 
 Four registered memos, each filled by memo.cached, keep the work from
 repeating: the creation term of each z-degree, the substitution weights of
@@ -41,7 +43,7 @@ Q-function vectors; G-modes yield the Q-Hall-Littlewood vectors.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, lcm
 from typing import Callable, NamedTuple, Sequence
 
 from .gamma import GammaElement, _accumulate, _pmul, one, pair
@@ -114,20 +116,29 @@ _weights_memo: dict[tuple[str, int, int], list[tuple[int, ...]]] = memo()
 _vacuum_memo: dict[tuple[str, tuple[int, ...]], GammaElement] = memo()
 
 
-def _aut(p: Partition) -> int:
-    return prod(factorial(m) for m in multiplicities(p).values())
-
-
 @cached(_creation_memo, key=lambda spec, r: (spec.key, r))
 def _creation_term(spec: OperatorSpec, r: int) -> GammaElement:
-    """Coefficient of z^r in the creation exponential, as a ring element."""
-    terms: dict[Partition, TPoly] = {}
+    """Coefficient of z^r in the creation exponential exp(sum_n c_n p_n z^n),
+    n odd and c_n = spec.creation(n), as a ring element:
+
+        sum over odd rho of weight r of  prod_n c_n^{m_n} / m_n!  p_rho,
+
+    m_n the multiplicity of n in rho; for Q and G this is q_r, the weight
+    of p_rho being 2^{l(rho)} / z_rho.  Each term is the product of the
+    rules' int numerators over prod_n den(c_n)^{m_n} m_n!; the terms are
+    scaled to the lcm of those denominators and reduced once."""
+    rules = {n: spec.creation(n) for n in range(1, r + 1, 2)}
+    terms = []
     for rho in enumerate_odd(r):
-        w = ONE
-        for part in rho:
-            w = w * spec.creation(part)
-        terms[rho] = w * Fraction(1, _aut(rho))
-    return GammaElement(terms)
+        num, den = [1], 1
+        for n, m in multiplicities(rho).items():
+            c = rules[n]
+            for _ in range(m):
+                num = _pmul(num, c._num)
+            den *= c._den**m * factorial(m)
+        terms.append((rho, num, den))
+    common = lcm(*(den for _, _, den in terms))
+    return GammaElement._make({rho: [c * (common // den) for c in num] for rho, num, den in terms}, common)
 
 
 @cached(_weights_memo, key=lambda spec, n, count: (spec.key, n, count))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from gammaq import vertexops
 from gammaq.gamma import GammaElement, d_dp, one, p_monomial, pair
 from gammaq.memo import clear_memos
-from gammaq.partitions import enumerate_odd, enumerate_strict, multiplicities
+from gammaq.partitions import enumerate_odd, enumerate_strict, multiplicities, z_factor
 from gammaq.tpoly import ONE, TPoly, inv_z_t
 from gammaq.vertexops import (
     G_SPEC,
@@ -79,8 +79,9 @@ def _vacuum_text(n: int) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-# sha256 of _vacuum_text(n) for n = 0..13, recorded from the mode expansion
-# that chained d/dp_n over every odd rho of each weight.
+# sha256 of _vacuum_text(n): n = 0..13 recorded from the mode expansion that
+# chained d/dp_n over every odd rho of each weight, n = 14..18 from the
+# substitution modes while the creation terms were still TPoly products.
 VACUUM_DIGESTS = json.loads((Path(__file__).parent / "data" / "vacuum_sha256.json").read_text())
 
 
@@ -95,6 +96,25 @@ def _exp_weight(rule, rho) -> TPoly:
     """prod_j rule(rho_j) / aut(rho): the coefficient of rho in exp(sum_n rule(n) x_n)."""
     aut = prod(factorial(k) for k in multiplicities(rho).values())
     return prod((rule(part) for part in rho), start=ONE) * Fraction(1, aut)
+
+
+@pytest.mark.parametrize("spec", [Q_SPEC, G_SPEC, GSTAR_SPEC, QSTAR_SPEC], ids=lambda spec: spec.key)
+def test_creation_terms_match_exponential_definition(spec):
+    # r runs past 16, the top z-degree that a weight-16 expand --basis p reaches.
+    clear_memos()
+    for r in range(19):
+        expected = GammaElement({rho: _exp_weight(spec.creation, rho) for rho in enumerate_odd(r)})
+        term = vertexops._creation_term(spec, r)
+        assert term == expected, r
+        if spec is QSTAR_SPEC and r:
+            assert term.is_zero, r
+
+
+def test_q_rows_have_the_power_sum_weights():
+    clear_memos()
+    for r in range(19):
+        expected = GammaElement({rho: Fraction(2 ** len(rho), z_factor(rho)) for rho in enumerate_odd(r)})
+        assert q_row(r) == expected, r
 
 
 def _reference_component(spec, m: int, mu) -> GammaElement:
