@@ -13,8 +13,11 @@ name when it is called.
 A table command imports only the recursions it runs: verify and the vertex
 operators are imported by the commands that use them.
 
-A table is rendered by walking its axes, looking each cell up once and
-writing each stored cell once; the zero cell is written once per table.
+A table is rendered from its stored cells, not by looking up each slot:
+the grid starts as the zero text in every slot, each distinct stored value
+is written once, and its text is put at the row and column index of every
+cell that holds it.  LaTeX of an integral polynomial is written straight
+from its int coefficients.
 The json format is written by _json_table, byte for byte what
 json.dumps(table.to_json(), indent=2) writes, without the json module's
 pure-Python indenting encoder.
@@ -41,7 +44,7 @@ from .partitions import (
 )
 from .qkostka import Table, expand_g_in_q, l_table
 from .spingreen import spin_char_table, y_table
-from .tpoly import ONE, TPoly
+from .tpoly import ONE, TPoly, _int_str
 
 FORMATS = ("json", "csv", "latex", "markdown")
 # The keys of verify.SUITES, written out so that building the parser never
@@ -53,7 +56,10 @@ SUITE_NAMES = ("operators", "lkostka", "spingreen", "tables")
 
 
 def _poly_latex(p: TPoly) -> str:
-    """str(p) with every exponent braced, as in 2t^{10}+t^{2}, in one pass."""
+    """str(p) with every exponent braced, as in 2t^{10}+t^{2}: written
+    straight from the ints for an integral p, else by one pass over str(p)."""
+    if p._den == 1 and p._num:
+        return _int_str(p._num, brace=True)
     out, *powers = str(p).split("t^")
     for rest in powers:
         tail = rest.lstrip("0123456789")
@@ -118,11 +124,25 @@ def _json_value(value, pad: str) -> str:
 
 
 def _cell_texts(table, write) -> list[list[str]]:
-    """write(cell) for every cell of table, row by row; the value of the
-    cells that are not stored, zero, is written once for the whole table."""
-    get, cols = table.entries.get, table.cols()
+    """The grid of write(cell) over the rows and columns of table.  It
+    starts as write(zero) in every slot, and each stored cell's text is put
+    at its row and column index; write runs once per distinct value.  An
+    integral TPoly is keyed by its coefficient tuple, whose hash is C-level,
+    and any other value by itself."""
+    rows, cols = table.rows(), table.cols()
     zero = write(table.cell.zero)
-    return [[zero if (v := get((r, c))) is None else write(v) for c in cols] for r in table.rows()]
+    grid = [[zero] * len(cols) for _ in rows]
+    row_at = {r: i for i, r in enumerate(rows)}
+    col_at = {c: j for j, c in enumerate(cols)}
+    texts = {}
+    poly = type(table.cell.zero) is TPoly
+    for (r, c), v in table.entries.items():
+        key = v._num if poly and v._den == 1 else v
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = write(v)
+        grid[row_at[r]][col_at[c]] = text
+    return grid
 
 
 def _json_table(table) -> str:

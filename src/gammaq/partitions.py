@@ -6,14 +6,17 @@ distinct parts, odd partitions have every part odd.  Partitions are
 immutable values, safe to share freely.
 
 Canonical ordering for enumeration and table axes is decreasing
-lexicographic, e.g. (7), (6,1), (5,2), (4,3), (4,2,1).
+lexicographic, e.g. (7), (6,1), (5,2), (4,3), (4,2,1).  Each enumerator
+builds a weight from the smaller weights it has already cached: the
+partitions of n are (k,) + p for each first part k, largest first, and each
+cached p of weight n - k that may follow k.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .memo import cached, memo
 
@@ -129,38 +132,36 @@ def parse_partition(text: str) -> Partition:
     return check_partition(int(x) for x in parts)
 
 
-def _partitions(m: int, cap: int, strict: bool, odd: bool) -> Iterator[Partition]:
-    """Partitions of m with parts <= cap, decreasing lexicographic; strict
-    ones have distinct parts, odd ones only odd parts."""
-    if m < 0:
-        raise ValueError(f"weight must be non-negative: {m}")
-    if m == 0:
-        yield ()
-        return
-    top = min(m, cap)
-    if odd and top % 2 == 0:
-        top -= 1
-    for k in range(top, 0, -2 if odd else -1):
-        for rest in _partitions(m - k, k - strict, strict, odd):
-            yield (k,) + rest
+def _by_first_part(enumerate_fn, n: int, top: int, step: int, strict: bool) -> tuple[Partition, ...]:
+    """(k,) + p for k = top, top - step, ... > 0 and each p of
+    enumerate_fn(n - k) whose first part is < k if strict, else <= k, in
+    that order, which is decreasing lexicographic.  As k falls the weights
+    n - k rise, so the smaller weights are filled bottom-up: a weight not yet
+    cached is built from weights read before it, and no call recurses more
+    than three deep."""
+    if n < 0:
+        raise ValueError(f"weight must be non-negative: {n}")
+    if n == 0:
+        return ((),)
+    return tuple([(k,) + p for k in range(top, 0, -step) for p in enumerate_fn(n - k) if not p or p[0] <= k - strict])
 
 
 @lru_cache(maxsize=None)
 def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n in decreasing lexicographic order."""
-    return tuple(_partitions(n, n, strict=False, odd=False))
+    return _by_first_part(enumerate_partitions, n, n, 1, strict=False)
 
 
 @lru_cache(maxsize=None)
 def enumerate_strict(n: int) -> tuple[Partition, ...]:
     """All partitions of n into distinct parts, decreasing lexicographic."""
-    return tuple(_partitions(n, n, strict=True, odd=False))
+    return _by_first_part(enumerate_strict, n, n, 1, strict=True)
 
 
 @lru_cache(maxsize=None)
 def enumerate_odd(n: int) -> tuple[Partition, ...]:
     """All partitions of n into odd parts, decreasing lexicographic."""
-    return tuple(_partitions(n, n, strict=False, odd=True))
+    return _by_first_part(enumerate_odd, n, n - 1 + n % 2, 2, strict=False)
 
 
 @cached(_subpartitions_memo, key=lambda p, i: (tuple(p), i))
@@ -221,18 +222,20 @@ def horizontal_strips(inner: Partition, r: int) -> list[HorizontalStrip]:
     rows = inner + (0,)
     results: list[HorizontalStrip] = []
     outer: list[int] = []
+    strip = tuple.__new__  # HorizontalStrip's own __new__ is Python-level
 
     def walk(i: int, budget: int, grew: bool, a: int) -> None:
         if not budget:
-            results.append(HorizontalStrip(inner, tuple(outer) + inner[i:], a))
+            results.append(strip(HorizontalStrip, (inner, tuple(outer) + inner[i:], a)))
             return
         lo = rows[i]
         hi = lo + budget if i == 0 else min(lo + budget, rows[i - 1] - (not grew))
         for v in range(hi, max(lo, budget) - 1, -1):
-            grows = v > lo
-            joins = grew and v == rows[i - 1]
             outer.append(v)
-            walk(i + 1, budget - (v - lo), grows, a + (grows and not joins))
+            if v > lo:
+                walk(i + 1, budget - (v - lo), True, a + (not (grew and v == rows[i - 1])))
+            else:
+                walk(i + 1, budget, False, a)
             outer.pop()
 
     walk(0, r, False, 0)

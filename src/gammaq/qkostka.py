@@ -96,19 +96,20 @@ def _column(mu: Partition) -> dict[Partition, TPoly]:
     at mu^(1); an absent sub-cell is zero and adds nothing."""
     if not mu:
         return {(): ONE}
-    sub = _column(mu[1:])
+    get = _column(mu[1:]).get
     column = {}
     for lam, terms in _transfer(sum(mu), mu[0]):
         acc: list[int] = []  # every L value is integral: sum on its coefficient list
         for xi, c, r in terms:
-            cell = sub.get(xi)
+            cell = get(xi)
             if cell is None:
                 continue
             num = cell._num
             if len(acc) < r + len(num):
                 acc.extend([0] * (r + len(num) - len(acc)))
-            for k, x in enumerate(num, r):
-                acc[k] += c * x
+            for x in num:
+                acc[r] += c * x
+                r += 1
         value = TPoly._reduce(acc, 1)
         if not value.is_zero:
             column[lam] = value

@@ -21,8 +21,12 @@ rho weights from inv_z_t, each memoized where it is defined.  Only y_direct
 uses the vertex operators, and imports them when it is called.
 
 The characters come from X0(lam, mu) = Y(lam, mu; 0) = <Q_lam, p_mu> by
-Morris's bar removal on ints (A. O. Morris, Proc. LMS (3) 12, 1962), memoized
-per call; the recursion's constant terms are its check.
+Morris's bar removal on ints (A. O. Morris, Proc. LMS (3) 12, 1962); the
+recursion's constant terms are its check.  spin_char_table builds X0 one
+column at a time, as L is built: the column at mu from the column at mu^(1),
+with the bars listed once per (|mu|, mu_1), both for one call.  A single
+cell or row, as spin_character and y_via_l read, comes from _x0, which
+removes the bars cell by cell with a memo for its call.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .partitions import (
     check_odd,
     check_pair,
     enumerate_odd,
+    enumerate_strict,
     epsilon,
     index_subpartitions,
     union_sorted,
@@ -181,7 +186,30 @@ def y_table(n: int) -> Table:
 
 
 def spin_char_table(n: int) -> Table:
-    """Spin character matrix of weight n >= 0 by bar removal.  Its cells share
-    one X0 memo that lives as long as the call, and are not checked again."""
-    memo: dict = {}
-    return Table.build(n, enumerate_odd, lambda lam, mu: _char(lam, mu, _x0(lam, mu, memo)), INT)
+    """Spin character matrix of weight n >= 0 from the X0 columns, each
+    built from the column at mu^(1) as L's are: X0(lam, mu) is the sum of
+    c X0(kappa, mu^(1)) over the bars (kappa, c) of lam by mu_1.  The bars
+    of every strict lam of weight w by r are listed once per (w, r), a
+    column stores only its nonzero cells, and _char reads each of them.
+    Both dicts live as long as the call; the enumerated partitions are
+    valid, so no cell is checked again."""
+    bars: dict[tuple[int, int], list[tuple[Partition, list[tuple[Partition, int]]]]] = {}
+    columns: dict[Partition, dict[Partition, int]] = {(): {(): 1}}
+
+    def column(mu: Partition) -> dict[Partition, int]:
+        if mu not in columns:
+            get = column(mu[1:]).get
+            w, r = sum(mu), mu[0]
+            if (w, r) not in bars:
+                bars[w, r] = [(lam, list(_bars(lam, r))) for lam in enumerate_strict(w)]
+            nonzero = columns[mu] = {}
+            for lam, removals in bars[w, r]:
+                x0 = 0
+                for kappa, c in removals:
+                    x0 += c * get(kappa, 0)
+                if x0:
+                    nonzero[lam] = x0
+        return columns[mu]
+
+    cells = {(lam, mu): _char(lam, mu, x0) for mu in enumerate_odd(n) for lam, x0 in column(mu).items()}
+    return Table(n, cells, enumerate_odd, INT)

@@ -12,8 +12,9 @@ This normal form is unique, so equality and hashing compare the pair
 directly.  Arithmetic runs on ints with one gcd reduction per result, and
 denominator 1, the case of every L, Y and character value, takes no gcd at
 all.  Printing takes the same shortcut: str() of an integer polynomial
-writes each term's sign, magnitude and power straight from _num, and only a
-polynomial with a denominator goes through the reduced-fraction path.
+writes each term's sign, magnitude and power straight from _num, as does
+its LaTeX form with braced exponents, and only a polynomial with a
+denominator goes through the reduced-fraction path.
 from_int_json, the decoder of every cached table cell, builds the normal
 form directly when the top coefficient is nonzero.  Only int and Fraction
 scalars are accepted, so no float or string can slip into an exact value.
@@ -69,9 +70,10 @@ def _parse_ratio(s: str) -> tuple[int, int]:
     return int(n), int(d)
 
 
-def _int_str(num: tuple[int, ...]) -> str:
+def _int_str(num: tuple[int, ...], brace: bool = False) -> str:
     """TPoly.__str__ of the integer polynomial with coefficients num: the
-    sign, magnitude and power of each term straight from the ints."""
+    sign, magnitude and power of each term straight from the ints.  With
+    brace, every exponent is braced for LaTeX, as in 2t^{10}+t^{2}."""
     pieces = []
     for k in range(len(num) - 1, -1, -1):
         c = num[k]
@@ -84,7 +86,7 @@ def _int_str(num: tuple[int, ...]) -> str:
         if k == 0:
             pieces.append(f"{sign}{c}")
         else:
-            tpow = "t" if k == 1 else f"t^{k}"
+            tpow = "t" if k == 1 else f"t^{{{k}}}" if brace else f"t^{k}"
             pieces.append(sign + tpow if c == 1 else f"{sign}{c}{tpow}")
     return "".join(pieces)
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,8 @@ from gammaq.cli import main
 from gammaq.memo import clear_memos
 from gammaq.partitions import enumerate_strict
 from gammaq.qkostka import Table, l_table
-from gammaq.tpoly import TPoly
+from gammaq.spingreen import spin_char_table, y_table
+from gammaq.tpoly import ONE, ZERO, TPoly
 
 
 def _run(capsys, argv):
@@ -84,6 +86,48 @@ def test_formats_smoke(capsys):
     code, out = _run(capsys, ["spin-char", "--n", "3", "--format", "csv", "--no-cache"])
     assert code == 0
     assert out.splitlines()[0] == "lambda\\mu,3,\"1,1,1\""
+
+
+@pytest.mark.parametrize("build", [l_table, spin_char_table], ids=["L", "characters"])
+def test_each_distinct_cell_is_written_once(build):
+    table = build(16)
+    written = []
+
+    def spy(value):
+        written.append(value)
+        return str(value)
+
+    grid = cli._cell_texts(table, spy)
+    assert len(written) == len(set(written))
+    assert set(written) == {table.cell.zero, *table.entries.values()}
+    assert len(set(table.entries.values())) < len(table.entries)  # so some cell is not written again
+    assert grid == [[str(table.entry(r, c)) for c in table.cols()] for r in table.rows()]
+
+
+def _split_latex(p):
+    # the split-based form that _poly_latex writes for every polynomial, kept
+    # as the reference of its integral path
+    out, *powers = str(p).split("t^")
+    for rest in powers:
+        tail = rest.lstrip("0123456789")
+        out += "t^{" + rest[: len(rest) - len(tail)] + "}" + tail
+    return out
+
+
+def test_poly_latex_equals_the_split_form():
+    cells = {ZERO, ONE}
+    for n in range(17):
+        cells.update(l_table(n).entries.values())
+    for n in range(11):
+        cells.update(y_table(n).entries.values())
+    cells.update([
+        TPoly([Fraction(-1, 5), Fraction(2, 3)]),
+        TPoly([0, 0, Fraction(7, 2), 0, 0, 0, 0, 0, 0, 0, -1]),
+        TPoly([Fraction(1, 3)] * 12),
+    ])
+    assert len(cells) > 300
+    for p in cells:
+        assert cli._poly_latex(p) == _split_latex(p), p
 
 
 def test_latex_layout_is_published_orientation(capsys):
@@ -227,8 +271,9 @@ def test_cache_dir_env(monkeypatch, tmp_path):
 
 
 def test_non_integer_character_exits_1(monkeypatch, capsys):
-    # every X0 value 1 makes the character at ((2,1), (3,)) one half
-    monkeypatch.setattr(spingreen, "_x0", lambda lam, mu, memo: 1)
+    # every lam loses its whole weight as one bar with coefficient 1, so
+    # X0(., (3,)) is 1 and the character at ((2,1), (3,)) is one half
+    monkeypatch.setattr(spingreen, "_bars", lambda lam, r: [((), 1)])
     code = main(["spin-char", "--n", "3", "--no-cache"])
     out, err = capsys.readouterr()
     assert code == 1 and out == ""

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gammaq import partitions
 from gammaq.memo import clear_memos
 from gammaq.partitions import (
     HorizontalStrip,
@@ -150,8 +151,54 @@ def test_enumerate_order():
 
 def test_euler_identity():
     # partitions into odd parts and into distinct parts are equinumerous
-    for n in range(13):
+    for n in range(31):
         assert len(enumerate_odd(n)) == len(enumerate_strict(n))
+
+
+# The recursive generator the enumerators replaced, kept verbatim as their
+# reference: each weight walked from scratch, parts capped from the top.
+def _partitions(m, cap, strict, odd):
+    """Partitions of m with parts <= cap, decreasing lexicographic; strict
+    ones have distinct parts, odd ones only odd parts."""
+    if m < 0:
+        raise ValueError(f"weight must be non-negative: {m}")
+    if m == 0:
+        yield ()
+        return
+    top = min(m, cap)
+    if odd and top % 2 == 0:
+        top -= 1
+    for k in range(top, 0, -2 if odd else -1):
+        for rest in _partitions(m - k, k - strict, strict, odd):
+            yield (k,) + rest
+
+
+@pytest.mark.parametrize(
+    "enumerator, strict, odd",
+    [(enumerate_partitions, False, False), (enumerate_strict, True, False), (enumerate_odd, False, True)],
+)
+def test_enumerators_built_from_smaller_weights_equal_the_generator(monkeypatch, enumerator, strict, odd):
+    # the enumerator reads the smaller weights through its module name
+    depth = [0, 0]
+
+    def tracked(n):
+        depth[0] += 1
+        depth[1] = max(depth)
+        try:
+            return enumerator(n)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(partitions, enumerator.__name__, tracked)
+    enumerator.cache_clear()
+    tracked(30)  # fills every smaller weight bottom-up, none recursing 30 deep
+    # at most three weights are built one inside another, the innermost
+    # reading cached weights: four calls deep at any n, where a top-down
+    # recursion would go n + 1 deep
+    assert depth[1] <= 4
+    assert enumerator.cache_info().currsize == 31
+    for n in range(31):
+        assert enumerator(n) == tuple(_partitions(n, n, strict, odd)), n
 
 
 def test_index_subpartitions():

@@ -154,6 +154,29 @@ def test_spin_char_table_does_not_depend_on_memo_state():
     assert spin_char_table(8) == cold
 
 
+def test_x0_columns_equal_the_per_cell_bar_removal(monkeypatch):
+    # with _char passing X0 through, spin_char_table is the table of its X0 columns
+    monkeypatch.setattr(spingreen, "_char", lambda lam, mu, x0: x0)
+    cells = 0
+    for n in range(17):
+        columns = spin_char_table(n)
+        assert 0 not in columns.entries.values()
+        memo = {}
+        for lam in enumerate_strict(n):
+            for mu in enumerate_odd(n):
+                assert columns.entry(lam, mu) == spingreen._x0(lam, mu, memo), (lam, mu)
+                cells += 1
+    assert cells == sum(len(enumerate_strict(n)) ** 2 for n in range(17))
+
+
+def test_spin_char_table_equals_spin_character_cell_by_cell():
+    for n in range(17):
+        table = spin_char_table(n)
+        for lam in enumerate_strict(n):
+            for mu in enumerate_odd(n):
+                assert table.entry(lam, mu) == spin_character(lam, mu), (lam, mu)
+
+
 def test_non_integer_character_names_the_reduced_fraction(monkeypatch):
     monkeypatch.setattr(spingreen, "_x0", lambda lam, mu, memo: 6)
     # the exponent at ((5,4,3,2,1), (15,)) is 2, so the value is 6/4
