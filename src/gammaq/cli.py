@@ -16,8 +16,8 @@ operators are imported by the commands that use them.
 A table is rendered from its stored cells, not by looking up each slot:
 the grid starts as the zero text in every slot, each distinct stored value
 is written once, and its text is put at the row and column index of every
-cell that holds it.  LaTeX of an integral polynomial is written straight
-from its int coefficients.
+cell that holds it.  Every polynomial, plain or LaTeX, integral or not, is
+written straight from its int coefficients by tpoly's one text writer.
 The json format is written by _json_table, byte for byte what
 json.dumps(table.to_json(), indent=2) writes, without the json module's
 pure-Python indenting encoder.
@@ -42,9 +42,9 @@ from .partitions import (
     parse_partition,
     partition_str,
 )
-from .qkostka import Table, expand_g_in_q, l_table
+from .qkostka import POLY, Table, expand_g_in_q, l_table
 from .spingreen import spin_char_table, y_table
-from .tpoly import ONE, TPoly, _int_str
+from .tpoly import ONE, TPoly, _text
 
 FORMATS = ("json", "csv", "latex", "markdown")
 # The keys of verify.SUITES, written out so that building the parser never
@@ -56,15 +56,8 @@ SUITE_NAMES = ("operators", "lkostka", "spingreen", "tables")
 
 
 def _poly_latex(p: TPoly) -> str:
-    """str(p) with every exponent braced, as in 2t^{10}+t^{2}: written
-    straight from the ints for an integral p, else by one pass over str(p)."""
-    if p._den == 1 and p._num:
-        return _int_str(p._num, brace=True)
-    out, *powers = str(p).split("t^")
-    for rest in powers:
-        tail = rest.lstrip("0123456789")
-        out += "t^{" + rest[: len(rest) - len(tail)] + "}" + tail
-    return out
+    """str(p) with every exponent braced, as in 2t^{10}+t^{2}."""
+    return _text(p._num, p._den, brace=True)
 
 
 def _part_compact(p: Partition) -> str:
@@ -158,39 +151,43 @@ def _json_table(table) -> str:
     )
 
 
-def _render_table(table, fmt: str, latex_cell, latex_transposed: bool) -> str:
+def _render_table(table, fmt: str) -> str:
     if fmt == "json":
         return _json_table(table)
+    transposed = table.columns is enumerate_odd  # the paper's rows are the odd shapes
     if fmt == "latex":
-        corner = "$\\mu\\backslash\\lambda$" if latex_transposed else "$\\lambda\\backslash\\mu$"
+        corner = "$\\mu\\backslash\\lambda$" if transposed else "$\\lambda\\backslash\\mu$"
         label = lambda p: f"${_part_compact(p)}$"
-        cell = lambda v: f"${latex_cell(v)}$"
+        latex = _poly_latex if table.cell is POLY else str
+        cell = lambda v: f"${latex(v)}$"
     else:
         corner, cell = "lambda\\mu", str
         label = partition_str if fmt == "csv" else _part_compact
     grid = [[corner] + [label(c) for c in table.cols()]]
     grid += [[label(r)] + row for r, row in zip(table.rows(), _cell_texts(table, cell))]
-    if fmt == "latex" and latex_transposed:
-        # published layout: rows are the odd shapes, columns the strict ones
+    if fmt == "latex" and transposed:
         grid = list(zip(*grid))
     return _grid(fmt, grid)
 
 
-def _render_poly_table(table, fmt: str, latex_transposed: bool) -> str:
-    return _render_table(table, fmt, _poly_latex, latex_transposed)
+# Two names for one renderer, one per kind of table: perfbench's tracer
+# wraps each of them, by name, as the cli.render span.
+def _render_poly_table(table, fmt: str) -> str:
+    return _render_table(table, fmt)
 
 
 def _render_int_table(table, fmt: str) -> str:
-    return _render_table(table, fmt, str, latex_transposed=True)
+    return _render_table(table, fmt)
 
 
 def _coeff_prefix(c: TPoly) -> str:
-    """Coefficient as a multiplier: '' for 1, inline monomial, else parenthesized."""
+    """Coefficient as a multiplier: '' for 1, a monomial with a positive
+    coefficient inline, anything else parenthesized."""
     if c == ONE:
         return ""
+    num = c._num
     text = _poly_latex(c)
-    nonzero = [k for k in range(c.degree + 1) if c.coefficient(k)]
-    if len(nonzero) == 1 and c.leading_coefficient > 0:
+    if num and num[-1] > 0 and not any(num[:-1]):
         return text
     return f"({text})"
 
@@ -259,13 +256,13 @@ def _cached_table(args, kind, columns, build) -> Table:
 
 def cmd_lkostka(args) -> int:
     table = _cached_table(args, "L", enumerate_strict, l_table)
-    _emit(_render_poly_table(table, args.format, latex_transposed=False), args.out)
+    _emit(_render_poly_table(table, args.format), args.out)
     return 0
 
 
 def cmd_spin_green(args) -> int:
     table = _cached_table(args, "Y", enumerate_odd, y_table)
-    _emit(_render_poly_table(table, args.format, latex_transposed=True), args.out)
+    _emit(_render_poly_table(table, args.format), args.out)
     return 0
 
 

@@ -18,9 +18,11 @@ one level up:
 This normal form is unique, so equality compares (_den, _terms) directly.
 Sums, products, d/dp_n and the pairing run on ints and reduce once per
 result; _den == 1, the case of every Schur Q- and Q-Hall-Littlewood vector,
-takes no gcd at all.  coefficient() and terms() hand out reduced TPolys, and
-the constructor accepts TPoly, int and Fraction coefficients.  A
-GammaElement has no mutator, so results may be shared.
+takes no gcd at all.  The int products and sums are tpoly's _pmul and _padd;
+only _accumulate, which adds into a dict of int lists in place, lives here.
+coefficient() and terms() hand out reduced TPolys, and the constructor
+accepts TPoly, int and Fraction coefficients.  A GammaElement has no
+mutator, so results may be shared.
 """
 
 from __future__ import annotations
@@ -30,35 +32,9 @@ from math import gcd, lcm
 from typing import Iterator, Mapping, Sequence, Union
 
 from .partitions import Partition, check_odd, union_sorted, z_factor
-from .tpoly import ONE, TPoly, ZERO, _as_tpoly
+from .tpoly import ONE, TPoly, ZERO, _as_tpoly, _padd, _pmul
 
 CoeffLike = Union[int, Fraction, TPoly]
-
-
-def _pmul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Product of two int coefficient sequences, ascending in t."""
-    if len(a) == 1:
-        s = a[0]
-        return [s * c for c in b]
-    if len(b) == 1:
-        s = b[0]
-        return [c * s for c in a]
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
-
-
-def _padd(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Sum of two int coefficient sequences, as a new list."""
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return out
 
 
 def _accumulate(table: dict, key, num: list[int]) -> None:
@@ -73,11 +49,6 @@ def _accumulate(table: dict, key, num: list[int]) -> None:
         prev, num = num, prev
     for i, c in enumerate(num):
         prev[i] += c
-
-
-def _as_poly(num: tuple[int, ...], den: int) -> TPoly:
-    """The reduced TPoly num/den of one normal-form term."""
-    return TPoly._raw(num, 1) if den == 1 else TPoly._reduce(list(num), den)
 
 
 class GammaElement:
@@ -109,13 +80,15 @@ class GammaElement:
 
     def terms(self) -> Iterator[tuple[Partition, TPoly]]:
         """(partition, coefficient) pairs in decreasing lexicographic key order."""
-        den = self._den
         for mu in sorted(self._terms, reverse=True):
-            yield mu, _as_poly(self._terms[mu], den)
+            yield mu, self.coefficient(mu)
 
     def coefficient(self, mu: Partition) -> TPoly:
+        """The reduced coefficient of p_mu, ZERO if mu is not a key."""
         num = self._terms.get(tuple(mu))
-        return ZERO if num is None else _as_poly(num, self._den)
+        if num is None:
+            return ZERO
+        return TPoly._raw(num, 1) if self._den == 1 else TPoly._reduce(list(num), self._den)
 
     @property
     def is_zero(self) -> bool:

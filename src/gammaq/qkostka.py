@@ -167,8 +167,9 @@ INT = Codec(int, _int_cell, 0)
 class Table(NamedTuple):
     """A matrix over one weight: rows are the strict partitions of weight,
     columns the partitions columns(weight) lists (strict or odd).  Only
-    nonzero cells are kept, as build, from_json and l_table make them; cell
-    encodes a cell for JSON and gives the value of a cell that is not stored.
+    nonzero cells are kept, as every table builder and from_json make them;
+    cell encodes a cell for JSON and gives the value of a cell that is not
+    stored.
 
     entries is keyed by the canonical axis tuples, so a reader that walks
     rows() and cols() looks each cell up once, as to_json does; entry()
@@ -180,12 +181,6 @@ class Table(NamedTuple):
     entries: dict[tuple[Partition, Partition], Any]
     columns: Callable[[int], tuple[Partition, ...]] = enumerate_strict
     cell: Codec = POLY
-
-    @classmethod
-    def build(cls, n: int, columns, fn, cell: Codec = POLY) -> "Table":
-        """The table of weight n whose cell (lam, mu) is fn(lam, mu)."""
-        cells = {(lam, mu): fn(lam, mu) for lam in enumerate_strict(n) for mu in columns(n)}
-        return cls(n, {k: v for k, v in cells.items() if v != cell.zero}, columns, cell)
 
     def rows(self) -> tuple[Partition, ...]:
         return enumerate_strict(self.weight)

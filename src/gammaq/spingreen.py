@@ -180,9 +180,11 @@ def _char(lam: Partition, mu: Partition, x0: int) -> int:
 
 
 def y_table(n: int) -> Table:
-    """Full spin Green matrix of weight n >= 0 via the recursion.  The
-    enumerated partitions are valid, so no cell is checked again."""
-    return Table.build(n, enumerate_odd, _y_rec)
+    """Full spin Green matrix of weight n >= 0 via the recursion, keeping
+    its nonzero cells.  The enumerated partitions are valid, so no cell is
+    checked again."""
+    cells = {(lam, mu): _y_rec(lam, mu) for lam in enumerate_strict(n) for mu in enumerate_odd(n)}
+    return Table(n, {k: y for k, y in cells.items() if not y.is_zero}, enumerate_odd)
 
 
 def spin_char_table(n: int) -> Table:

@@ -1,4 +1,5 @@
-"""Exact univariate polynomials in t over the rationals.
+"""Exact univariate polynomials in t over the rationals, and the int
+coefficient code every integer polynomial of the package runs on.
 
 TPoly stores an integer numerator and one common denominator, the
 representation of FLINT's fmpq_poly:
@@ -11,10 +12,9 @@ representation of FLINT's fmpq_poly:
 This normal form is unique, so equality and hashing compare the pair
 directly.  Arithmetic runs on ints with one gcd reduction per result, and
 denominator 1, the case of every L, Y and character value, takes no gcd at
-all.  Printing takes the same shortcut: str() of an integer polynomial
-writes each term's sign, magnitude and power straight from _num, as does
-its LaTeX form with braced exponents, and only a polynomial with a
-denominator goes through the reduced-fraction path.
+all.  _pmul and _padd, the int products and sums of TPoly, are also those of
+gamma and vertexops; _text, the one writer of polynomial text, plain or
+LaTeX, writes every TPoly straight from its ints.
 from_int_json, the decoder of every cached table cell, builds the normal
 form directly when the top coefficient is nonzero.  Only int and Fraction
 scalars are accepted, so no float or string can slip into an exact value.
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .memo import cached, memo
 from .partitions import Partition, check_odd, z_factor
@@ -70,10 +70,36 @@ def _parse_ratio(s: str) -> tuple[int, int]:
     return int(n), int(d)
 
 
-def _int_str(num: tuple[int, ...], brace: bool = False) -> str:
-    """TPoly.__str__ of the integer polynomial with coefficients num: the
-    sign, magnitude and power of each term straight from the ints.  With
-    brace, every exponent is braced for LaTeX, as in 2t^{10}+t^{2}."""
+def _pmul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two int coefficient sequences, ascending in t."""
+    if len(a) == 1:
+        s = a[0]
+        return [s * c for c in b]
+    if len(b) == 1:
+        s = b[0]
+        return [c * s for c in a]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
+
+
+def _padd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Sum of two int coefficient sequences, as a new list."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return out
+
+
+def _text(num: Sequence[int], den: int = 1, brace: bool = False) -> str:
+    """num/den in normal form as text, descending: '2t^2+8t+5', '(1/2)t^3-1/3',
+    '0' for no terms; brace braces every exponent for LaTeX, as in
+    2t^{10}+t^{2}.  Denominator 1 writes each int as it is, with no gcd."""
     pieces = []
     for k in range(len(num) - 1, -1, -1):
         c = num[k]
@@ -83,12 +109,17 @@ def _int_str(num: tuple[int, ...], brace: bool = False) -> str:
             sign, c = "-", -c
         else:
             sign = "+" if pieces else ""
+        if den != 1:
+            g = gcd(c, den)
+            c //= g
+            if g != den:  # not an integer: c becomes its text, which is never 1
+                c = f"({c}/{den // g})" if k else f"{c}/{den // g}"
         if k == 0:
             pieces.append(f"{sign}{c}")
         else:
             tpow = "t" if k == 1 else f"t^{{{k}}}" if brace else f"t^{k}"
             pieces.append(sign + tpow if c == 1 else f"{sign}{c}{tpow}")
-    return "".join(pieces)
+    return "".join(pieces) or "0"
 
 
 class TPoly:
@@ -193,11 +224,7 @@ class TPoly:
             fa, fb = db // g, da // g
             a = [c * fa for c in a] if fa != 1 else a
             b = [c * fb for c in b] if fb != 1 else b
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
+        out = _padd(a, b)
         if den == 1 and len(a) != len(b):
             return TPoly._raw(tuple(out), 1)
         return TPoly._reduce(out, den)
@@ -221,18 +248,7 @@ class TPoly:
             b, db = other._num, other._den
             if not a or not b:
                 return ZERO
-            if len(a) == 1:
-                s = a[0]
-                out = [s * c for c in b]
-            elif len(b) == 1:
-                s = b[0]
-                out = [c * s for c in a]
-            else:
-                out = [0] * (len(a) + len(b) - 1)
-                for i, ca in enumerate(a):
-                    if ca:
-                        for j, cb in enumerate(b):
-                            out[i + j] += ca * cb
+            out = _pmul(a, b)
             den = da * db
             if den == 1:
                 # A product of nonzero integer polynomials has a nonzero top.
@@ -305,30 +321,7 @@ class TPoly:
 
     def __str__(self) -> str:
         """Human form, descending powers: '2t^2+8t+5'."""
-        num, den = self._num, self._den
-        if not num:
-            return "0"
-        if den == 1:
-            return _int_str(num)
-        pieces = []
-        for k in range(len(num) - 1, -1, -1):
-            c = num[k]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else ("+" if pieces else "")
-            mag = _ratio_str(abs(c), den)
-            if k == 0:
-                body = mag
-            else:
-                tpow = "t" if k == 1 else f"t^{k}"
-                if mag == "1":
-                    body = tpow
-                elif "/" not in mag:
-                    body = f"{mag}{tpow}"
-                else:
-                    body = f"({mag}){tpow}"
-            pieces.append(sign + body)
-        return "".join(pieces)
+        return _text(self._num, self._den)
 
     def to_json(self) -> list[str]:
         """Ascending coefficient strings, 'num/den' or plain integer."""

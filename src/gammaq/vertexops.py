@@ -18,7 +18,9 @@ tuples, since every annihilation rule here is an integer polynomial, and
 the products with the creation terms are summed over the lcm of their
 denominators and reduced once.  The creation terms are built on ints the
 same way: each term's numerator is a product of the creation rules' int
-numerators, and the terms share the lcm of their denominators.
+numerators, and the terms share the lcm of their denominators.  Every int
+product is tpoly's _pmul; every sum into a dict of int lists is gamma's
+_accumulate.
 
 Four registered memos, each filled by memo.cached, keep the work from
 repeating: the creation term of each z-degree, the substitution weights of
@@ -46,7 +48,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Callable, NamedTuple, Sequence
 
-from .gamma import GammaElement, _accumulate, _pmul, one, pair
+from .gamma import GammaElement, _accumulate, one, pair
 from .memo import cached, memo
 from .partitions import (
     Partition,
@@ -57,7 +59,7 @@ from .partitions import (
     remove_part,
     union_sorted,
 )
-from .tpoly import ONE, TPoly
+from .tpoly import ONE, TPoly, _pmul
 
 
 class OperatorSpec(NamedTuple):

@@ -105,8 +105,8 @@ def test_each_distinct_cell_is_written_once(build):
 
 
 def _split_latex(p):
-    # the split-based form that _poly_latex writes for every polynomial, kept
-    # as the reference of its integral path
+    # the LaTeX form by another route: str(p) with each exponent braced by
+    # one pass over the text
     out, *powers = str(p).split("t^")
     for rest in powers:
         tail = rest.lstrip("0123456789")

@@ -81,13 +81,13 @@ def test_cli_stdout_bytes_are_pinned_warm(tmp_path, capsys):
 
 def test_json_table_writer_matches_the_json_module():
     # the renderer writes the json format itself; json.dumps is the reference
-    tables = [(_render_poly_table, l_table, n, [False]) for n in range(15)]
-    tables += [(_render_poly_table, y_table, n, [True]) for n in range(10)]
-    tables += [(_render_int_table, spin_char_table, n, []) for n in range(13)]
-    for render, build, n, flags in tables:
+    tables = [(_render_poly_table, l_table, n) for n in range(15)]
+    tables += [(_render_poly_table, y_table, n) for n in range(10)]
+    tables += [(_render_int_table, spin_char_table, n) for n in range(13)]
+    for render, build, n in tables:
         table = build(n)
         expected = json.dumps(table.to_json(), indent=2) + "\n"
-        assert render(table, "json", *flags) == expected, (build.__name__, n)
+        assert render(table, "json") == expected, (build.__name__, n)
 
 
 def test_verify_stdout_bytes_are_pinned(capsys):

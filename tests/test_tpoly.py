@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gammaq.partitions import enumerate_odd, enumerate_partitions, index_subpartitions
@@ -12,6 +12,7 @@ from gammaq.tpoly import (
     T,
     TPoly,
     ZERO,
+    _text,
     d_poly,
     inv_z_t,
     signed_t,
@@ -188,23 +189,26 @@ def _ref_mul(a, b):
     return _ref(out)
 
 
-def _ref_str(cs) -> str:
+def _ref_str(cs, brace: bool = False) -> str:
+    # each term written from its Fraction value, with the string tests of the
+    # rational path TPoly.__str__ took before the one int writer
     pieces = []
     for k in range(len(cs) - 1, -1, -1):
         c = cs[k]
         if c == 0:
             continue
         sign = "-" if c < 0 else ("+" if pieces else "")
-        mag = abs(c)
-        tpow = "t" if k == 1 else f"t^{k}"
+        mag = str(abs(c))
         if k == 0:
-            body = str(mag)
-        elif mag == 1:
-            body = tpow
-        elif mag.denominator == 1:
-            body = f"{mag}{tpow}"
+            body = mag
         else:
-            body = f"({mag}){tpow}"
+            tpow = "t" if k == 1 else f"t^{{{k}}}" if brace else f"t^{k}"
+            if mag == "1":
+                body = tpow
+            elif "/" not in mag:
+                body = f"{mag}{tpow}"
+            else:
+                body = f"({mag}){tpow}"
         pieces.append(sign + body)
     return "".join(pieces) or "0"
 
@@ -242,6 +246,28 @@ def test_matches_fraction_reference(ca, cb, s):
     _assert_matches(a + s, _ref_add(ra, [Fraction(s)]))
     assert a(s) == sum((c * Fraction(s) ** k for k, c in enumerate(ra)), Fraction(0))
     assert type(a(s)) is Fraction
+
+
+_text_ints = st.integers(-3, 3) | st.integers()
+_text_coeffs = st.lists(_text_ints, max_size=14) | st.lists(
+    _text_ints | small_fractions | st.fractions(max_denominator=10**6), max_size=14
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_text_coeffs, st.booleans())
+@example([], False)
+@example([0, 0], True)
+@example([Fraction(1, 2), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, Fraction(-3, 2)], True)
+def test_text_writer_matches_the_fraction_reference(cs, brace):
+    """The one writer, on int lists and on lists with Fractions, plain and
+    braced, writes what the Fraction reference writes; zero is '0'."""
+    p = TPoly(cs)
+    ref = _ref(cs)
+    assert _text(p._num, p._den, brace) == _ref_str(ref, brace)
+    assert str(p) == _ref_str(ref)
+    if p._den == 1:
+        assert _text(p._num, brace=brace) == _ref_str(ref, brace)
 
 
 @settings(max_examples=200, deadline=None)
