@@ -141,27 +141,15 @@ def expand_g_in_q(mu: Partition) -> dict[Partition, TPoly]:
 
 
 class Codec(NamedTuple):
-    """The JSON form of a table's cells.  decode inverts encode and raises
-    ValueError, TypeError or ZeroDivisionError on data it cannot read; zero
-    is the value of a cell that is not stored."""
+    """How a table's cells are written: encode gives a cell's JSON, zero is
+    the value of a cell that is not stored."""
 
     encode: Callable[[Any], Any]
-    decode: Callable[[Any], Any]
     zero: Any
 
 
-POLY = Codec(TPoly.to_json, TPoly.from_int_json, ZERO)  # every L and Y value is integral
-
-
-def _int_cell(value) -> int:
-    """Decode an INT cell: a JSON integer only, so a float is never
-    truncated and true, false and strings are refused."""
-    if type(value) is not int:
-        raise TypeError(f"integer cell must be a JSON integer: {value!r}")
-    return value
-
-
-INT = Codec(int, _int_cell, 0)
+POLY = Codec(TPoly.to_json, ZERO)  # L and Y tables
+INT = Codec(int, 0)  # the spin character table, which is never cached
 
 
 class Table(NamedTuple):
@@ -174,8 +162,9 @@ class Table(NamedTuple):
     entries is keyed by the canonical axis tuples, so a reader that walks
     rows() and cols() looks each cell up once, as to_json does; entry()
     canonicalizes its keys for callers that pass other sequences.
-    from_json decodes each cell once, straight into entries, and skips a
-    cell whose JSON is that of the zero value ([] for POLY) undecoded."""
+    from_json reads the POLY tables, L and Y, the only ones cached: it
+    decodes each cell once with TPoly.from_int_json, straight into entries,
+    skips a cell stored as [] undecoded and drops a decoded zero."""
 
     weight: int
     entries: dict[tuple[Partition, Partition], Any]
@@ -202,10 +191,11 @@ class Table(NamedTuple):
         }
 
     @classmethod
-    def from_json(cls, data: dict, columns=enumerate_strict, cell: Codec = POLY) -> "Table":
-        """Inverse of to_json.  Raises ValueError unless the rows and
-        columns are the enumerated axes of the weight and the entries form
-        exactly one value per row and column."""
+    def from_json(cls, data: dict, columns=enumerate_strict) -> "Table":
+        """Inverse of to_json for a POLY table.  Raises ValueError unless the
+        rows and columns are the enumerated axes of the weight and the
+        entries form exactly one value per row and column, and whatever
+        TPoly.from_int_json raises on a cell."""
         n = data["n"]
         if type(n) is not int:
             raise ValueError(f"table weight must be an int: {n!r}")
@@ -215,16 +205,15 @@ class Table(NamedTuple):
         grid = data["entries"]
         if len(grid) != len(rows) or any(len(row) != len(cols) for row in grid):
             raise ValueError(f"table entries are not a {len(rows)} x {len(cols)} grid")
-        decode, zero = cell.decode, cell.zero
-        empty = cell.encode(zero)  # the JSON of a zero cell, skipped undecoded
+        decode = TPoly.from_int_json
         entries = {}
         for lam, row in zip(rows, grid):
             for mu, value in zip(cols, row):
-                if value != empty:
+                if value != []:  # a zero cell, skipped undecoded
                     value = decode(value)
-                    if value != zero:
+                    if value._num:
                         entries[lam, mu] = value
-        return cls(n, entries, columns, cell)
+        return cls(n, entries, columns)
 
 
 def l_table(n: int) -> Table:

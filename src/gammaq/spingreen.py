@@ -22,16 +22,18 @@ uses the vertex operators, and imports them when it is called.
 
 The characters come from X0(lam, mu) = Y(lam, mu; 0) = <Q_lam, p_mu> by
 Morris's bar removal on ints (A. O. Morris, Proc. LMS (3) 12, 1962); the
-recursion's constant terms are its check.  spin_char_table builds X0 one
+recursion's constant terms are its check.  _x0_columns builds X0 one
 column at a time, as L is built: the column at mu from the column at mu^(1),
-with the bars listed once per (|mu|, mu_1), both for one call.  A single
-cell or row, as spin_character and y_via_l read, comes from _x0, which
-removes the bars cell by cell with a memo for its call.
+with the bars listed once per (|mu|, mu_1), both for the life of one
+builder.  spin_char_table and verify's two whole-weight character checks
+read the same columns, one builder per call.  A single cell or row, as
+spin_character and y_via_l read, comes from _x0, which removes the bars
+cell by cell with a memo for its call.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 from .memo import cached, memo
 from .partitions import (
@@ -187,14 +189,12 @@ def y_table(n: int) -> Table:
     return Table(n, {k: y for k, y in cells.items() if not y.is_zero}, enumerate_odd)
 
 
-def spin_char_table(n: int) -> Table:
-    """Spin character matrix of weight n >= 0 from the X0 columns, each
-    built from the column at mu^(1) as L's are: X0(lam, mu) is the sum of
-    c X0(kappa, mu^(1)) over the bars (kappa, c) of lam by mu_1.  The bars
-    of every strict lam of weight w by r are listed once per (w, r), a
-    column stores only its nonzero cells, and _char reads each of them.
-    Both dicts live as long as the call; the enumerated partitions are
-    valid, so no cell is checked again."""
+def _x0_columns() -> Callable[[Partition], dict[Partition, int]]:
+    """A builder of X0 columns: column(mu) maps each strict lam of weight
+    |mu| with X0(lam, mu) != 0 to that value, the sum of c X0(kappa, mu^(1))
+    over the bars (kappa, c) of lam by mu_1.  The bars of every strict lam
+    of weight w by r are listed once per (w, r); both they and the columns
+    live as long as the builder, and mu must be a valid odd partition."""
     bars: dict[tuple[int, int], list[tuple[Partition, list[tuple[Partition, int]]]]] = {}
     columns: dict[Partition, dict[Partition, int]] = {(): {(): 1}}
 
@@ -213,5 +213,13 @@ def spin_char_table(n: int) -> Table:
                     nonzero[lam] = x0
         return columns[mu]
 
+    return column
+
+
+def spin_char_table(n: int) -> Table:
+    """Spin character matrix of weight n >= 0: _char read on every nonzero
+    cell of the X0 columns of one builder.  The enumerated partitions are
+    valid, so no cell is checked again."""
+    column = _x0_columns()
     cells = {(lam, mu): _char(lam, mu, x0) for mu in enumerate_odd(n) for lam, x0 in column(mu).items()}
     return Table(n, cells, enumerate_odd, INT)

@@ -256,12 +256,9 @@ class TPoly:
             return TPoly._reduce(out, den)
         # A scalar n/d.  With gcd(content(a), da) = gcd(n, d) = 1 the content
         # of a*n shares exactly gcd(n, da) * gcd(content(a), d) with da*d.
-        if isinstance(other, int):
-            n, d = other, 1
-        elif isinstance(other, Fraction):
-            n, d = other.numerator, other.denominator
-        else:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
+        n, d = other.numerator, other.denominator
         if not n or not a:
             return ZERO
         g = gcd(n, da)
@@ -290,21 +287,10 @@ class TPoly:
         return result
 
     def __call__(self, x: Scalar) -> Fraction:
-        """Evaluate at an exact rational point x = p/q, by Horner's rule on
-        ints: sum_k num_k p^k q^(deg-k), over q^deg * den."""
-        if isinstance(x, int):
-            p, q = x, 1
-        elif isinstance(x, Fraction):
-            p, q = x.numerator, x.denominator
-        else:
+        """The exact value at an int or Fraction x."""
+        if not isinstance(x, (int, Fraction)):
             raise TypeError(f"TPoly evaluates at an int or Fraction, not {type(x).__name__}")
-        num = self._num
-        acc = num[-1] if num else 0
-        qk = 1
-        for c in num[-2::-1]:
-            qk *= q
-            acc = acc * p + c * qk
-        return Fraction(acc, qk * self._den)
+        return Fraction(sum(c * x**k for k, c in enumerate(self._num)), self._den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TPoly):

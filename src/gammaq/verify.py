@@ -15,9 +15,10 @@ suites are shared between the command-line `verify` subcommand and the tests.
 The checks call the memoized recursions directly, unvalidated: _y_rec, as
 y_table does, and _l_rec, which reads a cell of the memoized L column that
 l_table is built from.  The character checks read _char(lam, mu, x0) with
-x0 from bar removal, one X0 memo per run, as spin_char_table does.  Every
-cell is enumerated, or strict by construction (a new largest part, a grown
-top row), so none is validated again.
+x0 from the columns of one _x0_columns builder per run, the X0 columns
+spin_char_table prints.  Every cell is enumerated, or strict by
+construction (a new largest part, a grown top row), so none is validated
+again.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .partitions import (
 from .qkostka import _l_rec, l_direct, l_two_row
 from .spingreen import (
     _char,
-    _x0,
+    _x0_columns,
     _y_rec,
     y_direct,
     y_table,
@@ -461,11 +462,11 @@ def check_y_reconstruction(max_n: int):
 def check_frobenius(max_n: int):
     """Spin characters with their 2-power normalization rebuild the Schur
     Q-vectors."""
-    memo: dict = {}
+    column = _x0_columns()
 
     def weight(lam, mu):
         e = (len(lam) + len(mu) + epsilon(lam)) // 2
-        return Fraction(2**e, z_factor(mu)) * _char(lam, mu, _x0(lam, mu, memo))
+        return Fraction(2**e, z_factor(mu)) * _char(lam, mu, column(mu).get(lam, 0))
 
     yield from _rebuilds(max_n, weight, schur_q)
 
@@ -474,10 +475,10 @@ def check_frobenius(max_n: int):
 def check_char_integrality(max_n: int):
     """Every spin character value is an integer with even 2-power parity; a
     case compares the ArithmeticError message, labelled by itself, with none."""
-    memo: dict = {}
+    column = _x0_columns()
     for lam, mu in _cells(1, max_n, enumerate_odd):
         try:
-            _char(lam, mu, _x0(lam, mu, memo))
+            _char(lam, mu, column(mu).get(lam, 0))
             error = None
         except ArithmeticError as exc:
             error = str(exc)

@@ -76,6 +76,21 @@ def test_l_table_round_trip():
         Table.from_json(dict(l_table(1).to_json(), n=True))  # would print "n": true
 
 
+@pytest.mark.parametrize("zero", [["0"], ["0", "0"]])
+def test_a_cell_hand_edited_to_zero_is_not_stored(zero):
+    table = l_table(5)
+    data = table.to_json()
+    edited = 0
+    for row in data["entries"]:
+        for j, cell in enumerate(row):
+            if cell == []:
+                row[j] = zero
+                edited += 1
+    assert edited
+    # equal entries: the edited cells decode to zero and are not stored
+    assert Table.from_json(data).entries == table.entries
+
+
 # sha256 of json.dumps(l_table(n).to_json(), sort_keys=True).  n = 13..20
 # were recorded from the strip walk that rebuilt a column set per strip for
 # the a-statistic, n = 21..24 from the recursion that summed one TPoly term

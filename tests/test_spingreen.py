@@ -11,7 +11,7 @@ import gammaq.spingreen as spingreen
 from gammaq.gamma import pn_star
 from gammaq.memo import clear_memos
 from gammaq.partitions import enumerate_odd, enumerate_strict, union_sorted
-from gammaq.qkostka import INT, Table, l_direct, l_recursive, l_table
+from gammaq.qkostka import Table, l_direct, l_recursive, l_table
 from gammaq.spingreen import (
     spin_char_table,
     spin_character,
@@ -246,15 +246,6 @@ def test_weight_0_is_the_table_of_the_empty_partition(table, one):
 def test_table_round_trips():
     yt = y_table(5)
     assert Table.from_json(yt.to_json(), enumerate_odd).entries == yt.entries
-    ct = spin_char_table(5)
-    assert Table.from_json(ct.to_json(), enumerate_odd, INT).entries == ct.entries
-
-
-@pytest.mark.parametrize("cell", [1.9, True, "1"])
-def test_int_table_refuses_a_cell_that_is_not_a_json_integer(cell):
-    data = {"n": 2, "rows": [[2]], "cols": [[1, 1]], "entries": [[cell]]}
-    with pytest.raises(TypeError):
-        Table.from_json(data, enumerate_odd, INT)
 
 
 def test_reconstruction():

@@ -27,6 +27,10 @@ def test_arithmetic_basics():
     assert T**3 == TPoly([0, 0, 0, 1])
     assert TPoly([Fraction(1, 2)]) * 2 == ONE
     assert TPoly([1, 2, 3])(Fraction(1, 2)) == Fraction(1) + 1 + Fraction(3, 4)
+    assert ZERO(5) == 0
+    assert TPoly([Fraction(1, 3), 1])(-2) == Fraction(-5, 3)
+    with pytest.raises(TypeError):
+        TPoly([1, 2])(0.5)
 
 
 def test_canonical_form():

@@ -8,7 +8,7 @@ that silently compares nothing cannot pass.
 
 import pytest
 
-from gammaq import verify
+from gammaq import spingreen, verify
 from gammaq.gamma import one
 from gammaq.tpoly import TPoly
 
@@ -45,6 +45,12 @@ def _no_character_off_one_row(lam, mu, x0):
     if len(lam) > 1:
         raise ArithmeticError(f"non-integer spin character 1/2 at ({lam}, {mu})")
     return 1
+
+
+def _shifted_columns(scale, shift):
+    """An X0 column builder whose every stored value x is scale * x + shift."""
+    column = spingreen._x0_columns()
+    return lambda mu: {lam: scale * x + shift for lam, x in column(mu).items()}
 
 
 class _OffDiagonalTable:
@@ -141,13 +147,28 @@ BROKEN = [
         "non-integer spin character 1/2 at ((3, 1), (3, 1)); "
         "non-integer spin character 1/2 at ((3, 1), (1, 1, 1, 1))",
     ),
+    (
+        "_x0_columns", lambda: _shifted_columns(3, 0), "check_frobenius", 4,
+        "6 violation(s): (1,); (2,); (3,); (2, 1) ...",
+    ),
+    (
+        "_x0_columns", lambda: _shifted_columns(1, 1), "check_char_integrality", 5,
+        "3 violation(s): non-integer spin character -1/2 at ((2, 1), (3,)); "
+        "non-integer spin character -1/2 at ((4, 1), (5,)); "
+        "non-integer spin character 3/2 at ((3, 2), (5,))",
+    ),
 ]
 
 
-# A row that breaks a private helper (a memoized recursion, or the character
-# read from X0) is named after the public route it serves, so each case keeps
-# one name whichever binding verify calls.
-PUBLIC_ROUTE = {"_l_rec": "l_recursive", "_y_rec": "y_recursive", "_char": "spin_character"}
+# A row that breaks a private helper (a memoized recursion, the character
+# read from X0, or the X0 columns) is named after the public route it serves,
+# so each case keeps one name whichever binding verify calls.
+PUBLIC_ROUTE = {
+    "_l_rec": "l_recursive",
+    "_y_rec": "y_recursive",
+    "_char": "spin_character",
+    "_x0_columns": "spin_char_table",
+}
 
 
 @pytest.mark.parametrize(
