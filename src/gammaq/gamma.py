@@ -22,7 +22,10 @@ takes no gcd at all.  The int products and sums are tpoly's _pmul and _padd;
 only _accumulate, which adds into a dict of int lists in place, lives here.
 coefficient() and terms() hand out reduced TPolys, and the constructor
 accepts TPoly, int and Fraction coefficients.  A GammaElement has no
-mutator, so results may be shared.
+mutator, so results may be shared, and it is hashable: the hash of
+(_den, the set of _terms' items) is computed on first use and cached in the
+element, so equal elements hash alike whatever their term order, and the
+vertexops memos key on the element itself.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ class GammaElement:
     """Finite map from odd partitions to nonzero coefficients over one
     common denominator."""
 
-    __slots__ = ("_terms", "_den")
+    __slots__ = ("_terms", "_den", "_hash")
 
     def __init__(self, terms: Mapping[Partition, CoeffLike] = ()):
         polys: dict[Partition, TPoly] = {}
@@ -69,6 +72,7 @@ class GammaElement:
         self._terms, self._den = _normal_form(
             {mu: [c * (den // poly._den) for c in poly._num] for mu, poly in polys.items()}, den
         )
+        self._hash = None
 
     @classmethod
     def _make(cls, terms: Mapping[Partition, Sequence[int]], den: int) -> "GammaElement":
@@ -76,6 +80,7 @@ class GammaElement:
         int numerator over den > 0, in any form; see _normal_form."""
         self = object.__new__(cls)
         self._terms, self._den = _normal_form(terms, den)
+        self._hash = None
         return self
 
     def terms(self) -> Iterator[tuple[Partition, TPoly]]:
@@ -154,7 +159,11 @@ class GammaElement:
             return NotImplemented
         return self._den == other._den and self._terms == other._terms
 
-    __hash__ = None  # compared by value only
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self._den, frozenset(self._terms.items())))
+        return h
 
     def __repr__(self) -> str:
         if self.is_zero:

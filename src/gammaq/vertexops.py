@@ -22,14 +22,25 @@ numerators, and the terms share the lcm of their denominators.  Every int
 product is tpoly's _pmul; every sum into a dict of int lists is gamma's
 _accumulate.
 
-Four registered memos, each filled by memo.cached, keep the work from
-repeating: the creation term of each z-degree, the substitution weights of
-each part value and multiplicity, each mode applied to a whole input vector
-(keyed by the vector's denominator and the set of its numerator terms, so
-equal vectors hit whatever their term order, and vectors with equal
-numerators over different denominators never meet), and each mode sequence
-applied to the vacuum.  The operator identities apply the same inner modes
-for every outer mode, so most mode applications are repeats.
+Five registered memos, each filled by memo.cached, keep the work from
+repeating:
+
+  _creation_memo     the creation term of each z-degree, keyed (spec, r);
+  _weights_memo      the substitution weights of each part value and
+                     multiplicity, keyed (spec, n, count);
+  _annihilate_memo   the annihilation expansion of each input vector,
+                     grouped by the weight it takes off, keyed (spec, f);
+  _apply_memo        each mode applied to each input vector, keyed
+                     (spec, m, f);
+  _vacuum_memo       each mode sequence applied to the vacuum, keyed
+                     (spec, modes).
+
+A vector f is its own key: GammaElement hashes by value, once per object,
+so equal vectors hit whatever their term order, and vectors with equal
+numerators over different denominators never meet.  The operator
+identities apply the same inner modes for every outer mode, so most mode
+applications are repeats, and the modes of one vector share its
+annihilation expansion.
 
 Specs provided here:
 
@@ -113,7 +124,8 @@ QSTAR_SPEC = OperatorSpec(
 
 
 _creation_memo: dict[tuple[str, int], GammaElement] = memo()
-_apply_memo: dict[tuple[str, int, int, frozenset], GammaElement] = memo()
+_annihilate_memo: dict[tuple[str, GammaElement], list[tuple[int, dict[Partition, tuple[int, ...]]]]] = memo()
+_apply_memo: dict[tuple[str, int, GammaElement], GammaElement] = memo()
 _weights_memo: dict[tuple[str, int, int], list[tuple[int, ...]]] = memo()
 _vacuum_memo: dict[tuple[str, tuple[int, ...]], GammaElement] = memo()
 
@@ -155,21 +167,16 @@ def _weights(spec: OperatorSpec, n: int, count: int) -> list[tuple[int, ...]]:
     return [(a**k * comb(count, k))._num for k in range(count + 1)]
 
 
-@cached(_apply_memo, key=lambda spec, m, f: (spec.key, m, f._den, frozenset(f._terms.items())))
-def apply_component(spec: OperatorSpec, m: int, f: GammaElement) -> GammaElement:
-    """Apply the mode of index m: the coefficient of z^m (z^{-m} for starred
-    specs) in (creation exponential) (annihilation exponential) f.
+@cached(_annihilate_memo, key=lambda spec, f: (spec.key, f))
+def _annihilate(spec: OperatorSpec, f: GammaElement) -> list[tuple[int, dict[Partition, tuple[int, ...]]]]:
+    """The annihilation exponential on f, grouped by the weight s it takes
+    off: [(s, {nu: numerator})], the numerators ints over f's denominator.
 
-    On c p_mu the annihilation exponential is the substitution
-    p_n -> p_n + a_n z^{-n}, so a part value n of multiplicity c_n expands to
-    sum_k C(c_n, k) a_n^k z^{-nk} p_n^{c_n - k}.  The products are grouped by
-    the weight s taken off, on the int numerators over f's denominator; each
-    group that does not cancel is multiplied by the creation term of
-    z-degree r = m + s (s - m when starred).  The products are summed over
-    the lcm of the creation terms' denominators and reduced once.
-
-    Memoized on (spec, m, f's denominator, the set of f's numerator terms);
-    the result is shared, as GammaElement has no mutator."""
+    On c p_mu it is the substitution p_n -> p_n + a_n z^{-n}, so a part value
+    n of multiplicity c_n expands to sum_k C(c_n, k) a_n^k z^{-nk}
+    p_n^{c_n - k}.  Zero numerators and the groups they empty are dropped.
+    The expansion does not depend on the mode, so every mode of spec on f
+    shares it: memoized on (spec, f), with the numerators stored as tuples."""
     groups: dict[int, dict[Partition, list[int]]] = {}
     for mu, c in f._terms.items():
         expansion = [(0, (), c)]
@@ -185,10 +192,31 @@ def apply_component(spec: OperatorSpec, m: int, f: GammaElement) -> GammaElement
         # is added into it; every other w is a new list.
         for s, nu, w in expansion:
             _accumulate(groups.setdefault(s, {}), nu, w)
-    factors = []
+    shared = []
     for s, group in groups.items():
+        group = {nu: tuple(num) for nu, num in group.items() if any(num)}
+        if group:
+            shared.append((s, group))
+    return shared
+
+
+@cached(_apply_memo, key=lambda spec, m, f: (spec.key, m, f))
+def apply_component(spec: OperatorSpec, m: int, f: GammaElement) -> GammaElement:
+    """Apply the mode of index m: the coefficient of z^m (z^{-m} for starred
+    specs) in (creation exponential) (annihilation exponential) f.
+
+    Each group of _annihilate(spec, f), of weight s taken off, is multiplied
+    by the creation term of z-degree r = m + s (s - m when starred) when
+    r >= 0.  The products are summed over the lcm of the creation terms'
+    denominators and reduced once.
+
+    Memoized on (spec, m, f); f hashes by value, so equal vectors hit
+    whatever their term order.  The result is shared, as GammaElement has
+    no mutator."""
+    factors = []
+    for s, group in _annihilate(spec, f):
         r = (s - m) if spec.star else (m + s)
-        if r >= 0 and any(any(num) for num in group.values()):
+        if r >= 0:
             factors.append((_creation_term(spec, r), group))
     den = lcm(*(creation._den for creation, _ in factors))
     out: dict[Partition, list[int]] = {}

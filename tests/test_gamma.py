@@ -205,3 +205,18 @@ def test_pair_is_the_termwise_sum_over_common_monomials(f, g):
     for mu in ft.keys() & gt.keys():
         expected = expected + ft[mu] * gt[mu] * Fraction(_z(mu), 2 ** len(mu))
     assert pair(f, g) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(_qelements, _qelements, _rational_scalars, st.randoms(use_true_random=False))
+def test_equal_elements_hash_alike(f, g, c, rng):
+    """Equal elements built by different routes hash alike, and a dict
+    keyed by one is found by any other."""
+    items = list(f.terms())
+    rng.shuffle(items)
+    routes = [GammaElement(dict(items)), (f * c) * (1 / Fraction(c)), f + g - g]
+    table = {f: "f"}
+    for other in routes:
+        assert other == f and hash(other) == hash(f)
+        assert table.get(other) == "f"
+    assert f._hash == hash(f)  # computed once, then read from the slot

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammaq import vertexops
+from gammaq import verify, vertexops
 from gammaq.gamma import GammaElement, d_dp, one, p_monomial, pair
-from gammaq.memo import clear_memos
+from gammaq.memo import cached, clear_memos
 from gammaq.partitions import enumerate_odd, enumerate_strict, multiplicities, z_factor
 from gammaq.tpoly import ONE, TPoly, inv_z_t
 from gammaq.vertexops import (
@@ -209,6 +209,48 @@ def test_apply_component_does_not_depend_on_memo_state(spec, m, terms):
     assert apply_component(spec, m, f) == warm
     clear_memos()
     assert apply_component(spec, m, f) == warm
+
+
+def test_modes_of_one_vector_share_one_annihilation(monkeypatch):
+    calls = []
+    expand = vertexops._annihilate.__wrapped__
+
+    def spy(spec, f):
+        calls.append(spec.key)
+        return expand(spec, f)
+
+    monkeypatch.setattr(
+        vertexops, "_annihilate", cached(vertexops._annihilate_memo, key=lambda spec, f: (spec.key, f))(spy)
+    )
+    clear_memos()
+    terms = {(3, 1): TPoly([1, -1]), (1, 1, 1, 1): Fraction(1, 3), (5,): 2}
+    f = GammaElement(terms)
+    for spec in (Q_SPEC, G_SPEC, GSTAR_SPEC, QSTAR_SPEC):
+        for m in range(-4, 5):
+            linear = GammaElement()
+            for mu, c in terms.items():
+                linear = linear + _reference_component(spec, m, mu) * c
+            assert apply_component(spec, m, f) == linear, (spec.key, m)
+    # _reference_component applies no mode, so f alone was expanded
+    assert calls == ["Q", "G", "G*", "q*"]
+    clear_memos()
+
+
+def test_operator_identities_cover_the_shared_annihilation(monkeypatch):
+    # Drop every group that takes weight off: the modes then act as pure
+    # creation, and the operator suite must notice.
+    annihilate = vertexops._annihilate
+
+    def s_zero_only(spec, f):
+        return [(s, group) for s, group in annihilate(spec, f) if s == 0]
+
+    monkeypatch.setattr(vertexops, "_annihilate", s_zero_only)
+    clear_memos()
+    try:
+        results, _ = verify.run_suite("operators", 2)
+    finally:
+        clear_memos()
+    assert any(r.fatal for r in results), results
 
 
 def test_g_squared_is_not_zero():
