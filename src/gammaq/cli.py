@@ -14,10 +14,11 @@ A table command imports only the recursions it runs: verify and the vertex
 operators are imported by the commands that use them.
 
 A table is rendered from its stored cells, not by looking up each slot:
-the grid starts as the zero text in every slot, each distinct stored value
-is written once, and its text is put at the row and column index of every
-cell that holds it.  Every polynomial, plain or LaTeX, integral or not, is
-written straight from its int coefficients by tpoly's one text writer.
+Table.layout starts the grid as the zero text in every slot, writes each
+distinct stored value once, and puts its text at the row and column index
+of every cell that holds it.  Every polynomial, plain or LaTeX, integral
+or not, is written straight from its int coefficients by tpoly's one text
+writer.
 The json format is written by _json_table, byte for byte what
 json.dumps(table.to_json(), indent=2) writes, without the json module's
 pure-Python indenting encoder.
@@ -42,7 +43,7 @@ from .partitions import (
     parse_partition,
     partition_str,
 )
-from .qkostka import POLY, Table, expand_g_in_q, l_table
+from .qkostka import Table, _cell_json, expand_g_in_q, l_table
 from .spingreen import spin_char_table, y_table
 from .tpoly import ONE, TPoly, _text
 
@@ -116,33 +117,10 @@ def _json_value(value, pad: str) -> str:
     return json.dumps(value)
 
 
-def _cell_texts(table, write) -> list[list[str]]:
-    """The grid of write(cell) over the rows and columns of table.  It
-    starts as write(zero) in every slot, and each stored cell's text is put
-    at its row and column index; write runs once per distinct value.  An
-    integral TPoly is keyed by its coefficient tuple, whose hash is C-level,
-    and any other value by itself."""
-    rows, cols = table.rows(), table.cols()
-    zero = write(table.cell.zero)
-    grid = [[zero] * len(cols) for _ in rows]
-    row_at = {r: i for i, r in enumerate(rows)}
-    col_at = {c: j for j, c in enumerate(cols)}
-    texts = {}
-    poly = type(table.cell.zero) is TPoly
-    for (r, c), v in table.entries.items():
-        key = v._num if poly and v._den == 1 else v
-        text = texts.get(key)
-        if text is None:
-            text = texts[key] = write(v)
-        grid[row_at[r]][col_at[c]] = text
-    return grid
-
-
 def _json_table(table) -> str:
     """json.dumps(table.to_json(), indent=2) + "\n", written cell by cell."""
-    encode = table.cell.encode
     pad = " " * 6  # a cell is an item of a row of the entries list
-    grid = [_json_list(row, "    ") for row in _cell_texts(table, lambda v: _json_value(encode(v), pad))]
+    grid = [_json_list(row, "    ") for row in table.layout(lambda v: _json_value(_cell_json(v), pad))]
     return '{\n  "n": %s,\n  "rows": %s,\n  "cols": %s,\n  "entries": %s\n}\n' % (
         _json_value(table.weight, "  "),
         _json_value([list(r) for r in table.rows()], "  "),
@@ -158,13 +136,13 @@ def _render_table(table, fmt: str) -> str:
     if fmt == "latex":
         corner = "$\\mu\\backslash\\lambda$" if transposed else "$\\lambda\\backslash\\mu$"
         label = lambda p: f"${_part_compact(p)}$"
-        latex = _poly_latex if table.cell is POLY else str
+        latex = _poly_latex if type(table.zero) is TPoly else str
         cell = lambda v: f"${latex(v)}$"
     else:
         corner, cell = "lambda\\mu", str
         label = partition_str if fmt == "csv" else _part_compact
     grid = [[corner] + [label(c) for c in table.cols()]]
-    grid += [[label(r)] + row for r, row in zip(table.rows(), _cell_texts(table, cell))]
+    grid += [[label(r)] + row for r, row in zip(table.rows(), table.layout(cell))]
     if fmt == "latex" and transposed:
         grid = list(zip(*grid))
     return _grid(fmt, grid)

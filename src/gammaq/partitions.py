@@ -23,7 +23,7 @@ from .memo import cached, memo
 Partition = tuple[int, ...]
 
 _INT_ONLY = frozenset((int,))
-_z_memo: dict[tuple[Partition], int] = memo()
+_z_memo: dict[Partition, int] = memo()
 _subpartitions_memo: dict[tuple[Partition, int], list[tuple[Partition, int]]] = memo()
 
 
@@ -78,10 +78,11 @@ def multiplicities(p: Partition) -> dict[int, int]:
     return m
 
 
-@cached(_z_memo)
+@cached(_z_memo, key=tuple)
 def z_factor(p: Partition) -> int:
-    """The order z_p = prod over part values i of i^{m_i} * m_i!, memoized."""
-    z = 1
+    """The order z_p = prod over part values i of i^{m_i} * m_i!, memoized
+    on tuple(p); p is checked on a miss."""
+    p, z = check_partition(p), 1
     for i, m in multiplicities(p).items():
         z *= i**m * factorial(m)
     return z

@@ -1,5 +1,6 @@
 """Q-Kostka polynomials: transition coefficients from the Q-Hall-Littlewood
-basis to the Schur Q-basis, and the one table type every printed table uses.
+basis to the Schur Q-basis, and Table, the one table type: Table.layout lays
+a table out as rows of slots for its JSON and for every printed format.
 
 Two independent routes are provided: l_direct pairs the vertex-operator
 vectors, l_recursive peels the largest part of the column index and sums
@@ -140,36 +141,27 @@ def expand_g_in_q(mu: Partition) -> dict[Partition, TPoly]:
     return {lam: _l_rec(lam, mu) for lam in _column(mu)}
 
 
-class Codec(NamedTuple):
-    """How a table's cells are written: encode gives a cell's JSON, zero is
-    the value of a cell that is not stored."""
-
-    encode: Callable[[Any], Any]
-    zero: Any
-
-
-POLY = Codec(TPoly.to_json, ZERO)  # L and Y tables
-INT = Codec(int, 0)  # the spin character table, which is never cached
+def _cell_json(value):
+    """A cell as JSON: a TPoly as its coefficient strings, an int as itself."""
+    return value if type(value) is int else value.to_json()
 
 
 class Table(NamedTuple):
     """A matrix over one weight: rows are the strict partitions of weight,
     columns the partitions columns(weight) lists (strict or odd).  Only
     nonzero cells are kept, as every table builder and from_json make them;
-    cell encodes a cell for JSON and gives the value of a cell that is not
-    stored.
+    zero, ZERO or the characters' 0, is the value of a cell not stored.
 
-    entries is keyed by the canonical axis tuples, so a reader that walks
-    rows() and cols() looks each cell up once, as to_json does; entry()
-    canonicalizes its keys for callers that pass other sequences.
-    from_json reads the POLY tables, L and Y, the only ones cached: it
+    entries is keyed by the canonical axis tuples, as layout reads them;
+    entry() canonicalizes its keys for callers that pass other sequences.
+    from_json reads the polynomial tables, L and Y, the only ones cached: it
     decodes each cell once with TPoly.from_int_json, straight into entries,
     skips a cell stored as [] undecoded and drops a decoded zero."""
 
     weight: int
     entries: dict[tuple[Partition, Partition], Any]
     columns: Callable[[int], tuple[Partition, ...]] = enumerate_strict
-    cell: Codec = POLY
+    zero: Any = ZERO
 
     def rows(self) -> tuple[Partition, ...]:
         return enumerate_strict(self.weight)
@@ -178,24 +170,45 @@ class Table(NamedTuple):
         return self.columns(self.weight)
 
     def entry(self, lam: Partition, mu: Partition):
-        return self.entries.get((tuple(lam), tuple(mu)), self.cell.zero)
+        return self.entries.get((tuple(lam), tuple(mu)), self.zero)
+
+    def layout(self, write: Callable[[Any], Any]) -> list[list]:
+        """The grid of write(cell) over rows() and cols(): write(zero) in
+        every slot, then write(v) once per distinct stored value, put at the
+        row and column index of each cell that holds it.  An integral TPoly
+        is keyed by its coefficient tuple, whose hash is C-level, and any
+        other value by itself."""
+        rows, cols = self.rows(), self.cols()
+        blank = write(self.zero)
+        grid = [[blank] * len(cols) for _ in rows]
+        row_at = {r: i for i, r in enumerate(rows)}
+        col_at = {c: j for j, c in enumerate(cols)}
+        written = {}
+        poly = type(self.zero) is TPoly
+        for (r, c), v in self.entries.items():
+            key = v._num if poly and v._den == 1 else v
+            out = written.get(key)
+            if out is None:
+                out = written[key] = write(v)
+            grid[row_at[r]][col_at[c]] = out
+        return grid
 
     def to_json(self) -> dict:
-        rows, cols = self.rows(), self.cols()
-        get, encode, zero = self.entries.get, self.cell.encode, self.cell.zero
+        """The table as JSON, its entries laid out by layout: equal cells
+        share one JSON value, which the cache only serializes."""
         return {
             "n": self.weight,
-            "rows": [list(r) for r in rows],
-            "cols": [list(c) for c in cols],
-            "entries": [[encode(get((lam, mu), zero)) for mu in cols] for lam in rows],
+            "rows": [list(r) for r in self.rows()],
+            "cols": [list(c) for c in self.cols()],
+            "entries": self.layout(_cell_json),
         }
 
     @classmethod
     def from_json(cls, data: dict, columns=enumerate_strict) -> "Table":
-        """Inverse of to_json for a POLY table.  Raises ValueError unless the
-        rows and columns are the enumerated axes of the weight and the
-        entries form exactly one value per row and column, and whatever
-        TPoly.from_int_json raises on a cell."""
+        """Inverse of to_json for a polynomial table.  Raises ValueError
+        unless the rows and columns are the enumerated axes of the weight
+        and the entries form exactly one value per row and column, and
+        whatever TPoly.from_int_json raises on a cell."""
         n = data["n"]
         if type(n) is not int:
             raise ValueError(f"table weight must be an int: {n!r}")

@@ -46,7 +46,7 @@ from .partitions import (
     index_subpartitions,
     union_sorted,
 )
-from .qkostka import INT, Table, _column
+from .qkostka import Table, _column
 from .tpoly import ONE, TPoly, ZERO, d_poly, inv_z_t, signed_t
 
 _y_memo: dict[tuple[Partition, Partition], TPoly] = memo()
@@ -222,4 +222,4 @@ def spin_char_table(n: int) -> Table:
     valid, so no cell is checked again."""
     column = _x0_columns()
     cells = {(lam, mu): _char(lam, mu, x0) for mu in enumerate_odd(n) for lam, x0 in column(mu).items()}
-    return Table(n, cells, enumerate_odd, INT)
+    return Table(n, cells, enumerate_odd, 0)

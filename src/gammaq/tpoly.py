@@ -35,7 +35,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .memo import cached, memo
-from .partitions import Partition, check_odd, z_factor
+from .partitions import Partition, check_odd, check_partition, z_factor
 
 Scalar = Union[int, Fraction]
 
@@ -359,7 +359,7 @@ def signed_t(k: int) -> TPoly:
 def d_poly(p: Partition) -> TPoly:
     """Generating polynomial of index subpartitions by weight: prod (1 + t^part)."""
     result = ONE
-    for part in p:
+    for part in check_partition(p):
         result = result * TPoly((1,) + (0,) * (part - 1) + (1,))
     return result
 

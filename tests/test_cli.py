@@ -97,9 +97,9 @@ def test_each_distinct_cell_is_written_once(build):
         written.append(value)
         return str(value)
 
-    grid = cli._cell_texts(table, spy)
+    grid = table.layout(spy)
     assert len(written) == len(set(written))
-    assert set(written) == {table.cell.zero, *table.entries.values()}
+    assert set(written) == {table.zero, *table.entries.values()}
     assert len(set(table.entries.values())) < len(table.entries)  # so some cell is not written again
     assert grid == [[str(table.entry(r, c)) for c in table.cols()] for r in table.rows()]
 

@@ -76,6 +76,21 @@ def test_l_table_round_trip():
         Table.from_json(dict(l_table(1).to_json(), n=True))  # would print "n": true
 
 
+def test_to_json_encodes_each_distinct_cell_once(monkeypatch):
+    table = l_table(16)
+    encode, written = qkostka._cell_json, []
+
+    def spy(value):
+        written.append(value)
+        return encode(value)
+
+    monkeypatch.setattr(qkostka, "_cell_json", spy)
+    data = table.to_json()
+    assert len(written) == len(set(table.entries.values())) + 1  # and once for the zero
+    assert set(written) == {ZERO, *table.entries.values()}
+    assert data["entries"] == [[table.entry(r, c).to_json() for c in table.cols()] for r in table.rows()]
+
+
 @pytest.mark.parametrize("zero", [["0"], ["0", "0"]])
 def test_a_cell_hand_edited_to_zero_is_not_stored(zero):
     table = l_table(5)

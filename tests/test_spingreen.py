@@ -270,3 +270,18 @@ def test_routes_agree_beyond_the_sweeps(case):
     y = y_recursive(lam, mu)
     assert y == y_direct(lam, mu) == y_via_l(lam, mu), (lam, mu)
     assert l_recursive(nu, lam) == l_direct(nu, lam), (nu, lam)
+
+
+# (lam, mu) of one weight in 23..26, past the cell-by-cell sweep's 16 and the
+# character pins' 22: lam strict, mu odd.
+_x0_cases = st.integers(23, 26).flatmap(
+    lambda n: st.tuples(st.sampled_from(enumerate_strict(n)), st.sampled_from(enumerate_odd(n)))
+)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_x0_cases)
+def test_x0_columns_equal_the_bar_removal_beyond_the_pins(case):
+    lam, mu = case
+    clear_memos()
+    assert spingreen._x0_columns()(mu).get(lam, 0) == spingreen._x0(lam, mu, {}), (lam, mu)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gammaq.partitions import enumerate_odd, enumerate_partitions, index_subpartitions
+from gammaq.memo import clear_memos
+from gammaq.partitions import enumerate_odd, enumerate_partitions, index_subpartitions, z_factor
 from gammaq.tpoly import (
     ONE,
     T,
@@ -135,6 +136,16 @@ def test_memoized_helpers_accept_a_list():
     value, pairs = inv_z_t((3, 1, 1)), index_subpartitions((5, 3, 1, 1), 6)
     assert inv_z_t([3, 1, 1]) is value
     assert index_subpartitions([5, 3, 1, 1], 6) is pairs
+
+
+def test_z_factor_and_d_poly_take_a_list_and_refuse_a_non_partition():
+    clear_memos()  # z_factor checks its argument on a miss only
+    assert z_factor([3, 1]) == z_factor((3, 1)) == 3
+    assert d_poly([3, 1]) == d_poly((3, 1))
+    for bad, error in (((2, 0), ValueError), ((1, 2), ValueError), ([True], TypeError), ((2.0,), TypeError)):
+        for helper in (z_factor, d_poly):
+            with pytest.raises(error):
+                helper(bad)
 
 
 def test_inv_z_t_sum_identity():
