@@ -9,16 +9,16 @@ _version_tag(), carries a sha256 over the source of every module of the
 package, this one included, so a change to the layout or to any code
 retires every file written before.  The tag is computed once, and hashlib
 imported, when a cache is first used: the first time an enabled cache reads
-a file or writes one, so a --no-cache command never hashes the source.  A
-file that is missing, carries another tag or kind, or whose value the
-command's decoder refuses is ignored whole, and the result is recomputed
-rather than trusted.  The recursion memos (memo.py) are never stored.
+a file or writes one, so a --no-cache command never hashes the source.
 
-load(name, decode) reads one file; save(name, value, encode) writes it
-unless that load found it.  A write goes to a temporary file in the cache
-directory and is moved into place with os.replace, so a reader never sees a
-partial file; two processes that compute the same result write the same
-bytes.  A save touches no other file.
+load(name, decode) reads, checks and decodes one file in one guarded step,
+and ignores whole, to recompute rather than trust, a file that is missing,
+unreadable, not JSON, not a {version, kind, value} object, of another tag or
+kind, or whose value decode refuses.  save(name, value, encode) writes the
+file unless that load found it, and touches no other: to a temporary file in
+the cache directory, moved into place with os.replace, so a reader never
+sees a partial file and two processes that compute the same result write the
+same bytes.  The recursion memos (memo.py) are never stored.
 """
 
 from __future__ import annotations
@@ -66,15 +66,6 @@ def default_cache_dir() -> str:
     return os.path.join(base, "gammaq")
 
 
-def _parse(path: str) -> Any:
-    """The JSON document in path, or None if it cannot be read or parsed."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError, RecursionError):
-        return None
-
-
 class Cache:
     """Load/save command results under a directory."""
 
@@ -87,18 +78,19 @@ class Cache:
         return os.path.join(self.directory, f"{name}.json")
 
     def load(self, name: str, decode: Callable[[Any], Any]) -> Any:
-        """decode() of the value stored under name, or None if the file is
-        missing, stale or refused by decode (ValueError, TypeError, KeyError
-        or ZeroDivisionError)."""
+        """decode() of the value stored under name, or None: one try opens,
+        parses, checks and decodes the file, and maps OSError, ValueError,
+        TypeError, KeyError, ZeroDivisionError and RecursionError to None."""
         self._found = False
         if not self.enabled:
             return None
-        data = _parse(self._path(name))
-        if not isinstance(data, dict) or data.get("version") != _version_tag() or data.get("kind") != name:
-            return None
         try:
+            with open(self._path(name), "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+            if data["version"] != _version_tag() or data["kind"] != name:
+                return None
             value = decode(data["value"])
-        except (ValueError, TypeError, KeyError, ZeroDivisionError):
+        except (OSError, ValueError, TypeError, KeyError, ZeroDivisionError, RecursionError):
             return None
         self._found = True
         return value

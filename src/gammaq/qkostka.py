@@ -205,23 +205,20 @@ class Table(NamedTuple):
 
     @classmethod
     def from_json(cls, data: dict, columns=enumerate_strict) -> "Table":
-        """Inverse of to_json for a polynomial table.  Raises ValueError
-        unless the rows and columns are the enumerated axes of the weight
-        and the entries form exactly one value per row and column, and
-        whatever TPoly.from_int_json raises on a cell."""
+        """Inverse of to_json for a polynomial table.  Raises ValueError if
+        the rows and columns are not the enumerated axes of the weight or
+        the strict zips meet a ragged grid, and whatever
+        TPoly.from_int_json raises on a cell."""
         n = data["n"]
         if type(n) is not int:
             raise ValueError(f"table weight must be an int: {n!r}")
         rows, cols = enumerate_strict(n), columns(n)
         if data["rows"] != [list(r) for r in rows] or data["cols"] != [list(c) for c in cols]:
             raise ValueError(f"table axes are not those of weight {n}")
-        grid = data["entries"]
-        if len(grid) != len(rows) or any(len(row) != len(cols) for row in grid):
-            raise ValueError(f"table entries are not a {len(rows)} x {len(cols)} grid")
         decode = TPoly.from_int_json
         entries = {}
-        for lam, row in zip(rows, grid):
-            for mu, value in zip(cols, row):
+        for lam, row in zip(rows, data["entries"], strict=True):
+            for mu, value in zip(cols, row, strict=True):
                 if value != []:  # a zero cell, skipped undecoded
                     value = decode(value)
                     if value._num:

@@ -250,8 +250,11 @@ def qhl(lam: Partition) -> GammaElement:
 
 
 def g_modes_on_vacuum(modes: Sequence[int]) -> GammaElement:
-    """G-mode composition on the vacuum for arbitrary integer sequences."""
-    return _modes_on_vacuum(G_SPEC, tuple(int(m) for m in modes))
+    """G-mode composition on the vacuum; TypeError unless every mode is an int."""
+    modes = tuple(modes)
+    if any(type(m) is not int for m in modes):  # a float or bool too, as check_partition
+        raise TypeError(f"modes must be ints: {modes}")
+    return _modes_on_vacuum(G_SPEC, modes)
 
 
 def q_row(n: int) -> GammaElement:

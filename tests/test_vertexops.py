@@ -257,6 +257,14 @@ def test_g_squared_is_not_zero():
     assert g_modes_on_vacuum((1, 1)) == schur_q((2,)) * TPoly([0, 2])
 
 
+@pytest.mark.parametrize("modes", [(2.9,), (2.0,), ("3",), (True,), (1, Fraction(1))])
+def test_g_modes_on_vacuum_refuses_a_mode_that_is_not_an_int(modes):
+    # int() would read 2.9 as 2, "3" as 3 and True as 1; a partition's parts
+    # are refused the same way
+    with pytest.raises(TypeError):
+        g_modes_on_vacuum(modes)
+
+
 def test_gstar_on_schur_examples():
     assert gstar_on_schur(3, (4, 1)) == q_row(1) * schur_q((1,)) * TPoly([0, 2])
     for k in range(1, 6):
