@@ -15,7 +15,6 @@ import importlib
 _EXPORTS = {
     "gamma": ("GammaElement", "d_dp", "one", "p_monomial", "pair", "pn_star"),
     "partitions": (
-        "HorizontalStrip",
         "Partition",
         "check_odd",
         "check_partition",
@@ -30,7 +29,6 @@ _EXPORTS = {
         "n_stat",
         "parse_partition",
         "partition_str",
-        "remove_part",
         "union_sorted",
         "z_factor",
     ),

@@ -43,7 +43,7 @@ from .partitions import (
     parse_partition,
     partition_str,
 )
-from .qkostka import Table, _cell_json, expand_g_in_q, l_table
+from .qkostka import Table, expand_g_in_q, l_table
 from .spingreen import spin_char_table, y_table
 from .tpoly import ONE, TPoly, _text
 
@@ -63,8 +63,6 @@ def _poly_latex(p: TPoly) -> str:
 
 def _part_compact(p: Partition) -> str:
     """Grouped display form: (3,1,1,1) -> (3,1^3)."""
-    if not p:
-        return "()"
     pieces = []
     i = 0
     while i < len(p):
@@ -104,27 +102,21 @@ def _json_list(items: list[str], pad: str) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
 
 
-def _json_value(value, pad: str) -> str:
-    """value, an int, a str or a nested list of them, as json.dumps(value,
-    indent=2) writes it where its closing bracket is indented by pad."""
-    if type(value) is list:
-        inner = pad + "  "
-        return _json_list(
-            [encode_basestring_ascii(v) if type(v) is str else _json_value(v, inner) for v in value], pad
-        )
-    if type(value) is int:
-        return str(value)
-    return json.dumps(value)
-
-
 def _json_table(table) -> str:
-    """json.dumps(table.to_json(), indent=2) + "\n", written cell by cell."""
+    """json.dumps(table.to_json(), indent=2) + "\n", written cell by cell:
+    the weight is an int, rows and columns are lists of int lists, and each
+    cell is an int or a TPoly's to_json() strings."""
+    parts = lambda ps: _json_list([_json_list([str(x) for x in p], "    ") for p in ps], "  ")
     pad = " " * 6  # a cell is an item of a row of the entries list
-    grid = [_json_list(row, "    ") for row in table.layout(lambda v: _json_value(_cell_json(v), pad))]
-    return '{\n  "n": %s,\n  "rows": %s,\n  "cols": %s,\n  "entries": %s\n}\n' % (
-        _json_value(table.weight, "  "),
-        _json_value([list(r) for r in table.rows()], "  "),
-        _json_value([list(c) for c in table.cols()], "  "),
+
+    def cell(v) -> str:
+        return str(v) if type(v) is int else _json_list([encode_basestring_ascii(s) for s in v.to_json()], pad)
+
+    grid = [_json_list(row, "    ") for row in table.layout(cell)]
+    return '{\n  "n": %d,\n  "rows": %s,\n  "cols": %s,\n  "entries": %s\n}\n' % (
+        table.weight,
+        parts(table.rows()),
+        parts(table.cols()),
         _json_list(grid, "  "),
     )
 

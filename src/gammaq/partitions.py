@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .memo import cached, memo
 
@@ -106,13 +106,6 @@ def dominance_leq(a: Partition, b: Partition) -> bool:
     return True
 
 
-def remove_part(p: Partition, i: int) -> Partition:
-    """Delete the i-th part, 1-based."""
-    if not 1 <= i <= len(p):
-        raise IndexError(f"part index {i} out of range for {p}")
-    return p[: i - 1] + p[i:]
-
-
 def union_sorted(a: Partition, b: Partition) -> Partition:
     """Multiset union of parts, re-sorted decreasing."""
     return tuple(sorted(a + b, reverse=True))
@@ -173,8 +166,9 @@ def index_subpartitions(p: Partition, i: int) -> list[tuple[Partition, int]]:
     the order of the list is unspecified.  A depth-first walk over the
     distinct part values takes k of the m copies of each, multiplying the
     count by C(m, k).  It abandons a branch once the weight still needed
-    exceeds the parts left.  Memoized on (tuple(p), i); the list is shared.
-    """
+    exceeds the parts left.  Memoized on (tuple(p), i); p is checked on a
+    miss, and the list is shared."""
+    p = check_partition(p)
     if not 0 <= i <= sum(p):
         raise ValueError(f"subpartition weight {i} out of range for {p}")
     values = list(multiplicities(p).items())
@@ -195,16 +189,9 @@ def index_subpartitions(p: Partition, i: int) -> list[tuple[Partition, int]]:
     return out
 
 
-class HorizontalStrip(NamedTuple):
-    """A skew shape outer/inner with at most one box per column."""
-
-    inner: Partition
-    outer: Partition
-    a_stat: int
-
-
-def horizontal_strips(inner: Partition, r: int) -> list[HorizontalStrip]:
-    """All strict outer shapes obtained by adding a horizontal r-strip to inner.
+def horizontal_strips(inner: Partition, r: int) -> list[tuple[Partition, int]]:
+    """The horizontal r-strips on inner as (outer, a) pairs: each strict
+    outer whose skew shape outer/inner has at most one box per column.
 
     One walk over the rows of inner and one new bottom row.  Row i of the
     outer shape lies between inner[i] and inner[i-1] (the new row at most
@@ -214,20 +201,19 @@ def horizontal_strips(inner: Partition, r: int) -> list[HorizontalStrip]:
     goes: a row that grows starts a run, unless it reaches inner[i-1] right
     under a row that also grew.
 
-    r = 0 yields the single empty strip with a_stat = 0.  Results are in
-    decreasing lexicographic order of the outer shape.
+    r = 0 yields the single pair (inner, 0).  Results are in decreasing
+    lexicographic order of the outer shape.
     """
     inner = check_strict(inner)
     if r < 0:
         raise ValueError("strip size must be non-negative")
     rows = inner + (0,)
-    results: list[HorizontalStrip] = []
+    results: list[tuple[Partition, int]] = []
     outer: list[int] = []
-    strip = tuple.__new__  # HorizontalStrip's own __new__ is Python-level
 
     def walk(i: int, budget: int, grew: bool, a: int) -> None:
         if not budget:
-            results.append(strip(HorizontalStrip, (inner, tuple(outer) + inner[i:], a)))
+            results.append((tuple(outer) + inner[i:], a))
             return
         lo = rows[i]
         hi = lo + budget if i == 0 else min(lo + budget, rows[i - 1] - (not grew))

@@ -66,7 +66,7 @@ def l_recursive(lam: Partition, mu: Partition) -> TPoly:
 def _strips(inner: Partition, r: int) -> list[tuple[Partition, int]]:
     """The horizontal r-strips on inner as (outer, 2^a) pairs, enumerated
     once per (inner, r)."""
-    return [(s.outer, 2**s.a_stat) for s in horizontal_strips(inner, r)]
+    return [(outer, 2**a) for outer, a in horizontal_strips(inner, r)]
 
 
 @cached(_transfer_memo)

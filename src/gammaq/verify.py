@@ -300,9 +300,9 @@ def check_pieri(max_n: int):
         for r in range(max_n - sum(mu) + 1):
             lhs = schur_q(mu) * q_row(r)
             rhs = GammaElement()
-            for strip in horizontal_strips(mu, r):
-                coeff = 2 ** (strip.a_stat + len(mu) - len(strip.outer))
-                rhs = rhs + schur_q(strip.outer) * coeff
+            for outer, a in horizontal_strips(mu, r):
+                coeff = 2 ** (a + len(mu) - len(outer))
+                rhs = rhs + schur_q(outer) * coeff
             yield f"mu={mu},r={r}", lhs, rhs
 
 

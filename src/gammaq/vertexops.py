@@ -67,7 +67,6 @@ from .partitions import (
     enumerate_odd,
     enumerate_strict,
     multiplicities,
-    remove_part,
     union_sorted,
 )
 from .tpoly import ONE, TPoly, _pmul
@@ -284,7 +283,7 @@ def gstar_on_schur(k: int, lam: Partition) -> GammaElement:
         r = part - k
         if r < 0:
             continue
-        term = q_row(r) * schur_q(remove_part(lam, i + 1))
+        term = q_row(r) * schur_q(lam[:i] + lam[i + 1 :])
         result = result + term * TPoly.term(2 * (-1) ** i, r)
     return result
 

@@ -22,8 +22,12 @@ from gammaq.vertexops import q_row, qhl, schur_q
 def test_p_monomial_and_one():
     assert p_monomial((3, 1)).coefficient((3, 1)) == ONE
     assert one() == p_monomial(())
+    assert repr(p_monomial((3, 1)) * TPoly([1, 2])) == "GammaElement((2t+1)*p[3,1])"
+    assert repr(GammaElement()) == "GammaElement(0)"
     with pytest.raises(ValueError):
         p_monomial((2,))
+    with pytest.raises(TypeError):
+        GammaElement({(1,): 1.5})
 
 
 def test_mul():
@@ -32,6 +36,8 @@ def test_mul():
     assert f * one() == f
     assert f * p_monomial((1,)) == p_monomial((1, 1)) + p_monomial((3, 1))
     assert (f * 0).is_zero
+    with pytest.raises(TypeError):
+        f + 1
 
 
 def test_d_dp():

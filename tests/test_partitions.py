@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from gammaq import partitions
 from gammaq.memo import clear_memos
 from gammaq.partitions import (
-    HorizontalStrip,
     check_odd,
     check_partition,
     check_strict,
@@ -25,7 +24,6 @@ from gammaq.partitions import (
     n_stat,
     parse_partition,
     partition_str,
-    remove_part,
     union_sorted,
     z_factor,
 )
@@ -67,14 +65,6 @@ def test_dominance():
     assert dominance_leq((3, 2), (3, 2))
     assert not dominance_leq((3,), (2, 1, 1))  # weight mismatch never compares
     assert not dominance_leq((3, 3), (4, 1))  # 6 vs 5
-
-
-def test_remove_part():
-    assert remove_part((4, 3, 1), 1) == (3, 1)
-    assert remove_part((4, 3, 1), 3) == (4, 3)
-    assert remove_part((5,), 1) == ()
-    with pytest.raises(IndexError):
-        remove_part((5,), 2)
 
 
 def test_validators():
@@ -212,6 +202,26 @@ def test_index_subpartitions():
         index_subpartitions((3,), 4)
 
 
+@pytest.mark.parametrize(
+    "p, i, error",
+    [((1, 2), 3, ValueError), ((True,), 1, TypeError), ((2, 0), 2, ValueError), ((2.5,), 0, TypeError)],
+)
+def test_index_subpartitions_refuses_a_non_partition(p, i, error):
+    clear_memos()
+    with pytest.raises(error):
+        index_subpartitions(p, i)
+
+
+def test_index_subpartitions_answer_does_not_depend_on_a_refused_call():
+    # True == 1 in the memo key, so an unchecked (True,) * 3 would be stored
+    # and served for (1, 1, 1)
+    clear_memos()
+    with pytest.raises(TypeError):
+        index_subpartitions((True, True, True), 1)
+    [(nu, count)] = index_subpartitions((1, 1, 1), 1)
+    assert (nu, count) == ((1,), 3) and type(nu[0]) is int
+
+
 def _index_subpartitions_reference(p):
     """Weight -> every index subset of p as a subpartition, by brute force."""
     by_weight = {i: [] for i in range(sum(p) + 1)}
@@ -265,12 +275,11 @@ def test_parse_partition_reads_ascii_digits_only(text):
 
 
 def test_horizontal_strips_examples():
-    assert horizontal_strips((2,), 1) == [
-        HorizontalStrip((2,), (3,), 1),
-        HorizontalStrip((2,), (2, 1), 1),
-    ]
-    assert horizontal_strips((4, 2), 0) == [HorizontalStrip((4, 2), (4, 2), 0)]
-    assert [s.outer for s in horizontal_strips((3, 1), 2)] == [(5, 1), (4, 2), (3, 2, 1)]
+    assert horizontal_strips((2,), 1) == [((3,), 1), ((2, 1), 1)]
+    assert horizontal_strips((4, 2), 0) == [((4, 2), 0)]
+    assert [outer for outer, _ in horizontal_strips((3, 1), 2)] == [(5, 1), (4, 2), (3, 2, 1)]
+    with pytest.raises(ValueError):
+        horizontal_strips((2,), -1)
 
 
 def _contains(inner, outer):
@@ -317,13 +326,12 @@ def test_horizontal_strips_brute_force():
                     for outer in enumerate_strict(w + r)
                     if _brute_is_strip(inner, outer)
                 ]
-                assert [s.outer for s in got] == expected, (inner, r)
-                for s in got:
-                    assert s.inner == inner
-                    assert s.a_stat == _brute_a_stat(inner, s.outer), s
+                assert [outer for outer, _ in got] == expected, (inner, r)
+                for outer, a in got:
+                    assert a == _brute_a_stat(inner, outer), (inner, outer)
                     assert all(
-                        s.outer[i + 1] <= inner[i]
-                        for i in range(min(len(inner), len(s.outer) - 1))
+                        outer[i + 1] <= inner[i]
+                        for i in range(min(len(inner), len(outer) - 1))
                     )
 
 

@@ -30,8 +30,14 @@ def test_arithmetic_basics():
     assert TPoly([1, 2, 3])(Fraction(1, 2)) == Fraction(1) + 1 + Fraction(3, 4)
     assert ZERO(5) == 0
     assert TPoly([Fraction(1, 3), 1])(-2) == Fraction(-5, 3)
+    assert 1 - T == TPoly([1, -1])  # __rsub__
+    assert T.coefficient(5) == 0  # past the degree
     with pytest.raises(TypeError):
         TPoly([1, 2])(0.5)
+    with pytest.raises(ValueError):
+        TPoly.term(1, -1)
+    with pytest.raises(ValueError):
+        T**-1
 
 
 def test_canonical_form():
@@ -39,6 +45,8 @@ def test_canonical_form():
     assert TPoly([0, 0]).is_zero
     assert ZERO.degree == -1
     assert TPoly([0, 1]).degree == 1
+    assert ONE == 1 and TPoly((2,)) == Fraction(2)
+    assert (ONE == "1") is False
 
 
 def test_str():
@@ -47,6 +55,8 @@ def test_str():
     assert str(TPoly([-1, 0, 2])) == "2t^2-1"
     assert str(T) == "t"
     assert str(TPoly([Fraction(3, 2), 1])) == "t+3/2"
+    assert repr(TPoly([Fraction(1, 2), 0, 3])) == "TPoly([Fraction(1, 2), Fraction(0, 1), Fraction(3, 1)])"
+    assert repr(ZERO) == "TPoly([])"
 
 
 def test_json_round_trip():

@@ -192,6 +192,14 @@ def test_a_wrong_table_fails_the_golden_comparison(monkeypatch):
         ("golden-table-3", False, "3 violation(s): (3,),(3,); (2, 1),(3,); (2, 1),(1, 1, 1)"),
         ("golden-table-4", False, "2 violation(s): (3, 1),(3, 1); (3, 1),(1, 1, 1, 1)"),
     ]
+    # a golden cell missing reads as zero and is reported as a gap
+    monkeypatch.undo()
+    golden_y_polys = verify.golden_y_polys
+    monkeypatch.setattr(verify, "golden_y_polys", lambda n: dict(list(golden_y_polys(n).items())[1:]))
+    details = [(r.passed, r.detail) for r in verify.tables_suite(3)]
+    assert details == [(False, "2 violation(s): (3,),(3,); golden grid incomplete")]
+    with pytest.raises(ValueError):
+        golden_y_polys(8)
 
 
 def test_a_capped_check_runs_to_its_cap_when_called_directly():

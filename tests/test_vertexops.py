@@ -272,3 +272,5 @@ def test_gstar_on_schur_examples():
     # index 2 on (3,1): only the first row survives
     assert gstar_on_schur(2, (3, 1)) == apply_component(GSTAR_SPEC, 2, schur_q((3, 1)))
     assert gstar_on_schur(2, (3, 1)) == q_row(1) * schur_q((1,)) * TPoly([0, 2])
+    with pytest.raises(ValueError):
+        gstar_on_schur(0, (2,))
