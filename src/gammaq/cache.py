@@ -4,7 +4,11 @@ lkostka, spin-green and expand --basis p each store their result in one
 file, <name>.json: L-<n> (the Q-Kostka table), Y-<n> (the spin Green table)
 and expand-<family>-p-<lam>; spin-char, expand --basis Q and verify use no
 cache.  Every file is {"version": <tag>, "kind": <name>, "value":
-<result>}, where the tag, gammaq-<version>-<fingerprint> from
+<result>}.  An L or Y value is Table.to_pool's pooled form: n, rows
+and cols, values, each distinct cell once as a list of int coefficients
+with the zero, [], at index 0, and grid, the index into values of every
+cell; an expansion is a list of [partition, coefficient strings] terms.
+The tag, gammaq-<version>-<fingerprint> from
 _version_tag(), carries a sha256 over the source of every module of the
 package, this one included, so a change to the layout or to any code
 retires every file written before.  The tag is computed once, and hashlib
@@ -15,7 +19,8 @@ load(name, decode) reads, checks and decodes one file in one guarded step,
 and ignores whole, to recompute rather than trust, a file that is missing,
 unreadable, not JSON, not a {version, kind, value} object, of another tag or
 kind, or whose value decode refuses.  save(name, value, encode) writes the
-file unless that load found it, and touches no other: to a temporary file in
+file unless that load found it, and touches no other: in one write of the
+text json.dumps makes with the json module's C encoder, to a temporary file in
 the cache directory, moved into place with os.replace, so a reader never
 sees a partial file and two processes that compute the same result write the
 same bytes.  The recursion memos (memo.py) are never stored.
@@ -80,7 +85,7 @@ class Cache:
     def load(self, name: str, decode: Callable[[Any], Any]) -> Any:
         """decode() of the value stored under name, or None: one try opens,
         parses, checks and decodes the file, and maps OSError, ValueError,
-        TypeError, KeyError, ZeroDivisionError and RecursionError to None."""
+        TypeError, LookupError, ZeroDivisionError and RecursionError to None."""
         self._found = False
         if not self.enabled:
             return None
@@ -90,7 +95,7 @@ class Cache:
             if data["version"] != _version_tag() or data["kind"] != name:
                 return None
             value = decode(data["value"])
-        except (OSError, ValueError, TypeError, KeyError, ZeroDivisionError, RecursionError):
+        except (OSError, ValueError, TypeError, LookupError, ZeroDivisionError, RecursionError):
             return None
         self._found = True
         return value
@@ -104,7 +109,7 @@ class Cache:
         fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=self.directory)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, sort_keys=True)
+                fh.write(json.dumps(payload, sort_keys=True))
             os.replace(tmp, self._path(name))
         except BaseException:
             with contextlib.suppress(OSError):

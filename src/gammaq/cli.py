@@ -216,9 +216,9 @@ def _cached_table(args, kind, columns, build) -> Table:
     def decode(data):
         if data["n"] != args.n:
             raise ValueError(f"cached table of weight {data['n']!r}, not {args.n}")
-        return Table.from_json(data, columns)
+        return Table.from_pool(data, columns)
 
-    return _cached(args, f"{kind}-{args.n}", decode, Table.to_json, lambda: build(args.n))
+    return _cached(args, f"{kind}-{args.n}", decode, Table.to_pool, lambda: build(args.n))
 
 
 # ------------------------------------------------------------- commands

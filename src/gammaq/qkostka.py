@@ -22,6 +22,7 @@ entries straight from the columns.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Any, Callable, NamedTuple
 
 from .memo import cached, memo
@@ -141,6 +142,12 @@ def expand_g_in_q(mu: Partition) -> dict[Partition, TPoly]:
     return {lam: _l_rec(lam, mu) for lam in _column(mu)}
 
 
+def _ints(lists) -> bool:
+    """Whether every item of every list in lists is an int, and no bool:
+    a non-list item of lists fails this or a later check."""
+    return set(map(type, chain.from_iterable(lists))) <= {int}
+
+
 def _cell_json(value):
     """A cell as JSON: a TPoly as its coefficient strings, an int as itself."""
     return value if type(value) is int else value.to_json()
@@ -154,9 +161,11 @@ class Table(NamedTuple):
 
     entries is keyed by the canonical axis tuples, as layout reads them;
     entry() canonicalizes its keys for callers that pass other sequences.
-    from_json reads the polynomial tables, L and Y, the only ones cached: it
-    decodes each cell once with TPoly.from_int_json, straight into entries,
-    skips a cell stored as [] undecoded and drops a decoded zero."""
+    to_json and from_json are the canonical JSON of a polynomial table, the
+    CLI's json output; the cache stores L and Y in to_pool's form instead,
+    which from_pool reads, decoding each distinct cell once.  The two
+    readers share _from_grid, the axis check and the walk of the grid
+    straight into entries that drops every zero."""
 
     weight: int
     entries: dict[tuple[Partition, Partition], Any]
@@ -193,36 +202,72 @@ class Table(NamedTuple):
             grid[row_at[r]][col_at[c]] = out
         return grid
 
-    def to_json(self) -> dict:
-        """The table as JSON, its entries laid out by layout: equal cells
-        share one JSON value, which the cache only serializes."""
+    def _axes(self) -> dict:
         return {
             "n": self.weight,
             "rows": [list(r) for r in self.rows()],
             "cols": [list(c) for c in self.cols()],
-            "entries": self.layout(_cell_json),
         }
+
+    def to_json(self) -> dict:
+        """The table as JSON, its entries laid out by layout: equal cells
+        share one JSON value."""
+        return dict(self._axes(), entries=self.layout(_cell_json))
+
+    def to_pool(self) -> dict:
+        """A table of integer polynomials as the cache stores it: the axes
+        of to_json, values, each distinct cell once as its int coefficients
+        with the zero, [], at index 0, and grid, the index into values of
+        every cell, laid out by layout."""
+        values = []
+
+        def index(v: TPoly) -> int:
+            if v._den != 1:
+                raise ValueError(f"only integer polynomials are pooled, not {v}")
+            values.append(v._num)
+            return len(values) - 1
+
+        return dict(self._axes(), grid=self.layout(index), values=values)
 
     @classmethod
     def from_json(cls, data: dict, columns=enumerate_strict) -> "Table":
         """Inverse of to_json for a polynomial table.  Raises ValueError if
-        the rows and columns are not the enumerated axes of the weight or
-        the strict zips meet a ragged grid, and whatever
-        TPoly.from_int_json raises on a cell."""
+        the axes are not those of the weight or the grid is ragged (see
+        _from_grid), and whatever TPoly.from_int_json raises on a cell."""
+        decode = TPoly.from_int_json
+        return cls._from_grid(data, columns, (map(decode, row) for row in data["entries"]))
+
+    @classmethod
+    def from_pool(cls, data: dict, columns=enumerate_strict) -> "Table":
+        """Inverse of to_pool: one TPoly per pool value, shared by every
+        cell that holds its index.  Raises ValueError unless values[0] is
+        [], every later value is a list of ints with a nonzero top and the
+        grid holds only ints; LookupError on an index outside the pool, a
+        negative one included; and what _from_grid raises."""
+        values, grid = data["values"], data["grid"]
+        if values[0] != [] or not (_ints(values) and _ints(grid) and all(v[-1] for v in values[1:])):
+            raise ValueError("pooled table values or grid are malformed")
+        raw = TPoly._raw
+        pool = dict(enumerate([ZERO] + [raw(tuple(v), 1) for v in values[1:]]))
+        return cls._from_grid(data, columns, (map(pool.__getitem__, row) for row in grid))
+
+    @classmethod
+    def _from_grid(cls, data: dict, columns, grid) -> "Table":
+        """The table of weight data["n"] whose cell at each row and column
+        is the TPoly there in grid, a zero not stored.  Raises ValueError if
+        data's rows and cols are not the enumerated axes of the weight, or
+        as the strict zips meet a ragged grid."""
         n = data["n"]
         if type(n) is not int:
             raise ValueError(f"table weight must be an int: {n!r}")
         rows, cols = enumerate_strict(n), columns(n)
         if data["rows"] != [list(r) for r in rows] or data["cols"] != [list(c) for c in cols]:
             raise ValueError(f"table axes are not those of weight {n}")
-        decode = TPoly.from_int_json
         entries = {}
-        for lam, row in zip(rows, data["entries"], strict=True):
+        for lam, row in zip(rows, grid, strict=True):
             for mu, value in zip(cols, row, strict=True):
-                if value != []:  # a zero cell, skipped undecoded
-                    value = decode(value)
-                    if value._num:
-                        entries[lam, mu] = value
+                if value._num:
+                    entries[lam, mu] = value
         return cls(n, entries, columns)
 
 

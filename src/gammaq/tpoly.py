@@ -15,8 +15,8 @@ denominator 1, the case of every L, Y and character value, takes no gcd at
 all.  _pmul and _padd, the int products and sums of TPoly, are also those of
 gamma and vertexops; _text, the one writer of polynomial text, plain or
 LaTeX, writes every TPoly straight from its ints.
-from_int_json, the decoder of every cached table cell, builds the normal
-form directly when the top coefficient is nonzero.  Only int and Fraction
+from_int_json, the decoder of each cell of a table's JSON, builds the
+normal form directly when the top coefficient is nonzero.  Only int and Fraction
 scalars are accepted, so no float or string can slip into an exact value.
 A TPoly is immutable and hashable.
 

@@ -3,8 +3,10 @@ import copy
 import hashlib
 import io
 import json
+import os
 import shutil
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,7 +20,10 @@ import gammaq.vertexops as vertexops
 from gammaq.cache import Cache
 from gammaq.cli import main
 from gammaq.memo import clear_memos
+from gammaq.partitions import enumerate_odd, enumerate_strict
 from gammaq.qkostka import Table, l_table
+from gammaq.spingreen import y_table
+from gammaq.tpoly import TPoly
 
 MEMOS = (qkostka._l_memo, spingreen._y_memo, vertexops._vacuum_memo, vertexops._creation_memo)
 
@@ -62,8 +67,20 @@ def _edit(path, edit):
 
 
 def _set_cell(row, col, value):
-    """An edit that stores value in the cached table cell (row, col)."""
-    return lambda table: table["entries"][row].__setitem__(col, value)
+    """An edit that appends value to the cached table's pool and points the
+    cell (row, col) at it, so no other cell that shared its value changes."""
+
+    def edit(table):
+        table["values"].append(value)
+        table["grid"][row][col] = len(table["values"]) - 1
+
+    return edit
+
+
+def _set_index(row, col, index):
+    """An edit that stores index as the pool index of the cached table cell
+    (row, col)."""
+    return lambda table: table["grid"][row].__setitem__(col, index)
 
 
 # Each command with the one file that caches its result.
@@ -104,31 +121,61 @@ def test_spin_green_and_spin_char_share_the_y_table(tmp_path, capsys, first, sec
             assert not spingreen._y_memo  # no Y cell was computed
         else:
             assert [p.name for p in tmp_path.iterdir()] == ["Y-5.json"]
-            _edit(tmp_path / "Y-5.json", _set_cell(1, 0, ["3", "2"]))
+            _edit(tmp_path / "Y-5.json", _set_cell(1, 0, [3, 2]))
 
 
 def test_cache_round_trip(tmp_path):
     table = l_table(5)
-    Cache(str(tmp_path)).save("L-5", table, Table.to_json)
+    Cache(str(tmp_path)).save("L-5", table, Table.to_pool)
     before = _files(tmp_path)
     warm = Cache(str(tmp_path))
-    assert warm.load("L-5", Table.from_json).entries == table.entries
-    warm.save("L-5", table, Table.to_json)  # found on load: nothing is written
+    assert warm.load("L-5", Table.from_pool).entries == table.entries
+    warm.save("L-5", table, Table.to_pool)  # found on load: nothing is written
     assert _files(tmp_path) == before
-    assert Cache(str(tmp_path)).load("L-6", Table.from_json) is None
+    assert Cache(str(tmp_path)).load("L-6", Table.from_pool) is None
+
+
+@pytest.mark.parametrize(
+    "kind, build, columns, top", [("L", l_table, enumerate_strict, 14), ("Y", y_table, enumerate_odd, 10)]
+)
+def test_pooled_round_trip_stores_each_distinct_cell_once(tmp_path, kind, build, columns, top):
+    for n in range(1, top + 1):
+        name, table = f"{kind}-{n}", build(n)
+        Cache(str(tmp_path)).save(name, table, Table.to_pool)
+        stored = json.loads((tmp_path / f"{name}.json").read_text())["value"]
+        assert stored["values"][0] == []
+        assert len(stored["values"]) == len(set(table.entries.values())) + 1, n
+        decoded = Cache(str(tmp_path)).load(name, lambda data: Table.from_pool(data, columns))
+        assert decoded.entries == table.entries, n
+        shared = {}  # the first decoded object of each value
+        assert all(shared.setdefault(v, v) is v for v in decoded.entries.values()), n
+
+
+def test_pooled_form_holds_integer_polynomials_only():
+    with pytest.raises(ValueError):
+        Table(1, {((1,), (1,)): TPoly([Fraction(1, 2)])}).to_pool()
 
 
 def test_failed_save_keeps_the_old_file(tmp_path, monkeypatch):
-    Cache(str(tmp_path)).save("L-3", l_table(3), Table.to_json)
+    Cache(str(tmp_path)).save("L-3", l_table(3), Table.to_pool)
     before = (tmp_path / "L-3.json").read_bytes()
+    fdopen = os.fdopen
 
-    def dump_then_fail(obj, fh, **kwargs):
-        fh.write('{"version": ')
-        raise RuntimeError("disk full")
+    def open_half_writing(*args, **kwargs):
+        """A file whose write writes half its text, then fails."""
+        fh = fdopen(*args, **kwargs)
+        write = fh.write
 
-    monkeypatch.setattr(cache.json, "dump", dump_then_fail)
+        def write_half_then_fail(text):
+            write(text[: len(text) // 2])
+            raise RuntimeError("disk full")
+
+        fh.write = write_half_then_fail
+        return fh
+
+    monkeypatch.setattr(cache.os, "fdopen", open_half_writing)
     with pytest.raises(RuntimeError):
-        Cache(str(tmp_path)).save("L-3", l_table(3), Table.to_json)
+        Cache(str(tmp_path)).save("L-3", l_table(3), Table.to_pool)
     assert (tmp_path / "L-3.json").read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["L-3.json"]
 
@@ -136,7 +183,7 @@ def test_failed_save_keeps_the_old_file(tmp_path, monkeypatch):
 def test_tampered_cell_is_copied_into_no_later_file(tmp_path, capsys):
     cdir = ["--cache-dir", str(tmp_path)]
     _run(capsys, ["lkostka", "--n", "5"] + cdir)
-    _edit(tmp_path / "L-5.json", _set_cell(0, 1, ["0", "7777"]))
+    _edit(tmp_path / "L-5.json", _set_cell(0, 1, [0, 7777]))
     for argv, _ in COMMANDS + [(["lkostka", "--n", "5"], None)]:
         clear_memos()
         _run(capsys, argv + cdir)
@@ -160,7 +207,7 @@ def _restamp(**fields):
     """A file edit that sets the file's top-level fields and a wrong first cell."""
 
     def text(data):
-        data["value"]["entries"][0][0] = ["9"]
+        _set_cell(0, 0, [9])(data["value"])
         return json.dumps(dict(data, **fields))
 
     return text
@@ -186,22 +233,35 @@ REFUSED = [
     pytest.param(L_3, lambda data: "[" * 100000 + "]" * 100000, id="deeply nested"),
     pytest.param(L_3, lambda data: json.dumps(dict(data, value=[])), id="value not a table"),
     pytest.param(L_3, _value(_set_cell(0, 0, "7")), id="cell not a list"),
-    pytest.param(L_3, _value(_set_cell(0, 0, ["1.5"])), id="inexact cell"),
+    pytest.param(L_3, _value(_set_cell(0, 0, [1.5])), id="inexact cell"),
     pytest.param(L_3, _value(_set_cell(0, 0, ["1/0"])), id="zero denominator"),
     pytest.param(L_3, _value(lambda v: v.update(n=4, rows=[[4], [3, 1]], cols=[[4], [3, 1]])),
                  id="wrong weight"),
-    pytest.param(L_3, _value(lambda v: (v["rows"].reverse(), v["entries"].reverse())),
+    pytest.param(L_3, _value(lambda v: (v["rows"].reverse(), v["grid"].reverse())),
                  id="rows out of order"),
-    pytest.param(L_3, _value(lambda v: [x.reverse() for x in [v["cols"], *v["entries"]]]),
+    pytest.param(L_3, _value(lambda v: [x.reverse() for x in [v["cols"], *v["grid"]]]),
                  id="columns out of order"),
-    pytest.param(L_3, _value(lambda v: v["entries"][0].pop()), id="short row"),
-    pytest.param(L_3, _value(lambda v: v["entries"].pop()), id="missing row"),
-    # the zero cell (2,1)|(3) is stored as [], the one cell skipped undecoded;
-    # a falsy or short stand-in for it is still decoded and refused
-    pytest.param(L_3, _value(_set_cell(1, 0, "")), id="zero cell as empty string"),
-    pytest.param(L_3, _value(_set_cell(1, 0, {})), id="zero cell as empty object"),
-    pytest.param(L_3, _value(_set_cell(1, 0, [1])), id="cell of a number"),
-    pytest.param(L_3, _value(_set_cell(1, 0, ["1", None])), id="cell with a null"),
+    pytest.param(L_3, _value(lambda v: v["grid"][0].pop()), id="short row"),
+    pytest.param(L_3, _value(lambda v: v["grid"].pop()), id="missing row"),
+    # the zero cell (2,1)|(3) holds index 0, the one index whose cell is not
+    # stored; a falsy stand-in for that index is still checked and refused
+    pytest.param(L_3, _value(_set_index(1, 0, "")), id="zero cell as empty string"),
+    pytest.param(L_3, _value(_set_index(1, 0, {})), id="zero cell as empty object"),
+    pytest.param(L_3, _value(_set_cell(1, 0, 1)), id="cell of a number"),
+    pytest.param(L_3, _value(_set_cell(1, 0, [1, None])), id="cell with a null"),
+    # an index that does not name a pool value: L-3's pool is [[], [1], [0, 2]],
+    # so each of these would read a value if taken as an index
+    pytest.param(L_3, _value(_set_index(0, 0, -1)), id="negative index"),
+    pytest.param(L_3, _value(_set_index(1, 0, True)), id="bool index"),
+    pytest.param(L_3, _value(_set_index(0, 0, 1.0)), id="non-int index"),
+    pytest.param(L_3, _value(lambda v: v["grid"][0].__setitem__(0, len(v["values"]))),
+                 id="index past the end"),
+    # a pool value that is not an int list in normal form
+    pytest.param(L_3, _value(_set_cell(0, 0, ["1"])), id="string coefficient"),
+    pytest.param(L_3, _value(_set_cell(0, 0, [True])), id="bool coefficient"),
+    pytest.param(L_3, _value(_set_cell(0, 0, [1, 0])), id="trailing zero"),
+    pytest.param(L_3, _value(lambda v: v["values"][0].append(1)), id="nonzero value at index 0"),
+    pytest.param(L_3, _value(lambda v: v["values"].clear()), id="empty pool"),
     # every L and Y value has integer coefficients
     pytest.param(Y_3, _value(_set_cell(1, 0, ["-3/2", "2"])), id="Y fraction cell"),  # (2,1)|(3)
     pytest.param(L_5, _value(_set_cell(1, 2, ["1/2", "2"])), id="L fraction cell"),  # (4,1)|(3,2)
@@ -217,7 +277,7 @@ REFUSED = [
     pytest.param(L_3, _restamp(version="gammaq-0.1.0-fmt2"), id="no source fingerprint"),
     pytest.param(L_3, _restamp(kind="L-4"), id="another kind"),
     pytest.param(
-        Y_3, _value(_set_cell(1, 0, ["7"])), id="well-formed wrong value",  # true value 2t-2
+        Y_3, _value(_set_cell(1, 0, [7])), id="well-formed wrong value",  # true value 2t-2
         marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 3: cached values are not checked on load"),
     ),
 ]
@@ -331,7 +391,7 @@ def test_any_damaged_cache_file_is_refused_or_served_without_error(argv):
 
 def test_verify_ignores_the_cache(tmp_path, capsys):
     _run(capsys, ["spin-green", "--n", "3", "--cache-dir", str(tmp_path)])
-    _edit(tmp_path / "Y-3.json", _set_cell(1, 0, ["7"]))
+    _edit(tmp_path / "Y-3.json", _set_cell(1, 0, [7]))
     before = (tmp_path / "Y-3.json").read_bytes()
     clear_memos()
     out = _run(capsys, ["verify", "--suite", "tables", "--max-n", "3", "--cache-dir", str(tmp_path)])

@@ -248,17 +248,18 @@ def test_determinism(capsys):
 
 
 def test_warm_cold_cache_bit_identity(tmp_path, capsys):
-    for n in range(1, 8):
-        cdir = str(tmp_path / f"cache{n}")
-        clear_memos()
-        _, cold = _run(capsys, ["spin-green", "--n", str(n), "--cache-dir", cdir])
-        clear_memos()
-        _, warm = _run(capsys, ["spin-green", "--n", str(n), "--cache-dir", cdir])
-        # a --no-cache run on the memos the warm run left, then from cleared memos
-        _, repeat = _run(capsys, ["spin-green", "--n", str(n), "--no-cache"])
-        clear_memos()
-        _, nocache = _run(capsys, ["spin-green", "--n", str(n), "--no-cache"])
-        assert cold == warm == repeat == nocache, n
+    for command in ("spin-green", "lkostka"):
+        for n in range(1, 8):
+            cdir = str(tmp_path / f"{command}{n}")
+            clear_memos()
+            _, cold = _run(capsys, [command, "--n", str(n), "--cache-dir", cdir])
+            clear_memos()
+            _, warm = _run(capsys, [command, "--n", str(n), "--cache-dir", cdir])
+            # a --no-cache run on the memos the warm run left, then from cleared memos
+            _, repeat = _run(capsys, [command, "--n", str(n), "--no-cache"])
+            clear_memos()
+            _, nocache = _run(capsys, [command, "--n", str(n), "--no-cache"])
+            assert cold == warm == repeat == nocache, (command, n)
     clear_memos()
 
 
