@@ -23,7 +23,10 @@ file unless that load found it, and touches no other: in one write of the
 text json.dumps makes with the json module's C encoder, to a temporary file in
 the cache directory, moved into place with os.replace, so a reader never
 sees a partial file and two processes that compute the same result write the
-same bytes.  The recursion memos (memo.py) are never stored.
+same bytes.  The temporary file, under a name unique to the process, is
+created with mode 0666 less the umask, as open() creates a file, so under
+umask 022 every user who shares the directory can read it.  The recursion
+memos (memo.py) are never stored.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Any, Callable
 
@@ -106,7 +108,8 @@ class Cache:
             return
         os.makedirs(self.directory, exist_ok=True)
         payload = {"version": _version_tag(), "kind": name, "value": encode(value)}
-        fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=self.directory)
+        tmp = os.path.join(self.directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(json.dumps(payload, sort_keys=True))

@@ -16,10 +16,11 @@ one level up:
     = 1, and 1 for the zero element.
 
 This normal form is unique, so equality compares (_den, _terms) directly.
-Sums, products, d/dp_n and the pairing run on ints and reduce once per
-result; _den == 1, the case of every Schur Q- and Q-Hall-Littlewood vector,
-takes no gcd at all.  The int products and sums are tpoly's _pmul and _padd;
-only _accumulate, which adds into a dict of int lists in place, lives here.
+Sums, differences, products, d/dp_n and the pairing run on ints and reduce
+once per result; _den == 1, the case of every Schur Q- and Q-Hall-Littlewood
+vector, takes no gcd at all.  The int products and sums are tpoly's _pmul
+and _padd; only _accumulate, which adds into a dict of int lists in place,
+lives here.
 coefficient() and terms() hand out reduced TPolys, and the constructor
 accepts TPoly, int and Fraction coefficients.  A GammaElement has no
 mutator, so results may be shared, and it is hashable: the hash of
@@ -34,7 +35,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Mapping, Sequence, Union
 
-from .partitions import Partition, check_odd, union_sorted, z_factor
+from .partitions import Partition, _z, check_odd, union_sorted
 from .tpoly import ONE, TPoly, ZERO, _as_tpoly, _padd, _pmul
 
 CoeffLike = Union[int, Fraction, TPoly]
@@ -109,26 +110,7 @@ class GammaElement:
     def __add__(self, other) -> "GammaElement":
         if not isinstance(other, GammaElement):
             return NotImplemented
-        a, da = self._terms, self._den
-        b, db = other._terms, other._den
-        if not b:
-            return self
-        if not a:
-            return other
-        if da == db:
-            den = da
-            out = dict(a)
-        else:
-            g = gcd(da, db)
-            den = da // g * db
-            fa, fb = db // g, da // g
-            out = {mu: [c * fa for c in num] for mu, num in a.items()} if fa != 1 else dict(a)
-            if fb != 1:
-                b = {mu: [c * fb for c in num] for mu, num in b.items()}
-        for mu, num in b.items():
-            s = out.get(mu)
-            out[mu] = num if s is None else _padd(s, num)
-        return GammaElement._make(out, den)
+        return _combine(self, other, 1)
 
     def __neg__(self) -> "GammaElement":
         return GammaElement._make({mu: [-c for c in num] for mu, num in self._terms.items()}, self._den)
@@ -136,7 +118,7 @@ class GammaElement:
     def __sub__(self, other) -> "GammaElement":
         if not isinstance(other, GammaElement):
             return NotImplemented
-        return self + (-other)
+        return _combine(self, other, -1)
 
     def __mul__(self, other) -> "GammaElement":
         a = self._terms
@@ -170,6 +152,31 @@ class GammaElement:
             return "GammaElement(0)"
         body = " + ".join(f"({c})*p[{','.join(map(str, mu))}]" for mu, c in self.terms())
         return f"GammaElement({body})"
+
+
+def _combine(f: GammaElement, g: GammaElement, sign: int) -> GammaElement:
+    """f + sign g, sign 1 or -1, in one pass: g's terms are scaled to the
+    common denominator and by sign together, then added into a copy of f's."""
+    a, da = f._terms, f._den
+    b, db = g._terms, g._den
+    if not b:
+        return f
+    if not a and sign == 1:
+        return g
+    if da == db:
+        den, fb = da, sign
+        out = dict(a)
+    else:
+        k = gcd(da, db)
+        den = da // k * db
+        fa, fb = db // k, da // k * sign
+        out = {mu: [c * fa for c in num] for mu, num in a.items()} if fa != 1 else dict(a)
+    if fb != 1:
+        b = {mu: [c * fb for c in num] for mu, num in b.items()}
+    for mu, num in b.items():
+        s = out.get(mu)
+        out[mu] = num if s is None else _padd(s, num)
+    return GammaElement._make(out, den)
 
 
 def _normal_form(
@@ -235,7 +242,10 @@ def pair(f: GammaElement, g: GammaElement) -> TPoly:
 
     Summed on ints as cf cg z_mu 2^{top - l(mu)} over den_f den_g 2^top,
     top the longest common key: each common term reads the memoized z_mu
-    once and adds its products in place into one int list, reduced once."""
+    once and adds its products in place into one int list, reduced once.
+    A term whose shorter side is a constant, as every coefficient of a
+    Schur Q-vector or a power-sum monomial is, adds one scalar times the
+    other side's list."""
     small, big = (f._terms, g._terms) if len(f._terms) <= len(g._terms) else (g._terms, f._terms)
     common = [(mu, cf, cg) for mu, cf in small.items() if (cg := big.get(mu)) is not None]
     if not common:
@@ -243,10 +253,17 @@ def pair(f: GammaElement, g: GammaElement) -> TPoly:
     top = max(len(mu) for mu, _, _ in common)
     total = [0] * (max(len(cf) + len(cg) for _, cf, cg in common) - 1)
     for mu, cf, cg in common:
-        w = z_factor(mu) << (top - len(mu))
-        for i, a in enumerate(cf):
-            if a:
-                a *= w
-                for j, b in enumerate(cg, i):
-                    total[j] += a * b
+        w = _z(mu) << (top - len(mu))
+        if len(cf) > len(cg):
+            cf, cg = cg, cf
+        if len(cf) == 1:
+            a = cf[0] * w
+            for j, b in enumerate(cg):
+                total[j] += a * b
+        else:
+            for i, a in enumerate(cf):
+                if a:
+                    a *= w
+                    for j, b in enumerate(cg, i):
+                        total[j] += a * b
     return TPoly._reduce(total, f._den * g._den << top)

@@ -78,11 +78,16 @@ def multiplicities(p: Partition) -> dict[int, int]:
     return m
 
 
-@cached(_z_memo, key=tuple)
 def z_factor(p: Partition) -> int:
-    """The order z_p = prod over part values i of i^{m_i} * m_i!, memoized
-    on tuple(p); p is checked on a miss."""
-    p, z = check_partition(p), 1
+    """The order z_p = prod over part values i of i^{m_i} * m_i!; p is
+    checked on every call, so a refusal never depends on the memo."""
+    return _z(check_partition(p))
+
+
+@cached(_z_memo)
+def _z(p: Partition) -> int:
+    """z_factor of a partition already checked, as a tuple: memoized on it."""
+    z = 1
     for i, m in multiplicities(p).items():
         z *= i**m * factorial(m)
     return z

@@ -21,7 +21,6 @@ entries straight from the columns.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from typing import Any, Callable, NamedTuple
 
@@ -43,11 +42,13 @@ _transfer_memo: dict[tuple[int, int], list[tuple[Partition, list[tuple[Partition
 
 def l_direct(lam: Partition, mu: Partition) -> TPoly:
     """Coefficient of the Schur Q-vector at lam in the Q-Hall-Littlewood
-    vector at mu, via the bilinear form: 2^{-l(lam)} <G_mu.1, Q_lam.1>."""
+    vector at mu, via the bilinear form: 2^{-l(lam)} <G_mu.1, Q_lam.1>, the
+    2^{l(lam)} put into the pairing's denominator in one reduction."""
     from . import gamma, vertexops  # loaded only for this check route
 
     lam, mu = check_pair(lam, mu)
-    return gamma.pair(vertexops.qhl(mu), vertexops.schur_q(lam)) * Fraction(1, 2 ** len(lam))
+    form = gamma.pair(vertexops.qhl(mu), vertexops.schur_q(lam))
+    return TPoly._reduce(list(form._num), form._den << len(lam))
 
 
 def l_recursive(lam: Partition, mu: Partition) -> TPoly:

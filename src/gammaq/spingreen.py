@@ -38,6 +38,7 @@ from collections.abc import Callable, Iterator
 from .memo import cached, memo
 from .partitions import (
     Partition,
+    _z,
     check_odd,
     check_pair,
     enumerate_odd,
@@ -54,11 +55,19 @@ _rho_sum_memo: dict[tuple[Partition, Partition], TPoly] = memo()
 
 
 def y_direct(lam: Partition, mu: Partition) -> TPoly:
-    """<G_lam.1, p_mu> via vertex operators and the bilinear form."""
-    from . import gamma, vertexops  # loaded only for the check routes
+    """<G_lam.1, p_mu> via vertex operators and the bilinear form.  The form
+    is diagonal with <p_mu, p_mu> = z_mu / 2^{l(mu)}, so this reads the p_mu
+    coefficient of the Q-Hall-Littlewood vector and scales it by that, in one
+    reduction."""
+    from .vertexops import qhl  # loaded only for the check routes
 
     lam, mu = check_pair(lam, mu, check_odd)
-    return gamma.pair(vertexops.qhl(lam), gamma.p_monomial(mu))
+    f = qhl(lam)
+    num = f._terms.get(mu)
+    if num is None:
+        return ZERO
+    z = _z(mu)
+    return TPoly._reduce([c * z for c in num], f._den << len(mu))
 
 
 def y_recursive(lam: Partition, mu: Partition) -> TPoly:

@@ -35,7 +35,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .memo import cached, memo
-from .partitions import Partition, check_odd, check_partition, z_factor
+from .partitions import Partition, _z, check_odd, check_partition
 
 Scalar = Union[int, Fraction]
 
@@ -376,4 +376,4 @@ def inv_z_t(rho: Partition) -> TPoly:
     result = ONE
     for part in rho:
         result = result * TPoly((1,) + (0,) * (part - 1) + (-1,))
-    return result * Fraction((-2) ** len(rho), z_factor(rho))
+    return result * Fraction((-2) ** len(rho), _z(rho))

@@ -1,10 +1,12 @@
 """Verification suites: operator identities, recursion-vs-oracle equality,
 structural laws, golden-table comparison, and positivity diagnostics.
 
-A check states an identity lhs = rhs as a stream of cases (label, lhs, rhs),
-one per instance, built while the check runs.  _agree is the one loop that
-runs the stream: it compares the two sides of each case exactly and keeps the
-labels of the cases that differ.  Diagnostics report violations but never
+A check states an identity lhs = rhs as a stream of cases (label, args,
+lhs, rhs), one per instance, built while the check runs: label is a
+str.format template with one {} per item of the tuple args.  _agree is the
+one loop that runs the stream: it compares the two sides of each case
+exactly and formats the label of a case only when its two sides differ, so
+a passing case pays for no text.  Diagnostics report violations but never
 fail a run; everything else is an exact assertion.
 
 _check registers each check, its suite and its cap on max_n in CHECKS.
@@ -86,14 +88,14 @@ def _result(name: str, failures: list[str], ok_detail: str, diagnostic: bool = F
 
 
 def _agree(cases) -> tuple[list[str], int]:
-    """The labels of the cases (label, lhs, rhs) whose two sides differ, and
-    the number of cases."""
+    """The labels, label.format(*args), of the cases (label, args, lhs, rhs)
+    whose two sides differ, and the number of cases."""
     failures = []
     count = 0
-    for label, lhs, rhs in cases:
+    for label, args, lhs, rhs in cases:
         count += 1
         if lhs != rhs:
-            failures.append(label)
+            failures.append(label.format(*args))
     return failures, count
 
 
@@ -141,7 +143,7 @@ def _cells(lo: int, hi: int, cols):
 def _cell_cases(cells, route, oracle):
     """The case of each cell (lam, mu): route(lam, mu) against oracle(lam, mu)."""
     for lam, mu in cells:
-        yield f"{lam},{mu}", route(lam, mu), oracle(lam, mu)
+        yield "{},{}", (lam, mu), route(lam, mu), oracle(lam, mu)
 
 
 def _rebuilds(max_n: int, weight, target):
@@ -149,7 +151,7 @@ def _rebuilds(max_n: int, weight, target):
     weight(lam, mu) p_mu against target(lam)."""
     for lam in _shapes(1, max_n):
         acc = GammaElement({mu: weight(lam, mu) for mu in enumerate_odd(sum(lam))})
-        yield f"{lam}", acc, target(lam)
+        yield "{}", (lam,), acc, target(lam)
 
 
 def _mode_pairs(max_n: int):
@@ -186,7 +188,7 @@ def check_clifford(max_n: int):
     for mu, f, m, n in _mode_pairs(max_n):
         lhs = _Q(m, _Q(n, f)) + _Q(n, _Q(m, f))
         rhs = f * (2 * (-1) ** n) if m == -n else GammaElement()
-        yield f"m={m},n={n},p_{mu}", lhs, rhs
+        yield "m={},n={},p_{}", (m, n, mu), lhs, rhs
 
 
 @_check("vacuum", "modes 0..{max_n} checked", "operators")
@@ -194,9 +196,9 @@ def check_vacuum(max_n: int):
     """Negative Q-modes kill the vacuum; negative starred G-modes expand in
     power sums with the (-2)^l / z(t) polynomial weights."""
     for n in range(max_n + 1):
-        yield f"Q_{-n}.1", _Q(-n, one()), one() if n == 0 else GammaElement()
+        yield "Q_{}.1", (-n,), _Q(-n, one()), one() if n == 0 else GammaElement()
         rhs = GammaElement({rho: inv_z_t(rho) for rho in enumerate_odd(n)})
-        yield f"G*_{-n}.1", _Gs(-n, one()), rhs
+        yield "G*_{}.1", (-n,), _Gs(-n, one()), rhs
 
 
 @_check("quadratic", "{count} relations checked", "operators")
@@ -212,7 +214,7 @@ def check_quadratic(max_n: int):
             - _G(m + 1, _G(n - 1, f))
         ) * TPoly((0, 1))
         rhs = f * (two_one_minus_t_sq * (-1) ** n) if m == -n else GammaElement()
-        yield f"m={m},n={n},p_{mu}", lhs, rhs
+        yield "m={},n={},p_{}", (m, n, mu), lhs, rhs
 
 
 @_check("mixed-relations", "{count} relations checked", "operators")
@@ -237,7 +239,7 @@ def check_mixed_relations(max_n: int):
                     if n - m >= 0:
                         factor = TPoly.term(2, n - m) * TPoly((1, -1))
                         rhs = rhs - (q_row(n - m) * f) * factor
-                    yield f"rel1 m={m},n={n},p_{mu}", lhs, rhs
+                    yield "rel1 m={},n={},p_{}", (m, n, mu), lhs, rhs
 
                     # q*_m G_n = G_n q*_m + q*_{m-1} G_{n-1} + G_{n-1} q*_{m-1}
                     lhs = _qs(m, _G(n, f))
@@ -246,7 +248,7 @@ def check_mixed_relations(max_n: int):
                         + _qs(m - 1, _G(n - 1, f))
                         + _G(n - 1, _qs(m - 1, f))
                     )
-                    yield f"rel2 m={m},n={n},p_{mu}", lhs, rhs
+                    yield "rel2 m={},n={},p_{}", (m, n, mu), lhs, rhs
 
                     # Q_m q_n = q_n Q_m - Q_{m+1} q_{n-1} - q_{n-1} Q_{m+1}
                     lhs = _Q(m, q_or_zero(n) * f)
@@ -255,7 +257,7 @@ def check_mixed_relations(max_n: int):
                         - _Q(m + 1, q_or_zero(n - 1) * f)
                         - q_or_zero(n - 1) * _Q(m + 1, f)
                     )
-                    yield f"rel3 m={m},n={n},p_{mu}", lhs, rhs
+                    yield "rel3 m={},n={},p_{}", (m, n, mu), lhs, rhs
 
 
 @_check("gstar-on-schur", "{count} pairs checked", "operators")
@@ -263,7 +265,7 @@ def check_gstar_on_schur(max_n: int):
     """Closed form for starred G-modes on Schur Q-vectors vs the operator."""
     for lam in _shapes(0, max_n):
         for k in range(1, max_n + 1):
-            yield f"k={k},lam={lam}", gstar_on_schur(k, lam), _Gs(k, schur_q(lam))
+            yield "k={},lam={}", (k, lam), gstar_on_schur(k, lam), _Gs(k, schur_q(lam))
 
 
 @_check("gstar-powersum", "{count} cases checked", "operators")
@@ -277,7 +279,7 @@ def check_gstar_powersum(max_n: int):
                 for i in range(w + 1):
                     for nu, count in index_subpartitions(mu, i):
                         rhs = rhs + p_monomial(nu) * _Gs(k + i - w, one()) * count
-                yield f"k={k},mu={mu}", lhs, rhs
+                yield "k={},mu={}", (k, mu), lhs, rhs
 
 
 @_check("powersum-adjoint", "{count} cases checked", "operators")
@@ -290,7 +292,7 @@ def check_powersum_adjoint_on_g(max_n: int):
             for i in range(len(lam)):
                 modes = lam[:i] + (lam[i] - k,) + lam[i + 1 :]
                 rhs = rhs + g_modes_on_vacuum(modes)
-            yield f"k={k},lam={lam}", lhs, rhs
+            yield "k={},lam={}", (k, lam), lhs, rhs
 
 
 @_check("pieri", "{count} products checked", "operators")
@@ -303,7 +305,7 @@ def check_pieri(max_n: int):
             for outer, a in horizontal_strips(mu, r):
                 coeff = 2 ** (a + len(mu) - len(outer))
                 rhs = rhs + schur_q(outer) * coeff
-            yield f"mu={mu},r={r}", lhs, rhs
+            yield "mu={},r={}", (mu, r), lhs, rhs
 
 
 @_check("adjointness", "{count} pairings checked", "operators")
@@ -320,8 +322,8 @@ def check_adjointness(max_n: int):
                 continue
             for mu, u in _basis(d):
                 for nu, v in _basis(e):
-                    yield f"Q n={n},{mu},{nu}", pair(_Q(n, u), v), pair(u, _Q(-n, v)) * sign
-                    yield f"G n={n},{mu},{nu}", pair(_G(n, u), v), pair(u, _Gs(n, v))
+                    yield "Q n={},{},{}", (n, mu, nu), pair(_Q(n, u), v), pair(u, _Q(-n, v)) * sign
+                    yield "G n={},{},{}", (n, mu, nu), pair(_G(n, u), v), pair(u, _Gs(n, v))
 
 
 # ----------------------------------------------------------------- lkostka
@@ -339,16 +341,16 @@ def check_l_support(max_n: int):
     for lam, mu in _cells(0, max_n, enumerate_strict):
         v = _l_rec(lam, mu)
         if lam == mu:
-            yield f"diag {lam}", v, ONE
+            yield "diag {}", (lam,), v, ONE
         if not dominance_leq(mu, lam):
-            yield f"support {lam},{mu}", v, ZERO
+            yield "support {},{}", (lam, mu), v, ZERO
 
 
 @_check("l-top-row", "one-row values verified (n<={max_n})", "lkostka")
 def check_l_top_row(max_n: int):
     """Value at the one-row shape: 2^{l(mu)-1} t^{n(mu)}."""
     for mu in _shapes(1, max_n):
-        yield f"{mu}", _l_rec((sum(mu),), mu), TPoly.term(2 ** (len(mu) - 1), n_stat(mu))
+        yield "{}", (mu,), _l_rec((sum(mu),), mu), TPoly.term(2 ** (len(mu) - 1), n_stat(mu))
 
 
 @_check("l-degree", "degree law verified (n<={max_n})", "lkostka")
@@ -357,7 +359,7 @@ def check_l_degree(max_n: int):
     for lam, mu in _cells(0, max_n, enumerate_strict):
         v = _l_rec(lam, mu)
         if not v.is_zero:
-            yield f"{lam},{mu}: deg {v.degree}", v.degree, n_stat(mu) - n_stat(lam)
+            yield "{},{}: deg {}", (lam, mu, v.degree), v.degree, n_stat(mu) - n_stat(lam)
 
 
 @_check("l-divisibility", "2-power divisibility verified (n<={max_n})", "lkostka")
@@ -369,7 +371,7 @@ def check_l_divisibility(max_n: int):
             power = 2 ** (len(mu) - len(lam))
             coeffs = _l_rec(lam, mu).coeffs
             bad = next((c for c in coeffs if c.denominator != 1 or int(c) % power), None)
-            yield f"{lam},{mu}: {bad}", bad, None
+            yield "{},{}: {}", (lam, mu, bad), bad, None
 
 
 @_check("l-prefix", "{count} prefixed pairs checked", "lkostka")
@@ -380,7 +382,7 @@ def check_l_prefix(max_n: int):
         top = max(lam[0] if lam else 0, mu[0] if mu else 0)
         base = _l_rec(lam, mu)
         for new in range(top + 1, max_n + 1):
-            yield f"n'={new},{lam},{mu}", _l_rec((new,) + lam, (new,) + mu), base
+            yield "n'={},{},{}", (new, lam, mu), _l_rec((new,) + lam, (new,) + mu), base
 
 
 @_check("l-stability", "{count} grown pairs checked (|lam|<={max_n})", "lkostka", cap=7)
@@ -395,7 +397,7 @@ def check_l_stability(max_n: int):
         base = _l_rec(lam, mu)
         for r in range(1, 5):
             grown = _l_rec((lam[0] + r,) + lam[1:], (mu[0] + r,) + mu[1:])
-            yield f"{lam},{mu},r={r}", grown, base
+            yield "{},{},r={}", (lam, mu, r), grown, base
 
 
 @_check("l-two-row", "{count} two-row values checked", "lkostka")
@@ -411,7 +413,7 @@ def diagnostic_l_positivity(max_n: int):
     none exist; never fatal)."""
     for lam, mu in _cells(0, max_n, enumerate_strict):
         v = _l_rec(lam, mu)
-        yield f"{lam},{mu}: {v}", [c for c in v.coeffs if c < 0], []
+        yield "{},{}: {}", (lam, mu, v), [c for c in v.coeffs if c < 0], []
 
 
 # ---------------------------------------------------------------- spingreen
@@ -422,7 +424,7 @@ def check_y_routes(max_n: int):
     """Recursion, direct pairing and transition-matrix routes agree."""
     for lam, mu in _cells(1, max_n, enumerate_odd):
         a = _y_rec(lam, mu)
-        yield f"{lam},{mu}", (a, a), (y_direct(lam, mu), y_via_l(lam, mu))
+        yield "{},{}", (lam, mu), (a, a), (y_direct(lam, mu), y_via_l(lam, mu))
 
 
 @_check("y-degree", "degree/leading law verified (n<={max_n})", "spingreen")
@@ -431,7 +433,7 @@ def check_y_degree(max_n: int):
     for lam, mu in _cells(1, max_n, enumerate_odd):
         v = _y_rec(lam, mu)
         law = (n_stat(lam), 2 ** (len(lam) - 1))
-        yield f"{lam},{mu}: {v}", (v.degree, v.leading_coefficient), law
+        yield "{},{}: {}", (lam, mu, v), (v.degree, v.leading_coefficient), law
 
 
 @_check("y-one-row", "one-row values verified (n<={max_n})", "spingreen")
@@ -439,7 +441,7 @@ def check_y_one_row(max_n: int):
     """One-row shapes give the constant 1."""
     for n in range(1, max_n + 1):
         for mu in enumerate_odd(n):
-            yield f"{mu}", _y_rec((n,), mu), ONE
+            yield "{}", (mu,), _y_rec((n,), mu), ONE
 
 
 @_check("y-two-row", "{count} two-row values checked", "spingreen")
@@ -482,7 +484,7 @@ def check_char_integrality(max_n: int):
             error = None
         except ArithmeticError as exc:
             error = str(exc)
-        yield error, error, None
+        yield "{}", (error,), error, None
 
 
 @_check("y-positivity", "reversed one-column values non-negative (n<={max_n})", "spingreen",
@@ -493,7 +495,7 @@ def diagnostic_y_positivity(max_n: int):
     for lam in _shapes(1, max_n):
         v = _y_rec(lam, (1,) * sum(lam))
         reversed_coeffs = [v.coefficient(n_stat(lam) - k) for k in range(n_stat(lam) + 1)]
-        yield f"{lam}: {v}", [c for c in reversed_coeffs if c < 0], []
+        yield "{}: {}", (lam, v), [c for c in reversed_coeffs if c < 0], []
 
 
 # ------------------------------------------------------------------- tables

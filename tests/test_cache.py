@@ -156,6 +156,17 @@ def test_pooled_form_holds_integer_polynomials_only():
         Table(1, {((1,), (1,)): TPoly([Fraction(1, 2)])}).to_pool()
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_saved_file_gets_the_mode_the_umask_gives(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        Cache(str(tmp_path)).save("L-3", l_table(3), Table.to_pool)
+    finally:
+        os.umask(old)
+    assert (tmp_path / "L-3.json").stat().st_mode & 0o777 == mode
+    assert [p.name for p in tmp_path.iterdir()] == ["L-3.json"]
+
+
 def test_failed_save_keeps_the_old_file(tmp_path, monkeypatch):
     Cache(str(tmp_path)).save("L-3", l_table(3), Table.to_pool)
     before = (tmp_path / "L-3.json").read_bytes()

@@ -171,15 +171,17 @@ def test_ring_operations_match_termwise_tpoly_arithmetic(f, g, c, r):
     TPoly arithmetic on the coefficients gives, and the normal form is
     unique: an element rebuilt along any route compares equal."""
     ft, gt = dict(f.terms()), dict(g.terms())
-    total = dict(ft)
+    total, difference = dict(ft), dict(ft)
     for mu, cg in gt.items():
         total[mu] = total.get(mu, ZERO) + cg
+        difference[mu] = difference.get(mu, ZERO) - cg
     product = {}
     for mu, cf in ft.items():
         for nu, cg in gt.items():
             key = union_sorted(mu, nu)
             product[key] = product.get(key, ZERO) + cf * cg
     assert dict((f + g).terms()) == _nonzero(total)
+    assert dict((f - g).terms()) == _nonzero(difference)
     assert dict((f * g).terms()) == _nonzero(product)
     assert dict((f * c).terms()) == {mu: cf * c for mu, cf in ft.items()}
     for n in (1, 3, 5, 7):
@@ -192,7 +194,7 @@ def test_ring_operations_match_termwise_tpoly_arithmetic(f, g, c, r):
         assert dict(d_dp(n, f).terms()) == derivative
     assert (f + g) - g == f
     assert f * r * (1 / Fraction(r)) == f
-    for element in (f, g, f + g, f * g, f * c, (f + g) - g, d_dp(1, f)):
+    for element in (f, g, f + g, f - g, f * g, f * c, (f + g) - g, d_dp(1, f)):
         assert _in_normal_form(element), element
 
 

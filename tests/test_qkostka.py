@@ -1,10 +1,12 @@
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import gammaq.qkostka as qkostka
+from gammaq.gamma import pair
 from gammaq.memo import cached, clear_memos
 from gammaq.partitions import enumerate_strict
 from gammaq.qkostka import (
@@ -17,6 +19,7 @@ from gammaq.qkostka import (
     l_two_row,
 )
 from gammaq.tpoly import ONE, TPoly, ZERO
+from gammaq.vertexops import qhl, schur_q
 
 from check_bounds import run_checks
 
@@ -29,6 +32,14 @@ def test_l_direct_examples():
         l_direct((4, 4), (5, 3))  # non-strict row
     with pytest.raises(ValueError):
         l_direct((3, 1), (3, 2))  # weight mismatch
+
+
+def test_l_direct_is_the_scaled_pairing():
+    for n in range(9):
+        for lam in enumerate_strict(n):
+            for mu in enumerate_strict(n):
+                expected = pair(qhl(mu), schur_q(lam)) * Fraction(1, 2 ** len(lam))
+                assert l_direct(lam, mu) == expected, (lam, mu)
 
 
 def test_l_recursive_examples():

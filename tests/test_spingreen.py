@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gammaq.spingreen as spingreen
-from gammaq.gamma import pn_star
+from gammaq.gamma import p_monomial, pair, pn_star
 from gammaq.memo import clear_memos
 from gammaq.partitions import enumerate_odd, enumerate_strict, union_sorted
 from gammaq.qkostka import Table, l_direct, l_recursive, l_table
@@ -22,7 +22,7 @@ from gammaq.spingreen import (
     y_via_l,
 )
 from gammaq.tpoly import ONE, ZERO, TPoly, inv_z_t
-from gammaq.vertexops import expand_in_schur_q, schur_q
+from gammaq.vertexops import expand_in_schur_q, qhl, schur_q
 
 from check_bounds import run_checks
 
@@ -37,6 +37,14 @@ def test_y_direct_examples():
         y_direct((2, 1), (2, 1))  # non-odd column
     with pytest.raises(ValueError):
         y_direct((3, 1), (3,))  # weight mismatch
+
+
+def test_y_direct_is_the_pairing_it_reads():
+    # y_direct reads one coefficient of qhl(lam) in place of calling the form
+    for n in range(9):
+        for lam in enumerate_strict(n):
+            for mu in enumerate_odd(n):
+                assert y_direct(lam, mu) == pair(qhl(lam), p_monomial(mu)), (lam, mu)
 
 
 def test_y_recursive_examples():

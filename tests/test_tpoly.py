@@ -149,7 +149,7 @@ def test_memoized_helpers_accept_a_list():
 
 
 def test_z_factor_and_d_poly_take_a_list_and_refuse_a_non_partition():
-    clear_memos()  # z_factor checks its argument on a miss only
+    clear_memos()  # cold; test_partitions makes each refusal after its twin too
     assert z_factor([3, 1]) == z_factor((3, 1)) == 3
     assert d_poly([3, 1]) == d_poly((3, 1))
     for bad, error in (((2, 0), ValueError), ((1, 2), ValueError), ([True], TypeError), ((2.0,), TypeError)):

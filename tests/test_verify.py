@@ -184,6 +184,32 @@ def test_a_wrong_route_fails_its_check(monkeypatch, route, wrong, check, max_n, 
     assert result.detail == detail
 
 
+def test_every_label_template_formats(monkeypatch):
+    """Each check formats a label only for a failing case, so here every
+    case's label is formatted: a template must have one {} per argument."""
+    counts = []
+
+    def agree_formatting_every_label(cases):
+        failures, count = [], 0
+        for label, args, lhs, rhs in cases:
+            count += 1
+            assert label.count("{}") == len(args), (label, args)
+            text = label.format(*args)
+            if lhs != rhs:
+                failures.append(text)
+        counts.append(count)
+        return failures, count
+
+    monkeypatch.setattr(verify, "_agree", agree_formatting_every_label)
+    max_n = 4
+    for _, check, cap in verify.CHECKS:
+        result = getattr(verify, check)(max_n if cap is None else min(max_n, cap))
+        assert result.passed, result
+    assert all(result.passed for result in verify.tables_suite(max_n))
+    assert len(counts) == len(verify.CHECKS) + 2  # golden tables 3 and 4
+    assert all(counts), counts
+
+
 def test_a_wrong_table_fails_the_golden_comparison(monkeypatch):
     y_table = verify.y_table
     monkeypatch.setattr(verify, "y_table", lambda n: _OffDiagonalTable(y_table(n)))
