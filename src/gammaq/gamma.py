@@ -243,9 +243,9 @@ def pair(f: GammaElement, g: GammaElement) -> TPoly:
     Summed on ints as cf cg z_mu 2^{top - l(mu)} over den_f den_g 2^top,
     top the longest common key: each common term reads the memoized z_mu
     once and adds its products in place into one int list, reduced once.
-    A term whose shorter side is a constant, as every coefficient of a
-    Schur Q-vector or a power-sum monomial is, adds one scalar times the
-    other side's list."""
+    The outer loop runs over the shorter of a term's two lists, so a
+    constant side, as every coefficient of a Schur Q-vector or a power-sum
+    monomial is, makes one pass over the other."""
     small, big = (f._terms, g._terms) if len(f._terms) <= len(g._terms) else (g._terms, f._terms)
     common = [(mu, cf, cg) for mu, cf in small.items() if (cg := big.get(mu)) is not None]
     if not common:
@@ -256,14 +256,20 @@ def pair(f: GammaElement, g: GammaElement) -> TPoly:
         w = _z(mu) << (top - len(mu))
         if len(cf) > len(cg):
             cf, cg = cg, cf
-        if len(cf) == 1:
-            a = cf[0] * w
-            for j, b in enumerate(cg):
-                total[j] += a * b
-        else:
-            for i, a in enumerate(cf):
-                if a:
-                    a *= w
-                    for j, b in enumerate(cg, i):
-                        total[j] += a * b
+        for i, a in enumerate(cf):
+            if a:
+                a *= w
+                for j, b in enumerate(cg, i):
+                    total[j] += a * b
     return TPoly._reduce(total, f._den * g._den << top)
+
+
+def _pair_p(f: GammaElement, mu: Partition) -> TPoly:
+    """<f, p_mu> for an odd partition mu given as a tuple, equal to
+    pair(f, p_monomial(mu)): the form is diagonal, so this is the p_mu
+    coefficient of f times <p_mu, p_mu> = z_mu / 2^{l(mu)}, reduced once."""
+    num = f._terms.get(mu)
+    if num is None:
+        return ZERO
+    z = _z(mu)
+    return TPoly._reduce([c * z for c in num], f._den << len(mu))

@@ -84,7 +84,7 @@ def z_factor(p: Partition) -> int:
     return _z(check_partition(p))
 
 
-@cached(_z_memo)
+@cached(_z_memo, key=tuple)
 def _z(p: Partition) -> int:
     """z_factor of a partition already checked, as a tuple: memoized on it."""
     z = 1

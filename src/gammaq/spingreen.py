@@ -38,7 +38,6 @@ from collections.abc import Callable, Iterator
 from .memo import cached, memo
 from .partitions import (
     Partition,
-    _z,
     check_odd,
     check_pair,
     enumerate_odd,
@@ -55,19 +54,13 @@ _rho_sum_memo: dict[tuple[Partition, Partition], TPoly] = memo()
 
 
 def y_direct(lam: Partition, mu: Partition) -> TPoly:
-    """<G_lam.1, p_mu> via vertex operators and the bilinear form.  The form
-    is diagonal with <p_mu, p_mu> = z_mu / 2^{l(mu)}, so this reads the p_mu
-    coefficient of the Q-Hall-Littlewood vector and scales it by that, in one
-    reduction."""
-    from .vertexops import qhl  # loaded only for the check routes
+    """<G_lam.1, p_mu> via vertex operators and the bilinear form, read as
+    the p_mu coefficient of the Q-Hall-Littlewood vector at lam scaled by
+    <p_mu, p_mu> (gamma._pair_p), with no p_mu element built."""
+    from . import gamma, vertexops  # loaded only for the check routes
 
     lam, mu = check_pair(lam, mu, check_odd)
-    f = qhl(lam)
-    num = f._terms.get(mu)
-    if num is None:
-        return ZERO
-    z = _z(mu)
-    return TPoly._reduce([c * z for c in num], f._den << len(mu))
+    return gamma._pair_p(vertexops.qhl(lam), mu)
 
 
 def y_recursive(lam: Partition, mu: Partition) -> TPoly:

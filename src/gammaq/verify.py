@@ -34,6 +34,7 @@ from .gamma import GammaElement, one, p_monomial, pair, pn_star
 from .golden import GOLDEN_Y, golden_y_polys
 from .partitions import (
     Partition,
+    _z,
     dominance_leq,
     enumerate_odd,
     enumerate_strict,
@@ -41,7 +42,6 @@ from .partitions import (
     horizontal_strips,
     index_subpartitions,
     n_stat,
-    z_factor,
 )
 from .qkostka import _l_rec, l_direct, l_two_row
 from .spingreen import (
@@ -456,7 +456,7 @@ def check_y_two_row(max_n: int):
 def check_y_reconstruction(max_n: int):
     """Summing z_mu^{-1} 2^{l(mu)} Y p_mu over odd mu rebuilds the
     Q-Hall-Littlewood vector."""
-    weight = lambda lam, mu: _y_rec(lam, mu) * Fraction(2 ** len(mu), z_factor(mu))
+    weight = lambda lam, mu: _y_rec(lam, mu) * Fraction(2 ** len(mu), _z(mu))
     yield from _rebuilds(max_n, weight, qhl)
 
 
@@ -468,7 +468,7 @@ def check_frobenius(max_n: int):
 
     def weight(lam, mu):
         e = (len(lam) + len(mu) + epsilon(lam)) // 2
-        return Fraction(2**e, z_factor(mu)) * _char(lam, mu, column(mu).get(lam, 0))
+        return Fraction(2**e, _z(mu)) * _char(lam, mu, column(mu).get(lam, 0))
 
     yield from _rebuilds(max_n, weight, schur_q)
 

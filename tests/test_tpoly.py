@@ -149,13 +149,18 @@ def test_memoized_helpers_accept_a_list():
 
 
 def test_z_factor_and_d_poly_take_a_list_and_refuse_a_non_partition():
-    clear_memos()  # cold; test_partitions makes each refusal after its twin too
+    clear_memos()  # each refusal is made cold, then z_factor's again after its int twin
     assert z_factor([3, 1]) == z_factor((3, 1)) == 3
     assert d_poly([3, 1]) == d_poly((3, 1))
     for bad, error in (((2, 0), ValueError), ((1, 2), ValueError), ([True], TypeError), ((2.0,), TypeError)):
         for helper in (z_factor, d_poly):
             with pytest.raises(error):
                 helper(bad)
+    for bad in ([True], (2.0,), (3, True)):
+        twin = tuple(map(int, bad))  # equal to bad, so it fills bad's memo key
+        assert z_factor(twin) > 0
+        with pytest.raises(TypeError):
+            z_factor(bad)
 
 
 def test_inv_z_t_sum_identity():
