@@ -157,16 +157,14 @@ def _cell_json(value):
 class Table(NamedTuple):
     """A matrix over one weight: rows are the strict partitions of weight,
     columns the partitions columns(weight) lists (strict or odd).  Only
-    nonzero cells are kept, as every table builder and from_json make them;
+    nonzero cells are kept, as every table builder and from_pool make them;
     zero, ZERO or the characters' 0, is the value of a cell not stored.
 
     entries is keyed by the canonical axis tuples, as layout reads them;
     entry() canonicalizes its keys for callers that pass other sequences.
-    to_json and from_json are the canonical JSON of a polynomial table, the
-    CLI's json output; the cache stores L and Y in to_pool's form instead,
-    which from_pool reads, decoding each distinct cell once.  The two
-    readers share _from_grid, the axis check and the walk of the grid
-    straight into entries that drops every zero."""
+    to_json is the canonical JSON of a polynomial table, the CLI's json
+    output; the cache stores L and Y in to_pool's form instead, which
+    from_pool reads, decoding each distinct cell once."""
 
     weight: int
     entries: dict[tuple[Partition, Partition], Any]
@@ -231,44 +229,29 @@ class Table(NamedTuple):
         return dict(self._axes(), grid=self.layout(index), values=values)
 
     @classmethod
-    def from_json(cls, data: dict, columns=enumerate_strict) -> "Table":
-        """Inverse of to_json for a polynomial table.  Raises ValueError if
-        the axes are not those of the weight or the grid is ragged (see
-        _from_grid), and whatever TPoly.from_int_json raises on a cell."""
-        decode = TPoly.from_int_json
-        return cls._from_grid(data, columns, (map(decode, row) for row in data["entries"]))
-
-    @classmethod
     def from_pool(cls, data: dict, columns=enumerate_strict) -> "Table":
         """Inverse of to_pool: one TPoly per pool value, shared by every
-        cell that holds its index.  Raises ValueError unless values[0] is
-        [], every later value is a list of ints with a nonzero top and the
-        grid holds only ints; LookupError on an index outside the pool, a
-        negative one included; and what _from_grid raises."""
-        values, grid = data["values"], data["grid"]
-        if values[0] != [] or not (_ints(values) and _ints(grid) and all(v[-1] for v in values[1:])):
-            raise ValueError("pooled table values or grid are malformed")
-        raw = TPoly._raw
-        pool = dict(enumerate([ZERO] + [raw(tuple(v), 1) for v in values[1:]]))
-        return cls._from_grid(data, columns, (map(pool.__getitem__, row) for row in grid))
-
-    @classmethod
-    def _from_grid(cls, data: dict, columns, grid) -> "Table":
-        """The table of weight data["n"] whose cell at each row and column
-        is the TPoly there in grid, a zero not stored.  Raises ValueError if
-        data's rows and cols are not the enumerated axes of the weight, or
-        as the strict zips meet a ragged grid."""
-        n = data["n"]
+        cell that holds its index, and no cell stored at index 0, the zero.
+        Raises ValueError unless n is an int, rows and cols are the
+        enumerated axes of weight n, values[0] is [], every later value is
+        a list of ints with a nonzero top and the grid holds only ints, and
+        as the strict zips meet a ragged grid; KeyError on an index outside
+        the pool, a negative one included."""
+        n, values, grid = data["n"], data["values"], data["grid"]
         if type(n) is not int:
             raise ValueError(f"table weight must be an int: {n!r}")
         rows, cols = enumerate_strict(n), columns(n)
         if data["rows"] != [list(r) for r in rows] or data["cols"] != [list(c) for c in cols]:
             raise ValueError(f"table axes are not those of weight {n}")
+        if values[0] != [] or not (_ints(values) and _ints(grid) and all(v[-1] for v in values[1:])):
+            raise ValueError("pooled table values or grid are malformed")
+        raw = TPoly._raw
+        pool = dict(enumerate([raw(tuple(v), 1) for v in values]))
         entries = {}
         for lam, row in zip(rows, grid, strict=True):
-            for mu, value in zip(cols, row, strict=True):
-                if value._num:
-                    entries[lam, mu] = value
+            for mu, i in zip(cols, row, strict=True):
+                if i:
+                    entries[lam, mu] = pool[i]
         return cls(n, entries, columns)
 
 

@@ -14,9 +14,7 @@ directly.  Arithmetic runs on ints with one gcd reduction per result, and
 denominator 1, the case of every L, Y and character value, takes no gcd at
 all.  _pmul and _padd, the int products and sums of TPoly, are also those of
 gamma and vertexops; _text, the one writer of polynomial text, plain or
-LaTeX, writes every TPoly straight from its ints.
-from_int_json, the decoder of each cell of a table's JSON, builds the
-normal form directly when the top coefficient is nonzero.  Only int and Fraction
+LaTeX, writes every TPoly straight from its ints.  Only int and Fraction
 scalars are accepted, so no float or string can slip into an exact value.
 A TPoly is immutable and hashable.
 
@@ -59,15 +57,16 @@ def _ratio_str(n: int, d: int) -> str:
 
 
 def _parse_ratio(s: str) -> tuple[int, int]:
-    """(n, d) of a string 'n/d' of the form -?digits/digits, in ASCII, with
-    Fraction's value; ValueError on any other string, ZeroDivisionError on d = 0."""
+    """(n, d) of a string 'n/d' over the characters -/0123456789, as
+    from_json checks them: ValueError unless it is -?digits/digits, which
+    Fraction reads as n/d, ZeroDivisionError on d = 0."""
     n, _, d = s.partition("/")
-    digits = n[1:] if n[:1] == "-" else n
-    if not (digits.isascii() and digits.isdigit() and d.isascii() and d.isdigit()):
+    if not d.isdigit():  # no sign and no second slash in d
         raise ValueError(f"coefficient must be an integer or num/den: {s!r}")
-    if not int(d):
+    n, d = int(n), int(d)
+    if not d:
         raise ZeroDivisionError(f"zero denominator: {s!r}")
-    return int(n), int(d)
+    return n, d
 
 
 def _pmul(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -319,23 +318,21 @@ class TPoly:
     @staticmethod
     def from_json(data: list[str]) -> "TPoly":
         """Inverse of to_json.  Raises TypeError unless data is a list of
-        strings, and ValueError on a string that is neither an integer nor
-        'num/den' in ASCII digits, as _ratio_str writes it (so '1.5', '1e3'
-        and ' 1/2' are refused); ZeroDivisionError on a zero den.  The
-        numerators are scaled to the lcm of the denominators and reduced once."""
-        if isinstance(data, list) and "/" in "".join(data):
+        strings, and ValueError on a string that is neither -?digits nor
+        -?digits/digits in ASCII, as to_json writes them (so '1.5', '1e3',
+        '+1', ' 1/2', '1_0' and non-ASCII digits are refused);
+        ZeroDivisionError on a zero den.  Integers with a nonzero top are
+        already the normal form; with a slash, the numerators are scaled to
+        the lcm of the denominators and reduced once."""
+        if not isinstance(data, list):
+            raise TypeError(f"TPoly JSON must be a list of coefficients: {data!r}")
+        text = "".join(data)  # raises TypeError on a non-string
+        if text.lstrip("-/0123456789"):  # one grammar, checked at C level
+            raise ValueError(f"coefficients must be ASCII integers or num/den: {data!r}")
+        if "/" in text:
             ratios = [_parse_ratio(s) if "/" in s else (int(s), 1) for s in data]
             den = lcm(*(d for _, d in ratios))
             return TPoly._reduce([n * (den // d) for n, d in ratios], den)
-        return TPoly.from_int_json(data)
-
-    @staticmethod
-    def from_int_json(data: list[str]) -> "TPoly":
-        """from_json for integer coefficients: int() also refuses 'num/den'
-        with ValueError.  Raises TypeError unless data is a list of strings."""
-        if not isinstance(data, list):
-            raise TypeError(f"TPoly JSON must be a list of coefficients: {data!r}")
-        "".join(data)  # raises TypeError on a non-string
         num = tuple(map(int, data))
         if num and num[-1]:
             return TPoly._raw(num, 1)  # already in normal form

